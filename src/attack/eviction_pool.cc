@@ -177,7 +177,7 @@ LlcEvictionPool::extractClasses(
     for (unsigned cls = 0; cls < classesSampled; ++cls) {
         phys[cls].reserve(buckets[cls].size());
         for (VirtAddr line : buckets[cls])
-            phys[cls].push_back(linePhys(line) % m.memory().size());
+            phys[cls].push_back(linePhys(line));
     }
 
     auto runClass = [&](unsigned cls) {
@@ -253,7 +253,9 @@ LlcEvictionPool::linePhys(VirtAddr line) const
     pth_assert(tr.has_value(), "buffer line unmapped");
     // translate() already resolves huge mappings to the covering
     // 4 KiB frame, so composing with the page offset is uniform.
-    return (tr->frame << kPageShift) | (line & (kPageBytes - 1));
+    PhysAddr pa = (tr->frame << kPageShift) | (line & (kPageBytes - 1));
+    m.memory().checkRange(pa);
+    return pa;
 }
 
 PoolBuildReport

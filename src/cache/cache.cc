@@ -8,184 +8,21 @@ namespace pth
 
 Cache::Cache(const CacheConfig &config, std::string name)
     : cfg(config), label(std::move(name)), hash(config.slices),
-      lines(config.sets * config.slices * config.ways),
-      policy(ReplacementPolicy::create(config.replacement,
-                                       config.sets * config.slices,
-                                       config.ways,
-                                       mix64(config.sets + config.ways)))
+      lines(config.sets * config.slices, config.ways, config.replacement,
+            mix64(config.sets + config.ways))
 {
     pth_assert(isPow2(cfg.sets), "cache sets must be a power of two");
     pth_assert(cfg.ways >= 1, "cache needs at least one way");
-}
-
-Cache::Cache(const Cache &other)
-    : cfg(other.cfg), label(other.label), hash(other.hash),
-      lines(other.lines), policy(other.policy->clone()),
-      nHits(other.nHits), nMisses(other.nMisses)
-{
 }
 
 std::uint64_t
 Cache::stateHash() const
 {
     std::uint64_t h = hashCombine(0x5ca1e, nHits);
-    h = hashCombine(h, nMisses, policy->stateHash());
-    for (const Line &line : lines)
-        h = hashCombine(h, line.valid ? line.tag | (1ull << 63) : 0);
+    h = hashCombine(h, nMisses, lines.policyHash());
+    for (std::uint64_t i = 0; i < lines.size(); ++i)
+        h = hashCombine(h, lines.valid(i) ? lines.key(i) | (1ull << 63) : 0);
     return h;
-}
-
-std::uint64_t
-Cache::setIndex(PhysAddr pa) const
-{
-    return (pa >> kLineShift) & (cfg.sets - 1);
-}
-
-unsigned
-Cache::sliceIndex(PhysAddr pa) const
-{
-    return hash.slice(pa);
-}
-
-std::uint64_t
-Cache::globalSet(PhysAddr pa) const
-{
-    return static_cast<std::uint64_t>(sliceIndex(pa)) * cfg.sets +
-           setIndex(pa);
-}
-
-std::uint64_t
-Cache::tagOf(PhysAddr pa) const
-{
-    // The full line address doubles as the tag: exact reconstruction of
-    // evicted line addresses is required for inclusive back-invalidation.
-    return pa >> kLineShift;
-}
-
-Cache::Line &
-Cache::lineAt(std::uint64_t set, unsigned way)
-{
-    return lines[set * cfg.ways + way];
-}
-
-const Cache::Line &
-Cache::lineAt(std::uint64_t set, unsigned way) const
-{
-    return lines[set * cfg.ways + way];
-}
-
-bool
-Cache::contains(PhysAddr pa) const
-{
-    std::uint64_t set = globalSet(pa);
-    std::uint64_t tag = tagOf(pa);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        const Line &line = lineAt(set, w);
-        if (line.valid && line.tag == tag)
-            return true;
-    }
-    return false;
-}
-
-bool
-Cache::access(PhysAddr pa)
-{
-    // Row base hoisted out of the way scan: lineAt() re-derives
-    // set * ways per probe, and all three levels run this loop on
-    // every memory reference — it dominates the per-access profile.
-    const std::uint64_t set = globalSet(pa);
-    const std::uint64_t tag = tagOf(pa);
-    Line *row = &lines[set * cfg.ways];
-    const unsigned ways = cfg.ways;
-    for (unsigned w = 0; w < ways; ++w) {
-        Line &line = row[w];
-        if (line.valid && line.tag == tag) {
-            policy->touch(set, w);
-            ++nHits;
-            return true;
-        }
-    }
-    ++nMisses;
-    return false;
-}
-
-std::optional<PhysAddr>
-Cache::fill(PhysAddr pa)
-{
-    const std::uint64_t set = globalSet(pa);
-    const std::uint64_t tag = tagOf(pa);
-    Line *row = &lines[set * cfg.ways];
-    const unsigned ways = cfg.ways;
-
-    // One scan finds both an already-present line and the first free
-    // way (the former used to be a separate full pass).
-    unsigned freeWay = ways;
-    for (unsigned w = 0; w < ways; ++w) {
-        Line &line = row[w];
-        if (!line.valid) {
-            if (freeWay == ways)
-                freeWay = w;
-            continue;
-        }
-        if (line.tag == tag) {
-            // Already present: refresh replacement state only.
-            policy->touch(set, w);
-            return std::nullopt;
-        }
-    }
-
-    if (freeWay != ways) {
-        Line &line = row[freeWay];
-        line.valid = true;
-        line.tag = tag;
-        policy->insert(set, freeWay);
-        return std::nullopt;
-    }
-
-    unsigned w = policy->victim(set);
-    Line &line = row[w];
-    PhysAddr evicted = line.tag << kLineShift;
-    line.tag = tag;
-    policy->insert(set, w);
-    return evicted;
-}
-
-bool
-Cache::invalidate(PhysAddr pa)
-{
-    std::uint64_t set = globalSet(pa);
-    std::uint64_t tag = tagOf(pa);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Line &line = lineAt(set, w);
-        if (line.valid && line.tag == tag) {
-            line.valid = false;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::uint64_t
-Cache::validLines() const
-{
-    std::uint64_t count = 0;
-    for (const Line &line : lines)
-        if (line.valid)
-            ++count;
-    return count;
-}
-
-void
-Cache::flushAll()
-{
-    for (Line &line : lines)
-        line.valid = false;
-}
-
-PhysAddr
-Cache::lineAddrOf(std::uint64_t, const Line &line) const
-{
-    return line.tag << kLineShift;
 }
 
 } // namespace pth

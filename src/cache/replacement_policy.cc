@@ -3,107 +3,57 @@
 #include <algorithm>
 
 #include "common/bitops.hh"
-#include "common/logging.hh"
 
 namespace pth
 {
 
-std::string
-replacementKindName(ReplacementKind kind)
+ReplacementPolicy::ReplacementPolicy(ReplacementKind kind_,
+                                     std::uint64_t sets, unsigned ways_,
+                                     std::uint64_t seed)
+    : kind(kind_), ways(ways_), rng(seed)
 {
     switch (kind) {
       case ReplacementKind::Lru:
-        return "lru";
+        stamps.assign(sets * ways, 0);
+        break;
       case ReplacementKind::TreePlru:
-        return "tree-plru";
-      case ReplacementKind::Random:
-        return "random";
-      case ReplacementKind::Nru:
-        return "nru";
+        while (treeWays < ways)
+            treeWays <<= 1;
+        levels = log2i(treeWays);
+        bits.assign(sets * (treeWays - 1), 0);
+        break;
       case ReplacementKind::Aging:
-        return "aging";
+        ages.assign(sets * ways, 0);
+        break;
     }
-    return "?";
-}
-
-std::unique_ptr<ReplacementPolicy>
-ReplacementPolicy::create(ReplacementKind kind, std::uint64_t sets,
-                          unsigned ways, std::uint64_t seed)
-{
-    switch (kind) {
-      case ReplacementKind::Lru:
-        return std::make_unique<LruPolicy>(sets, ways);
-      case ReplacementKind::TreePlru:
-        return std::make_unique<TreePlruPolicy>(sets, ways);
-      case ReplacementKind::Random:
-        return std::make_unique<RandomPolicy>(ways, seed);
-      case ReplacementKind::Nru:
-        return std::make_unique<NruPolicy>(sets, ways, seed);
-      case ReplacementKind::Aging:
-        return std::make_unique<AgingPolicy>(sets, ways, seed);
-    }
-    panic("unknown replacement kind");
-}
-
-LruPolicy::LruPolicy(std::uint64_t sets, unsigned ways_)
-    : ways(ways_), stamps(sets * ways_, 0)
-{
-}
-
-void
-LruPolicy::touch(std::uint64_t set, unsigned way)
-{
-    stamps[set * ways + way] = ++tick;
-}
-
-void
-LruPolicy::insert(std::uint64_t set, unsigned way)
-{
-    touch(set, way);
-}
-
-unsigned
-LruPolicy::victim(std::uint64_t set)
-{
-    unsigned best = 0;
-    std::uint64_t bestStamp = ~0ull;
-    for (unsigned w = 0; w < ways; ++w) {
-        std::uint64_t s = stamps[set * ways + w];
-        if (s < bestStamp) {
-            bestStamp = s;
-            best = w;
-        }
-    }
-    return best;
-}
-
-std::unique_ptr<ReplacementPolicy>
-LruPolicy::clone() const
-{
-    return std::make_unique<LruPolicy>(*this);
 }
 
 std::uint64_t
-LruPolicy::stateHash() const
+ReplacementPolicy::stateHash() const
 {
-    std::uint64_t h = hashCombine(0x12c0, ways, tick);
-    for (std::uint64_t stamp : stamps)
-        h = hashCombine(h, stamp);
+    std::uint64_t h = 0;
+    switch (kind) {
+      case ReplacementKind::Lru:
+        h = hashCombine(0x12c0, ways, tick);
+        for (std::uint64_t stamp : stamps)
+            h = hashCombine(h, stamp);
+        break;
+      case ReplacementKind::TreePlru:
+        h = hashCombine(0x92e9, ways, treeWays);
+        for (std::uint8_t bit : bits)
+            h = hashCombine(h, bit);
+        break;
+      case ReplacementKind::Aging:
+        h = hashCombine(0xa917, ways, rng.stateHash());
+        for (std::uint8_t age : ages)
+            h = hashCombine(h, age);
+        break;
+    }
     return h;
 }
 
-TreePlruPolicy::TreePlruPolicy(std::uint64_t sets, unsigned ways_)
-    : ways(ways_)
-{
-    treeWays = 1;
-    while (treeWays < ways)
-        treeWays <<= 1;
-    levels = log2i(treeWays);
-    bits.assign(sets * (treeWays - 1), 0);
-}
-
 void
-TreePlruPolicy::updatePath(std::uint64_t set, unsigned way)
+ReplacementPolicy::updatePath(std::uint64_t set, unsigned way)
 {
     // Walk from the root; at each node, point the bit *away* from the
     // touched way.
@@ -117,20 +67,23 @@ TreePlruPolicy::updatePath(std::uint64_t set, unsigned way)
     }
 }
 
-void
-TreePlruPolicy::touch(std::uint64_t set, unsigned way)
+unsigned
+ReplacementPolicy::lruVictim(std::uint64_t set) const
 {
-    updatePath(set, way);
-}
-
-void
-TreePlruPolicy::insert(std::uint64_t set, unsigned way)
-{
-    updatePath(set, way);
+    unsigned best = 0;
+    std::uint64_t bestStamp = ~0ull;
+    for (unsigned w = 0; w < ways; ++w) {
+        std::uint64_t s = stamps[set * ways + w];
+        if (s < bestStamp) {
+            bestStamp = s;
+            best = w;
+        }
+    }
+    return best;
 }
 
 unsigned
-TreePlruPolicy::victim(std::uint64_t set)
+ReplacementPolicy::treeVictim(std::uint64_t set)
 {
     std::uint8_t *tree = &bits[set * (treeWays - 1)];
     for (unsigned attempt = 0; attempt < 2 * treeWays; ++attempt) {
@@ -145,103 +98,13 @@ TreePlruPolicy::victim(std::uint64_t set)
             return way;
         // The tree pointed into the padded range (non-power-of-two
         // associativity); steer away and retry.
-        updatePath(set, way >= ways ? ways - 1 : way);
+        updatePath(set, ways - 1);
     }
     return ways - 1;
 }
 
-std::unique_ptr<ReplacementPolicy>
-TreePlruPolicy::clone() const
-{
-    return std::make_unique<TreePlruPolicy>(*this);
-}
-
-std::uint64_t
-TreePlruPolicy::stateHash() const
-{
-    std::uint64_t h = hashCombine(0x92e9, ways, treeWays);
-    for (std::uint8_t bit : bits)
-        h = hashCombine(h, bit);
-    return h;
-}
-
-NruPolicy::NruPolicy(std::uint64_t sets, unsigned ways_, std::uint64_t seed)
-    : ways(ways_), refBits(sets * ways_, 0), rng(seed)
-{
-}
-
-void
-NruPolicy::touch(std::uint64_t set, unsigned way)
-{
-    refBits[set * ways + way] = 1;
-}
-
-void
-NruPolicy::insert(std::uint64_t set, unsigned way)
-{
-    refBits[set * ways + way] = 1;
-}
-
 unsigned
-NruPolicy::victim(std::uint64_t set)
-{
-    std::uint8_t *refs = &refBits[set * ways];
-    unsigned clearCount = 0;
-    for (unsigned w = 0; w < ways; ++w)
-        if (!refs[w])
-            ++clearCount;
-    if (clearCount == 0) {
-        // Everything was recently used: clear the epoch and pick any.
-        for (unsigned w = 0; w < ways; ++w)
-            refs[w] = 0;
-        return static_cast<unsigned>(rng.below(ways));
-    }
-    unsigned pick = static_cast<unsigned>(rng.below(clearCount));
-    for (unsigned w = 0; w < ways; ++w) {
-        if (!refs[w]) {
-            if (pick == 0)
-                return w;
-            --pick;
-        }
-    }
-    return ways - 1;
-}
-
-std::unique_ptr<ReplacementPolicy>
-NruPolicy::clone() const
-{
-    return std::make_unique<NruPolicy>(*this);
-}
-
-std::uint64_t
-NruPolicy::stateHash() const
-{
-    std::uint64_t h = hashCombine(0x9eb, ways, rng.stateHash());
-    for (std::uint8_t bit : refBits)
-        h = hashCombine(h, bit);
-    return h;
-}
-
-AgingPolicy::AgingPolicy(std::uint64_t sets, unsigned ways_,
-                         std::uint64_t seed)
-    : ways(ways_), ages(sets * ways_, 0), rng(seed)
-{
-}
-
-void
-AgingPolicy::touch(std::uint64_t set, unsigned way)
-{
-    ages[set * ways + way] = touchAge;
-}
-
-void
-AgingPolicy::insert(std::uint64_t set, unsigned way)
-{
-    ages[set * ways + way] = insertAge;
-}
-
-unsigned
-AgingPolicy::victim(std::uint64_t set)
+ReplacementPolicy::agingVictim(std::uint64_t set)
 {
     std::uint8_t *age = &ages[set * ways];
     auto pickAmong = [&](std::uint8_t wanted) -> int {
@@ -283,54 +146,6 @@ AgingPolicy::victim(std::uint64_t set)
                 --age[w];
     }
     return static_cast<unsigned>(rng.below(ways));
-}
-
-std::unique_ptr<ReplacementPolicy>
-AgingPolicy::clone() const
-{
-    return std::make_unique<AgingPolicy>(*this);
-}
-
-std::uint64_t
-AgingPolicy::stateHash() const
-{
-    std::uint64_t h = hashCombine(0xa917, ways, rng.stateHash());
-    for (std::uint8_t age : ages)
-        h = hashCombine(h, age);
-    return h;
-}
-
-RandomPolicy::RandomPolicy(unsigned ways_, std::uint64_t seed)
-    : ways(ways_), rng(seed)
-{
-}
-
-void
-RandomPolicy::touch(std::uint64_t, unsigned)
-{
-}
-
-void
-RandomPolicy::insert(std::uint64_t, unsigned)
-{
-}
-
-unsigned
-RandomPolicy::victim(std::uint64_t)
-{
-    return static_cast<unsigned>(rng.below(ways));
-}
-
-std::unique_ptr<ReplacementPolicy>
-RandomPolicy::clone() const
-{
-    return std::make_unique<RandomPolicy>(*this);
-}
-
-std::uint64_t
-RandomPolicy::stateHash() const
-{
-    return hashCombine(0x9a2d, ways, rng.stateHash());
 }
 
 } // namespace pth

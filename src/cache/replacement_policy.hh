@@ -2,19 +2,18 @@
  * @file
  * Set-associative replacement policies.
  *
- * True LRU, tree pseudo-LRU and random replacement are provided. The
- * TLB uses tree-PLRU: the paper observes that a TLB eviction set equal
- * to the associativity does not reliably evict ("the eviction policy on
- * TLB is not true LRU"), and tree-PLRU reproduces exactly that
- * behaviour, which drives the Figure 3 minimal-set-size result.
+ * True LRU, tree pseudo-LRU and clock-style aging are provided. The
+ * caches use LRU (L1D) and tree-PLRU (L2/LLC); the TLBs use aging: the
+ * paper observes that a TLB eviction set equal to the associativity
+ * does not reliably evict ("the eviction policy on TLB is not true
+ * LRU"), and aging reproduces exactly that behaviour, which drives the
+ * Figure 3 minimal-set-size result.
  */
 
 #ifndef PTH_CACHE_REPLACEMENT_POLICY_HH
 #define PTH_CACHE_REPLACEMENT_POLICY_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -23,164 +22,104 @@ namespace pth
 {
 
 /** Replacement policy kinds selectable from configuration. */
-enum class ReplacementKind { Lru, TreePlru, Random, Nru, Aging };
-
-/** Human-readable policy name. */
-std::string replacementKindName(ReplacementKind kind);
+enum class ReplacementKind { Lru, TreePlru, Aging };
 
 /**
  * Per-structure replacement state covering all sets of one
- * set-associative structure.
+ * set-associative structure. A plain value: copies (Machine
+ * snapshot/fork) carry every stamp, tree bit, age and the RNG
+ * position, so a copy replays victim choices bit-identically.
+ *
+ * - Lru: true least-recently-used via per-way age stamps.
+ * - TreePlru: tree pseudo-LRU. Associativities that are not a power of
+ *   two (e.g. 12-way LLC slices) use the next larger tree and re-draw
+ *   when the tree points at a nonexistent way.
+ * - Aging: clock-style aging with a re-reference counter per way. Hits
+ *   recharge an entry to the maximum age; fills start low; victim
+ *   selection picks (randomly) among ways at age 0, ageing the whole
+ *   set when none qualifies. A freshly-touched entry therefore
+ *   survives roughly touchAge ageing rounds of fills, pushing the
+ *   reliable eviction-set size to ~3x the associativity — the TLB
+ *   behaviour behind the paper's Figure 3 knee at 12 pages for 4-way
+ *   TLBs.
  */
 class ReplacementPolicy
 {
   public:
-    virtual ~ReplacementPolicy() = default;
+    /** @param seed Seeds the victim draws of Aging; ignored otherwise. */
+    ReplacementPolicy(ReplacementKind kind, std::uint64_t sets,
+                      unsigned ways, std::uint64_t seed);
+
+    // touch, insert and victim are inline: every cache and TLB hit or
+    // fill dispatches through them.
 
     /** Note a hit on (set, way). */
-    virtual void touch(std::uint64_t set, unsigned way) = 0;
+    void touch(std::uint64_t set, unsigned way)
+    {
+        switch (kind) {
+          case ReplacementKind::Lru:
+            stamps[set * ways + way] = ++tick;
+            break;
+          case ReplacementKind::TreePlru:
+            updatePath(set, way);
+            break;
+          case ReplacementKind::Aging:
+            ages[set * ways + way] = touchAge;
+            break;
+        }
+    }
 
-    /** Note a fill into (set, way). */
-    virtual void insert(std::uint64_t set, unsigned way) = 0;
+    /** Note a fill into (set, way). Only Aging tells it from a hit. */
+    void insert(std::uint64_t set, unsigned way)
+    {
+        if (kind == ReplacementKind::Aging)
+            ages[set * ways + way] = insertAge;
+        else
+            touch(set, way);
+    }
 
     /** Choose the way to evict from the given (full) set. */
-    virtual unsigned victim(std::uint64_t set) = 0;
+    unsigned victim(std::uint64_t set)
+    {
+        switch (kind) {
+          case ReplacementKind::Lru:
+            return lruVictim(set);
+          case ReplacementKind::TreePlru:
+            return treeVictim(set);
+          case ReplacementKind::Aging:
+            return agingVictim(set);
+        }
+        return 0;
+    }
 
     /**
-     * Deep copy, including per-set state and any internal RNG, so a
-     * cloned structure replays victim choices bit-identically
-     * (Machine snapshot/fork support).
+     * Digest of the replacement metadata (age stamps, tree bits, ages,
+     * RNG position). Folded into Cache/Tlb stateHash so two structures
+     * with equal fingerprints also agree on every future victim choice
+     * — without this, snapshot audits could pass on states that replay
+     * differently.
      */
-    virtual std::unique_ptr<ReplacementPolicy> clone() const = 0;
-
-    /**
-     * Digest of the replacement metadata (age stamps, tree bits,
-     * reference bits, RNG position). Folded into Cache/Tlb stateHash
-     * so two structures with equal fingerprints also agree on every
-     * future victim choice — without this, snapshot audits could pass
-     * on states that replay differently.
-     */
-    virtual std::uint64_t stateHash() const = 0;
-
-    /** Factory. */
-    static std::unique_ptr<ReplacementPolicy> create(
-        ReplacementKind kind, std::uint64_t sets, unsigned ways,
-        std::uint64_t seed = 1);
-};
-
-/** True least-recently-used via per-way age stamps. */
-class LruPolicy : public ReplacementPolicy
-{
-  public:
-    LruPolicy(std::uint64_t sets, unsigned ways);
-
-    void touch(std::uint64_t set, unsigned way) override;
-    void insert(std::uint64_t set, unsigned way) override;
-    unsigned victim(std::uint64_t set) override;
-    std::unique_ptr<ReplacementPolicy> clone() const override;
-    std::uint64_t stateHash() const override;
-
-  private:
-    unsigned ways;
-    std::uint64_t tick = 0;
-    std::vector<std::uint64_t> stamps;  //!< sets x ways age stamps
-};
-
-/**
- * Tree pseudo-LRU for power-of-two associativity. Associativities that
- * are not a power of two (e.g. 12-way LLC slices) use the next larger
- * tree and re-draw when the tree points at a nonexistent way.
- */
-class TreePlruPolicy : public ReplacementPolicy
-{
-  public:
-    TreePlruPolicy(std::uint64_t sets, unsigned ways);
-
-    void touch(std::uint64_t set, unsigned way) override;
-    void insert(std::uint64_t set, unsigned way) override;
-    unsigned victim(std::uint64_t set) override;
-    std::unique_ptr<ReplacementPolicy> clone() const override;
-    std::uint64_t stateHash() const override;
-
-  private:
-    void updatePath(std::uint64_t set, unsigned way);
-
-    unsigned ways;
-    unsigned treeWays;   //!< ways rounded up to a power of two
-    unsigned levels;     //!< log2(treeWays)
-    std::vector<std::uint8_t> bits;  //!< sets x (treeWays - 1) tree bits
-};
-
-/**
- * Not-recently-used: one reference bit per way. A hit sets the bit; a
- * fill victimizes a random way whose bit is clear, clearing all bits
- * when every way is referenced. A recently-touched entry therefore
- * survives bursts of fills probabilistically, so evicting it reliably
- * takes noticeably more congruent accesses than the associativity —
- * the TLB behaviour the paper measures in Figure 3.
- */
-class NruPolicy : public ReplacementPolicy
-{
-  public:
-    NruPolicy(std::uint64_t sets, unsigned ways, std::uint64_t seed);
-
-    void touch(std::uint64_t set, unsigned way) override;
-    void insert(std::uint64_t set, unsigned way) override;
-    unsigned victim(std::uint64_t set) override;
-    std::unique_ptr<ReplacementPolicy> clone() const override;
-    std::uint64_t stateHash() const override;
-
-  private:
-    unsigned ways;
-    std::vector<std::uint8_t> refBits;  //!< sets x ways
-    Rng rng;
-};
-
-/**
- * Clock-style aging with a 2-bit re-reference counter per way. Hits
- * recharge an entry to the maximum age; fills start low; victim
- * selection picks (randomly) among ways at age 0, ageing the whole set
- * when none qualifies. A freshly-touched entry therefore survives
- * roughly touchAge ageing rounds of fills, pushing the reliable
- * eviction-set size to ~3x the associativity — the TLB behaviour
- * behind the paper's Figure 3 knee at 12 pages for 4-way TLBs.
- */
-class AgingPolicy : public ReplacementPolicy
-{
-  public:
-    AgingPolicy(std::uint64_t sets, unsigned ways, std::uint64_t seed);
-
-    void touch(std::uint64_t set, unsigned way) override;
-    void insert(std::uint64_t set, unsigned way) override;
-    unsigned victim(std::uint64_t set) override;
-    std::unique_ptr<ReplacementPolicy> clone() const override;
-    std::uint64_t stateHash() const override;
+    std::uint64_t stateHash() const;
 
   private:
     static constexpr std::uint8_t touchAge = 4;
     static constexpr std::uint8_t insertAge = 1;
     static constexpr double skipAgeProbability = 0.60;
 
+    void updatePath(std::uint64_t set, unsigned way);
+    unsigned lruVictim(std::uint64_t set) const;
+    unsigned treeVictim(std::uint64_t set);
+    unsigned agingVictim(std::uint64_t set);
+
+    ReplacementKind kind;
     unsigned ways;
-    std::vector<std::uint8_t> ages;  //!< sets x ways
-    Rng rng;
-};
-
-/** Uniform random victim selection (deterministic, seeded). */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    RandomPolicy(unsigned ways, std::uint64_t seed);
-
-    void touch(std::uint64_t set, unsigned way) override;
-    void insert(std::uint64_t set, unsigned way) override;
-    unsigned victim(std::uint64_t set) override;
-    std::unique_ptr<ReplacementPolicy> clone() const override;
-    std::uint64_t stateHash() const override;
-
-  private:
-    unsigned ways;
-    Rng rng;
+    unsigned treeWays = 1;   //!< TreePlru: ways rounded up to a power of two
+    unsigned levels = 0;     //!< TreePlru: log2(treeWays)
+    std::uint64_t tick = 0;  //!< Lru: last stamp handed out
+    std::vector<std::uint64_t> stamps;  //!< Lru: sets x ways age stamps
+    std::vector<std::uint8_t> bits;     //!< TreePlru: sets x (treeWays-1) nodes
+    std::vector<std::uint8_t> ages;     //!< Aging: sets x ways
+    Rng rng;                            //!< Aging: victim draws
 };
 
 } // namespace pth

@@ -48,7 +48,8 @@ Cpu::access(VirtAddr va, bool write)
         return out;
     }
     out.ok = true;
-    out.pa = tr.pa % mem.size();
+    mem.checkRange(tr.pa);
+    out.pa = tr.pa;
     MemAccessResult dataAccess =
         caches.access(out.pa, clk.now(), hartIndex);
     (void)write;  // write-allocate: timing identical to a read here
@@ -72,8 +73,9 @@ Cpu::accessBatch(const std::vector<VirtAddr> &vas)
         TranslateResult tr = mmuRef.translate(va, start);
         Cycles lat = tr.latency;
         if (tr.ok) {
+            mem.checkRange(tr.pa);
             MemAccessResult dataAccess =
-                caches.access(tr.pa % mem.size(), start, hartIndex);
+                caches.access(tr.pa, start, hartIndex);
             lat += dataAccess.latency;
         }
         sum += lat;
@@ -91,8 +93,10 @@ Cpu::clflush(VirtAddr va)
 {
     TranslateResult tr = mmuRef.translate(va, clk.now());
     Cycles lat = tr.latency;
-    if (tr.ok)
-        lat += caches.clflush(tr.pa % mem.size());
+    if (tr.ok) {
+        mem.checkRange(tr.pa);
+        lat += caches.clflush(tr.pa);
+    }
     clk.advance(lat);
 }
 
@@ -122,8 +126,7 @@ Cpu::readUser64(VirtAddr va, std::uint64_t &value) const
     auto tr = current->pageTables()->translate(va);
     if (!tr)
         return false;
-    PhysAddr pa = ((tr->frame << kPageShift) | (va & (kPageBytes - 1))) %
-                  mem.size();
+    PhysAddr pa = (tr->frame << kPageShift) | (va & (kPageBytes - 1));
     value = mem.read64(pa & ~7ull);
     return true;
 }
@@ -135,8 +138,7 @@ Cpu::writeUser64(VirtAddr va, std::uint64_t value)
     auto tr = current->pageTables()->translate(va);
     if (!tr)
         return false;
-    PhysAddr pa = ((tr->frame << kPageShift) | (va & (kPageBytes - 1))) %
-                  mem.size();
+    PhysAddr pa = (tr->frame << kPageShift) | (va & (kPageBytes - 1));
     mem.write64(pa & ~7ull, value);
     return true;
 }

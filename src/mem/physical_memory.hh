@@ -32,6 +32,9 @@ class PhysicalMemory
     /** Total size in 4 KiB frames. */
     std::uint64_t frames() const { return bytes >> kPageShift; }
 
+    /** Fault (panic) unless pa lies inside memory. */
+    void checkRange(PhysAddr pa) const;
+
     /** Read the aligned 64-bit word at a physical address. */
     std::uint64_t read64(PhysAddr pa) const;
 
@@ -73,7 +76,6 @@ class PhysicalMemory
   private:
     PhysPage &pageFor(PhysFrame frame);
     const PhysPage *pageIfPresent(PhysFrame frame) const;
-    void checkRange(PhysAddr pa) const;
 
     std::uint64_t bytes;
     std::unordered_map<PhysFrame, PhysPage> pages;

@@ -8,145 +8,24 @@ namespace pth
 {
 
 Tlb::Tlb(const TlbLevelConfig &config)
-    : cfg(config), slots(config.sets * config.ways),
-      policy(ReplacementPolicy::create(config.replacement, config.sets,
-                                       config.ways,
-                                       mix64(config.seed ^ (config.sets * 7 + config.ways))))
+    : cfg(config),
+      slots(config.sets, config.ways, config.replacement,
+            mix64(config.seed ^ (config.sets * 7 + config.ways))),
+      pfns(config.sets * config.ways, 0)
 {
     pth_assert(isPow2(cfg.sets), "TLB sets must be a power of two");
-}
-
-Tlb::Tlb(const Tlb &other)
-    : cfg(other.cfg), slots(other.slots), policy(other.policy->clone())
-{
 }
 
 std::uint64_t
 Tlb::stateHash() const
 {
-    std::uint64_t h = hashCombine(0x71b, policy->stateHash());
-    for (const Slot &slot : slots) {
-        h = hashCombine(h, slot.valid, slot.entry.vpn);
-        h = hashCombine(h, slot.entry.pfn, slot.entry.huge);
+    std::uint64_t h = hashCombine(0x71b, slots.policyHash());
+    for (std::uint64_t i = 0; i < slots.size(); ++i) {
+        std::uint64_t key = slots.key(i);
+        h = hashCombine(h, slots.valid(i), key >> 1);
+        h = hashCombine(h, pfns[i], key & 1);
     }
     return h;
-}
-
-std::uint64_t
-Tlb::setOf(VirtPage vpn) const
-{
-    // Linear mapping: low vpn bits select the set (Gras et al.).
-    return vpn & (cfg.sets - 1);
-}
-
-Tlb::Slot &
-Tlb::slotAt(std::uint64_t set, unsigned way)
-{
-    return slots[set * cfg.ways + way];
-}
-
-const Tlb::Slot &
-Tlb::slotAt(std::uint64_t set, unsigned way) const
-{
-    return slots[set * cfg.ways + way];
-}
-
-std::optional<TlbEntry>
-Tlb::lookup(VirtPage vpn, bool huge)
-{
-    // Slot base hoisted out of the way scan (see Cache::access) —
-    // every translate() probes both TLB levels through here.
-    const std::uint64_t set = setOf(vpn);
-    Slot *row = &slots[set * cfg.ways];
-    const unsigned ways = cfg.ways;
-    for (unsigned w = 0; w < ways; ++w) {
-        Slot &slot = row[w];
-        if (slot.valid && slot.entry.vpn == vpn &&
-            slot.entry.huge == huge) {
-            policy->touch(set, w);
-            return slot.entry;
-        }
-    }
-    return std::nullopt;
-}
-
-bool
-Tlb::contains(VirtPage vpn, bool huge) const
-{
-    std::uint64_t set = setOf(vpn);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        const Slot &slot = slotAt(set, w);
-        if (slot.valid && slot.entry.vpn == vpn && slot.entry.huge == huge)
-            return true;
-    }
-    return false;
-}
-
-void
-Tlb::insert(const TlbEntry &entry)
-{
-    const std::uint64_t set = setOf(entry.vpn);
-    Slot *row = &slots[set * cfg.ways];
-    const unsigned ways = cfg.ways;
-
-    // One scan finds both an already-cached entry (refresh in place)
-    // and the first free way.
-    unsigned freeWay = ways;
-    for (unsigned w = 0; w < ways; ++w) {
-        Slot &slot = row[w];
-        if (!slot.valid) {
-            if (freeWay == ways)
-                freeWay = w;
-            continue;
-        }
-        if (slot.entry.vpn == entry.vpn &&
-            slot.entry.huge == entry.huge) {
-            slot.entry = entry;
-            policy->touch(set, w);
-            return;
-        }
-    }
-
-    if (freeWay != ways) {
-        Slot &slot = row[freeWay];
-        slot.valid = true;
-        slot.entry = entry;
-        policy->insert(set, freeWay);
-        return;
-    }
-
-    unsigned w = policy->victim(set);
-    Slot &slot = row[w];
-    slot.entry = entry;
-    policy->insert(set, w);
-}
-
-void
-Tlb::invalidate(VirtPage vpn, bool huge)
-{
-    std::uint64_t set = setOf(vpn);
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        Slot &slot = slotAt(set, w);
-        if (slot.valid && slot.entry.vpn == vpn && slot.entry.huge == huge)
-            slot.valid = false;
-    }
-}
-
-void
-Tlb::flushAll()
-{
-    for (Slot &slot : slots)
-        slot.valid = false;
-}
-
-std::uint64_t
-Tlb::validEntries() const
-{
-    std::uint64_t count = 0;
-    for (const Slot &slot : slots)
-        if (slot.valid)
-            ++count;
-    return count;
 }
 
 } // namespace pth

@@ -4,18 +4,19 @@
  *
  * Indexed linearly by virtual page number (the mapping Gras et al.
  * reverse-engineered for the paper's SandyBridge/IvyBridge parts).
- * Replacement defaults to tree-PLRU — deliberately not true LRU, which
- * is why minimal eviction sets exceed the associativity (Figure 3).
+ * The paper presets use aging replacement — deliberately not true LRU,
+ * which is why minimal eviction sets exceed the associativity
+ * (Figure 3).
  */
 
 #ifndef PTH_TLB_TLB_HH
 #define PTH_TLB_TLB_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
+#include "cache/set_assoc.hh"
 #include "common/types.hh"
 #include "tlb/tlb_config.hh"
 
@@ -30,15 +31,13 @@ struct TlbEntry
     bool huge = false;     //!< 2 MiB translation
 };
 
-/** One TLB level. */
+/** One TLB level. Copies carry every slot and the replacement state
+ * (Machine snapshot/fork support). The per-translation members are
+ * inline: every translate() probes both levels. */
 class Tlb
 {
   public:
     explicit Tlb(const TlbLevelConfig &config);
-
-    /** Deep copy including replacement-policy state (Machine
-     * snapshot/fork support; makes TwoLevelTlb copyable). */
-    Tlb(const Tlb &other);
 
     /** Digest of every slot in index order (snapshot audits). */
     std::uint64_t stateHash() const;
@@ -48,43 +47,56 @@ class Tlb
      * @param vpn Virtual page number.
      * @param huge Whether the lookup is for a 2 MiB page.
      */
-    std::optional<TlbEntry> lookup(VirtPage vpn, bool huge);
+    std::optional<TlbEntry> lookup(VirtPage vpn, bool huge)
+    {
+        std::uint64_t slot = slots.lookup(setOf(vpn), keyOf(vpn, huge));
+        if (slot == SetAssocArray::npos)
+            return std::nullopt;
+        return TlbEntry{vpn, pfns[slot], huge};
+    }
 
     /** Presence check without touching replacement state. */
-    bool contains(VirtPage vpn, bool huge) const;
+    bool contains(VirtPage vpn, bool huge) const
+    {
+        return slots.contains(setOf(vpn), keyOf(vpn, huge));
+    }
 
     /** Insert (possibly evicting) a translation. */
-    void insert(const TlbEntry &entry);
+    void insert(const TlbEntry &entry)
+    {
+        std::uint64_t key = keyOf(entry.vpn, entry.huge);
+        pfns[slots.place(setOf(entry.vpn), key).slot] = entry.pfn;
+    }
 
     /** Invalidate one translation (invlpg). */
-    void invalidate(VirtPage vpn, bool huge);
+    void invalidate(VirtPage vpn, bool huge)
+    {
+        slots.invalidate(setOf(vpn), keyOf(vpn, huge));
+    }
 
     /** Invalidate everything (CR3 write without PCID). */
-    void flushAll();
+    void flushAll() { slots.flushAll(); }
 
     /** Linear set index of a vpn — exposed so the attack can build
      * congruent eviction sets exactly as Gras et al. do. */
-    std::uint64_t setOf(VirtPage vpn) const;
+    std::uint64_t setOf(VirtPage vpn) const { return vpn & (cfg.sets - 1); }
 
     /** Geometry. */
     const TlbLevelConfig &config() const { return cfg; }
 
     /** Number of valid entries. */
-    std::uint64_t validEntries() const;
+    std::uint64_t validEntries() const { return slots.validCount(); }
 
   private:
-    struct Slot
+    /** A translation's key in the way array. */
+    static std::uint64_t keyOf(VirtPage vpn, bool huge)
     {
-        TlbEntry entry;
-        bool valid = false;
-    };
-
-    Slot &slotAt(std::uint64_t set, unsigned way);
-    const Slot &slotAt(std::uint64_t set, unsigned way) const;
+        return vpn << 1 | (huge ? 1 : 0);
+    }
 
     TlbLevelConfig cfg;
-    std::vector<Slot> slots;
-    std::unique_ptr<ReplacementPolicy> policy;
+    SetAssocArray slots;          //!< keyed by keyOf(vpn, huge)
+    std::vector<PhysFrame> pfns;  //!< beside slots, same slot order
 };
 
 } // namespace pth

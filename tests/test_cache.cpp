@@ -70,6 +70,44 @@ TEST(CacheStateHash, SeesReplacementOrder)
     EXPECT_EQ(a.stateHash(), c.stateHash());
 }
 
+/** Cache::stateHash after one fixed sequence of fills past capacity,
+ * hits, invalidations, a full flush and refills. */
+std::uint64_t
+pinnedSequenceDigest(ReplacementKind kind)
+{
+    // 6 ways exercise the padded tree of a non-power-of-two TreePlru;
+    // 256 distinct lines over 96 slots force policy victims.
+    Cache cache(CacheConfig{8, 6, 2, 4, kind}, "pin");
+    Rng rng(42);
+    auto touch = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            PhysAddr pa = rng.below(256) * kLineBytes;
+            if (!cache.access(pa))
+                cache.fill(pa);
+        }
+    };
+    touch(600);
+    for (int i = 0; i < 64; ++i)
+        cache.invalidate(rng.below(256) * kLineBytes);
+    touch(40);
+    cache.flushAll();
+    touch(200);
+    return cache.stateHash();
+}
+
+TEST(CacheStateHash, PinnedPerPolicy)
+{
+    // Cache::stateHash must stay byte-identical when the way array or
+    // a policy is reworked. A drift fails here, at the structure that
+    // caused it, not only in machine fingerprints.
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru),
+              0x1010274374d70091ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru),
+              0x083c726f9232cd08ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging),
+              0x9bfa88f9266dc699ull);
+}
+
 TEST(SliceHash, SpreadsAcrossSlices)
 {
     SliceHash hash(2);

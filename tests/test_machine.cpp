@@ -153,5 +153,21 @@ TEST_F(CpuFixture, ContextSwitchFlushesTlb)
     EXPECT_TRUE(out.causedWalk);
 }
 
+using CpuDeathTest = CpuFixture;
+
+TEST_F(CpuDeathTest, PhysicalAddressPastMemoryEndFaults)
+{
+    // A translation to a frame past the end of memory faults on every
+    // data path instead of wrapping onto a real frame. The walker
+    // refuses such leaf entries, so the translation goes straight into
+    // the TLB.
+    const VirtAddr va = kVa + 128 * kPageBytes;
+    machine.mmu().tlb().insert(
+        {va >> kPageShift, machine.memory().frames(), false});
+    EXPECT_DEATH(machine.cpu().access(va), "beyond memory end");
+    EXPECT_DEATH(machine.cpu().accessBatch({va}), "beyond memory end");
+    EXPECT_DEATH(machine.cpu().clflush(va), "beyond memory end");
+}
+
 } // namespace
 } // namespace pth

@@ -156,44 +156,46 @@ expectBytesIdentical(const BuiltPool &a, const BuiltPool &b)
               poolFingerprint(b.pool->sets()));
 }
 
-TEST(PoolEquivalence, SuperpageAllSliceCountsMatchBaselineAndOracle)
+/** One LLC slice count per instance; tests/CMakeLists.txt runs each
+ * instance as its own ctest entry, since they dominate the suite. */
+class SuperpageSlices : public testing::TestWithParam<unsigned>
 {
-    for (unsigned slices : {1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE(testing::Message() << "slices=" << slices);
-        MachineConfig config = sliceConfig(slices);
+};
 
-        BuiltPool baseline = buildPool(
-            config,
-            noiselessAttack(PoolBuildAlgorithm::SingleElimination, 1,
-                            true),
-            /*sampleClasses=*/0);
-        BuiltPool serial = buildPool(
-            config,
-            noiselessAttack(PoolBuildAlgorithm::GroupTesting, 1, true),
-            0);
-        BuiltPool threaded = buildPool(
-            config,
-            noiselessAttack(PoolBuildAlgorithm::GroupTesting, 4, true),
-            0);
+TEST_P(SuperpageSlices, PoolMatchesBaselineAndOracle)
+{
+    MachineConfig config = sliceConfig(GetParam());
 
-        // The multi-threaded build is byte-identical to the serial
-        // one: same sets, same order, same line order, same cost.
-        expectBytesIdentical(serial, threaded);
-        EXPECT_EQ(serial.report.sampledCycles,
-                  threaded.report.sampledCycles);
-        EXPECT_EQ(serial.report.conflictTests,
-                  threaded.report.conflictTests);
+    BuiltPool baseline = buildPool(
+        config,
+        noiselessAttack(PoolBuildAlgorithm::SingleElimination, 1, true),
+        /*sampleClasses=*/0);
+    BuiltPool serial = buildPool(
+        config, noiselessAttack(PoolBuildAlgorithm::GroupTesting, 1, true),
+        0);
+    BuiltPool threaded = buildPool(
+        config, noiselessAttack(PoolBuildAlgorithm::GroupTesting, 4, true),
+        0);
 
-        // Both algorithms partition the buffer exactly along the
-        // ground-truth mapping...
-        expectOracleExact(baseline);
-        expectOracleExact(serial);
+    // The multi-threaded build is byte-identical to the serial one:
+    // same sets, same order, same line order, same cost.
+    expectBytesIdentical(serial, threaded);
+    EXPECT_EQ(serial.report.sampledCycles, threaded.report.sampledCycles);
+    EXPECT_EQ(serial.report.conflictTests, threaded.report.conflictTests);
 
-        // ...and therefore agree set-for-set on line membership.
-        EXPECT_EQ(membershipByGlobalSet(baseline),
-                  membershipByGlobalSet(serial));
-    }
+    // Both algorithms partition the buffer exactly along the
+    // ground-truth mapping...
+    expectOracleExact(baseline);
+    expectOracleExact(serial);
+
+    // ...and therefore agree set-for-set on line membership.
+    EXPECT_EQ(membershipByGlobalSet(baseline),
+              membershipByGlobalSet(serial));
 }
+
+INSTANTIATE_TEST_SUITE_P(PoolEquivalence, SuperpageSlices,
+                         testing::Values(1u, 2u, 4u, 8u),
+                         testing::PrintToStringParamName());
 
 TEST(PoolEquivalence, RegularPageMatchesBaselineAndOracle)
 {

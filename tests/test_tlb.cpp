@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "tlb/tlb.hh"
 #include "tlb/two_level_tlb.hh"
 
@@ -95,6 +96,61 @@ TEST(Tlb, FlushAllEmpties)
         tlb.insert({i, i, false});
     tlb.flushAll();
     EXPECT_EQ(tlb.validEntries(), 0u);
+}
+
+/** Tlb::stateHash after one fixed sequence of inserts past capacity,
+ * hits, invalidations, a full flush and a partial refill, so most
+ * slots end up holding the stale entries the flush left behind. */
+std::uint64_t
+pinnedSequenceDigest(ReplacementKind kind)
+{
+    Tlb tlb({8, 4, kind, 7});
+    Rng rng(42);
+    auto fill = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            VirtPage vpn = rng.below(96);
+            bool huge = rng.chance(0.25);
+            if (!tlb.lookup(vpn, huge))
+                tlb.insert({vpn, rng.below(1 << 20), huge});
+        }
+    };
+    fill(400);
+    for (int i = 0; i < 24; ++i)
+        tlb.invalidate(rng.below(96), false);
+    fill(16);
+    tlb.flushAll();
+    fill(6);
+    return tlb.stateHash();
+}
+
+TEST(TlbStateHash, PinnedPerPolicy)
+{
+    // Tlb::stateHash must stay byte-identical when the way array or a
+    // policy is reworked. A drift fails here, at the structure that
+    // caused it, not only in machine fingerprints.
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru),
+              0xa263df45a81d0fb0ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru),
+              0xe08c70db3dabf979ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging),
+              0x77073d16b70b9e2aull);
+}
+
+TEST(TlbStateHash, FlushedSlotsStillFeedTheDigest)
+{
+    // Invalidation clears only the valid bit: two flushed TLBs that
+    // held different translations hash differently, and both hashes
+    // are pinned.
+    Tlb a(level(16, 4));
+    Tlb b(level(16, 4));
+    a.insert({100, 7, false});
+    b.insert({100, 8, false});
+    a.flushAll();
+    b.flushAll();
+    EXPECT_EQ(a.validEntries(), 0u);
+    EXPECT_NE(a.stateHash(), b.stateHash());
+    EXPECT_EQ(a.stateHash(), 0x24f0df01b2971354ull);
+    EXPECT_EQ(b.stateHash(), 0x51ca81893ecab437ull);
 }
 
 TEST(TwoLevelTlb, MissInBothReportsMiss)
