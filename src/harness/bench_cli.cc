@@ -2,17 +2,16 @@
 
 #include "common/table.hh"
 #include "dram/flip_model.hh"
+#include "harness/campaign_ctl.hh"
 #include "harness/result_store.hh"
 #include "harness/scratch_dir.hh"
 #include "harness/self_exe.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <stdexcept>
 #include <thread>
 
 namespace pth
@@ -74,14 +73,23 @@ usage(const char *prog, const char *summary)
         static_cast<int>(std::strlen(prog)), "");
 }
 
-/**
- * Value of "--flag VALUE" or "--flag=VALUE"; advances i. A following
- * token that is itself a flag does not count as a value, so
- * "--journal --fresh" reports a missing value instead of creating a
- * journal file named "--fresh".
- */
+/** A whole non-negative decimal that fits an unsigned. */
+bool
+parseCount(const char *text, unsigned &out)
+{
+    const char *end = text + std::strlen(text);
+    unsigned count = 0;
+    const auto [last, ec] = std::from_chars(text, end, count);
+    if (ec != std::errc() || last != end)
+        return false;
+    out = count;
+    return true;
+}
+
+} // namespace
+
 const char *
-flagValue(int argc, char **argv, int &i, const char *flag)
+BenchCli::flagValue(int argc, char **argv, int &i, const char *flag)
 {
     const std::size_t n = std::strlen(flag);
     if (!std::strncmp(argv[i], flag, n) && argv[i][n] == '=')
@@ -92,15 +100,31 @@ flagValue(int argc, char **argv, int &i, const char *flag)
     return nullptr;
 }
 
-} // namespace
+unsigned
+BenchCli::countOrExit(const std::string &prog, const char *what,
+                      const char *text)
+{
+    unsigned count = 0;
+    if (parseCount(text, count))
+        return count;
+    std::fprintf(stderr,
+                 "%s: bad %s '%s' (need a whole non-negative"
+                 " count)\n",
+                 prog.c_str(), what, text);
+    std::exit(2);
+}
 
 BenchCli
 BenchCli::parse(int argc, char **argv, const char *summary,
                 const std::vector<std::string> &passthrough)
 {
     BenchCli cli;
-    cli.options.threads = CampaignOptions::threadsFromEnv();
     cli.program = argc > 0 ? argv[0] : "";
+    // Resolved once before any workers exist; nothing writes the
+    // environment concurrently.
+    const char *env = std::getenv("PTH_THREADS"); // NOLINT(concurrency-mt-unsafe)
+    cli.options.threads =
+        env && *env ? countOrExit(cli.program, "PTH_THREADS", env) : 0;
     // Bench-specific flags first, then the sweep-shaping standard
     // flags as they parse — together they let a spawned shard worker
     // rebuild the identical campaign.
@@ -140,10 +164,10 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--threads")) {
-            long n = std::strtol(value, nullptr, 10);
             cli.options.threads =
-                n >= 0 ? static_cast<unsigned>(n) : 0;
-            cli.threadsExplicit = true;
+                countOrExit(cli.program, "--threads", value);
+            cli.forwardArgs.push_back(std::string("--threads=") +
+                                      value);
             continue;
         }
         if (const char *value =
@@ -166,8 +190,7 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--workers")) {
-            long n = std::strtol(value, nullptr, 10);
-            cli.workers = n >= 0 ? static_cast<unsigned>(n) : 0;
+            cli.workers = countOrExit(cli.program, "--workers", value);
             continue;
         }
         if (const char *value =
@@ -186,9 +209,8 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--pool-threads")) {
-            // Negative values mean 0 (all cores), like --threads.
-            long n = std::strtol(value, nullptr, 10);
-            cli.pool.threads = n >= 0 ? static_cast<unsigned>(n) : 0;
+            cli.pool.threads =
+                countOrExit(cli.program, "--pool-threads", value);
             cli.forwardArgs.push_back(
                 std::string("--pool-threads=") + value);
             continue;
@@ -207,15 +229,13 @@ BenchCli::parse(int argc, char **argv, const char *summary,
             continue;
         }
         if (const char *value = flagValue(argc, argv, i, "--harts")) {
-            long n = std::strtol(value, nullptr, 10);
-            if (n < 1) {
+            if (!parseCount(value, cli.harts) || cli.harts == 0) {
                 std::fprintf(stderr,
                              "%s: bad --harts '%s' (need a positive"
                              " count)\n",
                              argv[0], value);
                 std::exit(2);
             }
-            cli.harts = static_cast<unsigned>(n);
             cli.forwardArgs.push_back(std::string("--harts=") + value);
             continue;
         }
@@ -322,11 +342,11 @@ BenchCli::runCampaign(const Campaign &campaign)
     if (workerCount <= 1)
         return campaign.run(options);
 
-    // Parent mode (--workers N): fan the campaign out across N shard
-    // subprocesses, merge their journals, and serve the report from
-    // the merge. Without --journal the artifacts live in a scratch
-    // directory the guard removes on every exit path — success,
-    // merge failure or exception — unless kept for inspection.
+    // Parent mode (--workers N): run the campaign as N shards of
+    // this binary over a pool of N worker processes, then serve the
+    // report from the merged journal. Without --journal the artifacts
+    // live in a scratch directory the guard removes on every exit
+    // path — success or exception — unless kept for inspection.
     std::string journal = options.journalPath;
     ScratchDirGuard scratch;
     if (journal.empty()) {
@@ -334,69 +354,33 @@ BenchCli::runCampaign(const Campaign &campaign)
         journal = scratch.path() + "/campaign.jsonl";
     }
 
-    ShardRunnerOptions spawn;
+    ManifestCampaign shards;
+    shards.name = "shard";
     // execv does no PATH search; prefer the kernel's record of this
     // very binary over argv[0], which may be a bare name.
-    spawn.program = resolveSelfExe(program);
-    spawn.args = forwardArgs;
-    spawn.workers = workerCount;
-    spawn.journalBase = journal;
-    spawn.threadsPerWorker = threadsExplicit ? options.threads : 1;
-    spawn.fresh = !options.resume;
-    ShardRunner runner(spawn);
-
-    // Resume across dispatch modes: seed each shard journal with the
-    // parent journal's entries for its residue class, so a campaign
-    // previously completed (or partially completed) single-process —
-    // or by an earlier --workers run that merged — is not recomputed.
-    if (options.resume)
-        seedShardJournalsFromParent(journal, journal, workerCount);
-
-    workerReports = runner.run();
-
-    workerDeaths = 0;
-    for (const ShardWorkerReport &report : workerReports) {
-        if (report.ok)
-            continue;
-        ++workerDeaths;
-        std::fprintf(stderr,
-                     "shard worker %u/%u died after %u attempt(s):"
-                     " %s (log: %s)\n",
-                     report.shard, workerCount, report.spawns,
-                     report.error.c_str(), report.logPath.c_str());
-        if (!report.logTail.empty())
-            std::fprintf(stderr, "--- worker %u output tail ---\n%s%s",
-                         report.shard, report.logTail.c_str(),
-                         report.logTail.back() == '\n' ? "" : "\n");
-    }
-
-    // Merge: the parent's previous journal first (resume), then the
-    // shard journals — last wins, so fresher shard results supersede.
-    std::vector<std::string> inputs;
-    if (options.resume)
-        inputs.push_back(journal);
-    for (unsigned w = 0; w < workerCount; ++w)
-        inputs.push_back(runner.shardJournalPath(w));
-    ResultStore::MergeStats stats;
-    std::string mergeError;
-    const std::string merging = journal + ".merging";
-    if (!ResultStore::merge(inputs, merging, &stats, &mergeError) ||
-        std::rename(merging.c_str(), journal.c_str()) != 0) {
-        std::remove(merging.c_str());
-        throw std::runtime_error(
-            mergeError.empty() ? "cannot finalize merged journal: " +
-                                     journal
-                               : mergeError);
-    }
-    if (stats.corruptLines)
+    shards.program = resolveSelfExe(program);
+    shards.args = forwardArgs;
+    shards.shards = workerCount;
+    shards.journal = journal;
+    CampaignCtlOptions ctlOptions;
+    ctlOptions.workers = workerCount;
+    ctlOptions.fresh = !options.resume;
+    CampaignCtl ctl(Manifest{{shards}}, ctlOptions);
+    ctl.run();
+    const CampaignOutcome &outcome = ctl.outcomes()[0];
+    workerDeaths = outcome.deadShards;
+    if (!outcome.ok)
+        std::fprintf(stderr, "--workers %u: %s\n", workerCount,
+                     outcome.error.c_str());
+    if (outcome.mergeStats.corruptLines)
         std::fprintf(stderr,
                      "warning: skipped %zu corrupt line(s) while"
                      " merging %u shard journal(s) into %s\n",
-                     stats.corruptLines, workerCount,
+                     outcome.mergeStats.corruptLines, workerCount,
                      journal.c_str());
 
     // Serve the report from the merged journal. A run the merge
-    // cannot account for belongs to a dead worker; surface that as
+    // cannot account for belongs to a dead shard; surface that as
     // the run's failure instead of quietly re-executing (masking the
     // death) or shrinking the report.
     const std::vector<RunSpec> &specs = campaign.specs();
@@ -416,18 +400,11 @@ BenchCli::runCampaign(const Campaign &campaign)
             continue;
         }
         missing = true;
-        const unsigned shard =
-            static_cast<unsigned>(i % workerCount);
-        const ShardWorkerReport &report = workerReports[shard];
         RunResult &res = results[i];
         res = specResultShell(specs[i], i);
         res.ok = false;
-        res.error = strfmt("shard worker %u/%u ", shard, workerCount);
-        res.error += report.ok
-                         ? "did not journal this run"
-                         : "died: " + report.error;
-        if (!report.logTail.empty())
-            res.error += "; stderr: " + report.logTail;
+        res.error = outcome.ok ? "no shard worker journaled this run"
+                               : outcome.error;
     }
 
     if (scratch.active() && (workerDeaths || missing)) {

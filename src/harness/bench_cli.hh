@@ -40,10 +40,12 @@
  *                   byte-identical either way
  *   --help          usage
  *
- * Defaults: threads from PTH_THREADS (all cores when unset), no
- * journal, no JSON, no sharding. parse() exits the process on --help
- * (status 0) and on unknown or invalid arguments (status 2), so
- * benches stay one-liners.
+ * Defaults: threads from PTH_THREADS (all cores when unset or empty),
+ * no journal, no JSON, no sharding. Counts (--threads, --workers,
+ * --pool-threads, --harts, PTH_THREADS) must be whole decimals that
+ * fit an unsigned. parse() exits the process on --help (status 0) and
+ * on unknown or invalid arguments (status 2), so benches stay
+ * one-liners.
  *
  * Sharded dispatch runs through runCampaign(), which every bench
  * calls in place of Campaign::run:
@@ -51,13 +53,14 @@
  *  - --shard I/N (worker mode): runs the slice, checkpoints it,
  *    prints a one-line summary and exits — the real report comes
  *    from the merged journal;
- *  - --workers N (parent mode): spawns N shard workers of this very
- *    binary via ShardRunner (crash detection + respawn/resume),
- *    merges their journals, and returns results served from the
- *    merged journal — byte-identical to a single-process serial run.
- *    A worker that dies for good surfaces as failed runs carrying
- *    its death reason and captured stderr, and in workerDeaths, so
- *    the bench exits nonzero.
+ *  - --workers N (parent mode): runs N shards of this very binary
+ *    as a one-campaign manifest through CampaignCtl (crash detection,
+ *    respawn/resume, straggler re-issue), which merges their
+ *    journals, and returns results served from the merged journal —
+ *    byte-identical to a single-process serial run. A shard that
+ *    dies for good surfaces as failed runs carrying its death reason
+ *    and captured output, and in workerDeaths, so the bench exits
+ *    nonzero.
  */
 
 #ifndef PTH_HARNESS_BENCH_CLI_HH
@@ -67,7 +70,6 @@
 #include <vector>
 
 #include "harness/campaign.hh"
-#include "harness/shard_runner.hh"
 
 namespace pth
 {
@@ -99,23 +101,19 @@ struct BenchCli
     InterleaveMode interleave = InterleaveMode::RoundRobin;
     std::uint64_t interleaveSeed = 0;
 
-    /** Filled by runCampaign() in --workers parent mode: one report
-     * per worker, and how many died for good (each also surfaces as
-     * failed runs in the results). Benches add workerDeaths to their
-     * failure count so a lost shard always exits nonzero. */
-    std::vector<ShardWorkerReport> workerReports;
+    /** Filled by runCampaign() in --workers parent mode: how many
+     * shards died for good (their runs also surface as failed runs
+     * in the results). Benches add this to their failure count so a
+     * lost shard always exits nonzero. */
     unsigned workerDeaths = 0;
 
     /** The binary (argv[0]) and the arguments a spawned shard worker
      * must receive to rebuild the identical campaign — the parsed
-     * passthrough flags plus the sweep-shaping ones (--pool-algo,
-     * --pool-threads, --dram-model). Populated by parse(). */
+     * passthrough flags plus the sweep-shaping ones (--threads,
+     * --pool-algo, --pool-threads, --dram-model, ...). Populated by
+     * parse(). */
     std::string program;
     std::vector<std::string> forwardArgs;
-
-    /** --threads was given explicitly (parent forwards it per
-     * worker; otherwise workers run serial). */
-    bool threadsExplicit = false;
 
     /**
      * Parse the standard bench flags. summary is the one-line
@@ -127,6 +125,22 @@ struct BenchCli
     static BenchCli
     parse(int argc, char **argv, const char *summary,
           const std::vector<std::string> &passthrough = {});
+
+    /**
+     * Value of "--flag VALUE" or "--flag=VALUE" at argv[i], advancing
+     * i past a separate value; null when argv[i] is not the flag or
+     * its value is missing. A following token that is itself a flag
+     * does not count as a value, so "--journal --fresh" reports a
+     * missing value instead of creating a journal named "--fresh".
+     */
+    static const char *flagValue(int argc, char **argv, int &i,
+                                 const char *flag);
+
+    /** Parse a count: a whole non-negative decimal that fits an
+     * unsigned, nothing else ("4x", "-1", "" are rejected). Exits the
+     * process with status 2 and a message naming `what` otherwise. */
+    static unsigned countOrExit(const std::string &prog,
+                                const char *what, const char *text);
 
     /**
      * Execute the campaign under the parsed dispatch mode — see the

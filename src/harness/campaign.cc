@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <sstream>
@@ -235,18 +234,6 @@ makeMachineConfig(MachinePreset preset)
     case MachinePreset::TestSmall: return MachineConfig::testSmall();
     }
     return MachineConfig{};
-}
-
-unsigned
-CampaignOptions::threadsFromEnv()
-{
-    // Resolved once before any workers exist; nothing writes the
-    // environment concurrently.
-    const char *env = std::getenv("PTH_THREADS"); // NOLINT(concurrency-mt-unsafe)
-    if (!env)
-        return 0;
-    long value = std::strtol(env, nullptr, 10);
-    return value > 0 ? static_cast<unsigned>(value) : 0;
 }
 
 std::size_t

@@ -173,13 +173,6 @@ struct CampaignOptions
     unsigned threads = 1;
 
     /**
-     * Worker count from the PTH_THREADS environment variable, the
-     * convention every campaign-driven bench follows. Unset, empty,
-     * non-numeric or negative values mean 0 (all cores).
-     */
-    static unsigned threadsFromEnv();
-
-    /**
      * When set, a run that throws aborts the whole campaign by
      * rethrowing; otherwise the exception is recorded in that run's
      * RunResult (ok = false) and the sweep continues.

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -15,8 +17,8 @@
 #include <unistd.h>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
-#include "harness/shard_runner.hh"
 
 namespace pth
 {
@@ -205,8 +207,6 @@ struct CampaignCtl::Task
         std::string log;
         unsigned spawns = 0;
         bool live = false;
-        bool dead = false;       //!< gave up (respawns exhausted)
-        bool superseded = false; //!< killed because a sibling won
         std::string error;       //!< last death reason
     };
 
@@ -223,6 +223,84 @@ struct CampaignCtl::Task
 
 namespace
 {
+
+/** Where shard `shard` of the campaign journaling to `journal`
+ * checkpoints. */
+std::string
+shardJournalPath(const std::string &journal, unsigned shard)
+{
+    return journal + strfmt(".shard%u", shard);
+}
+
+/** Human-readable decode of a waitpid status. */
+std::string
+describeWaitStatus(int status)
+{
+    if (WIFEXITED(status)) {
+        const int code = WEXITSTATUS(status);
+        if (code == 127)
+            return "exec failed (exit 127)";
+        return strfmt("exited with status %d", code);
+    }
+    if (WIFSIGNALED(status))
+        return strfmt("killed by signal %d (%s)", WTERMSIG(status),
+                      strsignal(WTERMSIG(status)));
+    return strfmt("unknown wait status 0x%x", status);
+}
+
+/** Last maxBytes of a file (worker-log postmortems). */
+std::string
+fileTail(const std::string &path, std::size_t maxBytes = 2048)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return std::string();
+    const std::streamoff size = in.tellg();
+    const std::streamoff start =
+        size > static_cast<std::streamoff>(maxBytes)
+            ? size - static_cast<std::streamoff>(maxBytes)
+            : 0;
+    in.seekg(start);
+    std::string tail(static_cast<std::size_t>(size - start), '\0');
+    in.read(tail.data(), static_cast<std::streamsize>(tail.size()));
+    tail.resize(static_cast<std::size_t>(in.gcount()));
+    return tail;
+}
+
+/**
+ * Seed each shard journal of the campaign journaling to `journal`
+ * with that journal's entries for its residue class, so a campaign
+ * previously completed (or partially completed) under another
+ * dispatch mode is not recomputed by the workers. Idempotent: an
+ * entry the shard journal already holds under the same key is not
+ * re-appended, and workers still re-validate every seeded entry by
+ * spec key. A missing journal seeds nothing.
+ */
+void
+seedShardJournals(const std::string &journal, unsigned shards)
+{
+    auto prior = ResultStore::load(journal);
+    std::vector<std::unique_ptr<ResultStore>> seeds(shards);
+    std::vector<std::map<std::size_t, ResultStore::Entry>> present(
+        shards);
+    std::vector<char> presentLoaded(shards, 0);
+    for (auto &item : prior) {
+        const unsigned s = static_cast<unsigned>(item.first % shards);
+        const std::string shardPath = shardJournalPath(journal, s);
+        if (!presentLoaded[s]) {
+            present[s] = ResultStore::load(shardPath);
+            presentLoaded[s] = 1;
+        }
+        auto held = present[s].find(item.first);
+        if (held != present[s].end() &&
+            held->second.key == item.second.key)
+            continue;
+        if (!seeds[s])
+            seeds[s] = std::make_unique<ResultStore>(
+                shardPath, /*truncate=*/false);
+        seeds[s]->record(item.second.result, item.second.key);
+    }
+}
 
 /** fork/exec one worker, stdout+stderr captured to logPath
  * (truncated on an instance's first attempt, appended on respawns so
@@ -286,22 +364,6 @@ CampaignCtl::CampaignCtl(Manifest manifest, CampaignCtlOptions options)
 
 CampaignCtl::~CampaignCtl() = default;
 
-std::string
-CampaignCtl::journalPath(const ManifestCampaign &campaign) const
-{
-    if (!campaign.journal.empty())
-        return campaign.journal;
-    return options_.outDir + "/" + campaign.name + ".jsonl";
-}
-
-std::string
-CampaignCtl::reportPath(const ManifestCampaign &campaign) const
-{
-    if (!campaign.report.empty())
-        return campaign.report;
-    return options_.outDir + "/" + campaign.name + ".json";
-}
-
 void
 CampaignCtl::logLine(const std::string &line) const
 {
@@ -309,6 +371,41 @@ CampaignCtl::logLine(const std::string &line) const
         return;
     *options_.log << "[ctl] " << line << '\n';
     options_.log->flush();
+}
+
+long
+CampaignCtl::launch(std::size_t taskId, unsigned instanceIdx,
+                    bool fresh)
+{
+    Task &task = tasks_[taskId];
+    Task::Instance &instance = task.instances[instanceIdx];
+    const ManifestCampaign &campaign =
+        manifest_.campaigns[task.campaign];
+
+    // --threads=1 ahead of the campaign's args: process-level
+    // parallelism replaces thread-level, unless the args ask for
+    // more (the last --threads wins).
+    std::vector<std::string> args = {campaign.program, "--threads=1"};
+    args.insert(args.end(), campaign.args.begin(),
+                campaign.args.end());
+    if (task.kind == Task::Kind::Shard)
+        args.push_back(
+            strfmt("--shard=%u/%u", task.shard, campaign.shards));
+    args.push_back("--journal=" + instance.journal);
+    if (task.kind == Task::Kind::Render)
+        args.push_back("--json=" + campaign.report);
+    if (fresh)
+        args.push_back("--fresh");
+
+    const long pid = spawnWorker(args, instance.log,
+                                 /*firstAttempt=*/instance.spawns == 0);
+    if (pid < 0)
+        return -1;
+    ++instance.spawns;
+    instance.live = true;
+    ++outcomes_[task.campaign].spawns;
+    live_.push_back({pid, {taskId, instanceIdx}});
+    return pid;
 }
 
 bool
@@ -320,50 +417,29 @@ CampaignCtl::startTask(std::size_t taskId)
 
     Task::Instance instance;
     if (task.kind == Task::Kind::Shard) {
-        instance.journal = ShardRunner::shardJournalPath(
-            journalPath(campaign), task.shard);
+        instance.journal =
+            shardJournalPath(campaign.journal, task.shard);
         instance.log = instance.journal + ".log";
         // A fresh suite must not resume stale shard journals even if
         // the worker dies before its own --fresh truncation runs.
         if (options_.fresh)
             std::remove(instance.journal.c_str());
     } else {
-        instance.journal = journalPath(campaign);
+        instance.journal = campaign.journal;
         instance.log = instance.journal + ".render.log";
     }
     task.instances.push_back(std::move(instance));
-    Task::Instance &primary = task.instances.back();
 
-    std::vector<std::string> args;
-    args.push_back(campaign.program);
-    args.insert(args.end(), campaign.args.begin(),
-                campaign.args.end());
-    if (task.kind == Task::Kind::Shard) {
-        args.push_back(strfmt("--shard=%u/%u", task.shard,
-                              campaign.shards));
-        args.push_back("--journal=" + primary.journal);
-        if (options_.fresh)
-            args.push_back("--fresh");
-    } else {
-        args.push_back("--journal=" + primary.journal);
-        args.push_back("--json=" + reportPath(campaign));
-    }
-    args.push_back("--threads=1");
-
-    const long pid =
-        spawnWorker(args, primary.log, /*firstAttempt=*/true);
+    const long pid = launch(taskId, 0,
+                            options_.fresh &&
+                                task.kind == Task::Kind::Shard);
     if (pid < 0) {
-        primary.dead = true;
         // The orchestrator is single-threaded (fork-based fan-out).
-        primary.error = strfmt(
+        task.instances[0].error = strfmt(
             "fork failed: %s",
             std::strerror(errno)); // NOLINT(concurrency-mt-unsafe)
         return false;
     }
-    primary.spawns = 1;
-    primary.live = true;
-    ++outcomes_[task.campaign].spawns;
-    live_.push_back({pid, {taskId, 0}});
     logLine("spawn " + task.label);
 
     if (task.kind == Task::Kind::Shard)
@@ -399,8 +475,6 @@ CampaignCtl::reissueStraggler()
         if (!anyLive)
             continue;
 
-        const ManifestCampaign &campaign =
-            manifest_.campaigns[task.campaign];
         const unsigned index =
             static_cast<unsigned>(task.instances.size());
         Task::Instance backup;
@@ -410,26 +484,12 @@ CampaignCtl::reissueStraggler()
         if (!copyJournalSnapshot(task.instances[0].journal,
                                  backup.journal))
             continue;
-
-        std::vector<std::string> args;
-        args.push_back(campaign.program);
-        args.insert(args.end(), campaign.args.begin(),
-                    campaign.args.end());
-        args.push_back(strfmt("--shard=%u/%u", task.shard,
-                              campaign.shards));
-        args.push_back("--journal=" + backup.journal);
-        args.push_back("--threads=1");
-
-        const long pid =
-            spawnWorker(args, backup.log, /*firstAttempt=*/true);
-        if (pid < 0)
-            continue;
-        backup.spawns = 1;
-        backup.live = true;
         task.instances.push_back(std::move(backup));
-        ++outcomes_[task.campaign].spawns;
+        if (launch(taskId, index, /*fresh=*/false) < 0) {
+            task.instances.pop_back();
+            continue;
+        }
         ++outcomes_[task.campaign].reissues;
-        live_.push_back({pid, {taskId, index}});
         logLine(strfmt("reissue %s instance %u", task.label.c_str(),
                        index));
         return true;
@@ -444,43 +504,37 @@ CampaignCtl::finishCampaign(std::size_t campaignIdx)
         manifest_.campaigns[campaignIdx];
     CampaignOutcome &outcome = outcomes_[campaignIdx];
 
+    // Old campaign journal first (resume), then the winning shard
+    // journals — last wins, so fresher shard results supersede. A
+    // shard that died for good contributes every journal its
+    // instances wrote, so the runs they checkpointed survive.
     std::vector<std::string> inputs;
-    bool failed = false;
-    for (std::size_t taskId = 0; taskId < tasks_.size(); ++taskId) {
-        const Task &task = tasks_[taskId];
+    if (!options_.fresh)
+        inputs.push_back(campaign.journal);
+    for (const Task &task : tasks_) {
         if (task.campaign != campaignIdx ||
             task.kind != Task::Kind::Shard)
             continue;
-        if (!task.ok) {
-            failed = true;
+        if (task.ok) {
+            inputs.push_back(task.winnerJournal);
             continue;
         }
-        inputs.push_back(task.winnerJournal);
-    }
-    if (failed) {
-        logLine("campaign " + campaign.name +
-                " FAILED: " + outcome.error);
-        return;
-    }
-
-    // Old campaign journal first (resume), then the winning shard
-    // journals — last wins, so fresher shard results supersede.
-    if (!options_.fresh) {
-        std::ifstream existing(outcome.journal);
-        if (existing)
-            inputs.insert(inputs.begin(), outcome.journal);
+        ++outcome.deadShards;
+        for (const Task::Instance &instance : task.instances)
+            inputs.push_back(instance.journal);
     }
 
     std::string mergeError;
-    const std::string staging = outcome.journal + ".merging";
+    const std::string staging = campaign.journal + ".merging";
     if (!ResultStore::merge(inputs, staging, &outcome.mergeStats,
                             &mergeError) ||
-        std::rename(staging.c_str(), outcome.journal.c_str()) != 0) {
+        std::rename(staging.c_str(), campaign.journal.c_str()) != 0) {
         std::remove(staging.c_str());
-        outcome.error = mergeError.empty()
-                            ? "cannot finalize merged journal " +
-                                  outcome.journal
-                            : mergeError;
+        if (outcome.error.empty())
+            outcome.error = mergeError.empty()
+                                ? "cannot finalize merged journal " +
+                                      campaign.journal
+                                : mergeError;
         logLine("campaign " + campaign.name +
                 " FAILED: " + outcome.error);
         return;
@@ -493,6 +547,16 @@ CampaignCtl::finishCampaign(std::size_t campaignIdx)
                                 outcome.mergeStats.corruptLines)
                            .c_str()
                        : ""));
+
+    if (outcome.deadShards) {
+        logLine("campaign " + campaign.name +
+                " FAILED: " + outcome.error);
+        return;
+    }
+    if (campaign.report.empty()) {
+        outcome.ok = true;
+        return;
+    }
 
     // The report pass re-invokes the bench against the merged
     // journal: every run is served from its checkpoint, so the
@@ -526,18 +590,18 @@ CampaignCtl::run()
     // sequence the log exposes and the tests pin.
     for (std::size_t ci = 0; ci < manifest_.campaigns.size(); ++ci) {
         const ManifestCampaign &campaign = manifest_.campaigns[ci];
+        if (campaign.journal.empty())
+            fatal("campaign %s names no journal", campaign.name.c_str());
         CampaignOutcome outcome;
         outcome.name = campaign.name;
-        outcome.journal = journalPath(campaign);
-        outcome.report = reportPath(campaign);
+        outcome.journal = campaign.journal;
+        outcome.report = campaign.report;
         outcomes_.push_back(std::move(outcome));
 
         if (options_.fresh)
-            std::remove(outcomes_[ci].journal.c_str());
+            std::remove(campaign.journal.c_str());
         else
-            seedShardJournalsFromParent(outcomes_[ci].journal,
-                                        outcomes_[ci].journal,
-                                        campaign.shards);
+            seedShardJournals(campaign.journal, campaign.shards);
 
         shardsLeft_[ci] = campaign.shards;
         for (unsigned s = 0; s < campaign.shards; ++s) {
@@ -624,8 +688,6 @@ CampaignCtl::run()
             for (auto &entry : live_)
                 if (entry.second.first == taskId) {
                     ::kill(static_cast<pid_t>(entry.first), SIGKILL);
-                    task.instances[entry.second.second].superseded =
-                        true;
                     logLine(strfmt("supersede %s instance %u",
                                    task.label.c_str(),
                                    entry.second.second));
@@ -656,39 +718,18 @@ CampaignCtl::run()
             continue;
         }
 
-        if (instance.spawns <= options_.maxRespawns) {
-            // Respawn the same instance without --fresh: the
-            // replacement resumes the instance's journal and repeats
-            // only the runs the dead attempt had not checkpointed.
-            std::vector<std::string> args;
-            args.push_back(campaign.program);
-            args.insert(args.end(), campaign.args.begin(),
-                        campaign.args.end());
-            if (task.kind == Task::Kind::Shard) {
-                args.push_back(strfmt("--shard=%u/%u", task.shard,
-                                      campaign.shards));
-                args.push_back("--journal=" + instance.journal);
-            } else {
-                args.push_back("--journal=" + instance.journal);
-                args.push_back("--json=" + reportPath(campaign));
-            }
-            args.push_back("--threads=1");
-            const long next = spawnWorker(args, instance.log,
-                                          /*firstAttempt=*/false);
-            if (next >= 0) {
-                ++instance.spawns;
-                ++outcome.spawns;
-                instance.live = true;
-                live_.push_back({next, {taskId, instanceIdx}});
-                logLine(strfmt("respawn %s attempt %u",
-                               task.label.c_str(), instance.spawns));
-                continue;
-            }
+        // Respawn the same instance without --fresh: the replacement
+        // resumes the instance's journal and repeats only the runs
+        // the dead attempt had not checkpointed.
+        if (instance.spawns <= options_.maxRespawns &&
+            launch(taskId, instanceIdx, /*fresh=*/false) >= 0) {
+            logLine(strfmt("respawn %s attempt %u", task.label.c_str(),
+                           instance.spawns));
+            continue;
         }
 
         // This instance is out of lives.
-        instance.dead = true;
-        instance.error = ShardRunner::describeWaitStatus(status);
+        instance.error = describeWaitStatus(status);
         logLine(strfmt("dead %s instance %u: %s", task.label.c_str(),
                        instanceIdx, instance.error.c_str()));
         bool anyHope = false;
@@ -703,8 +744,7 @@ CampaignCtl::run()
             outcome.error = task.label + " died after " +
                             strfmt("%u attempt(s): ", instance.spawns) +
                             instance.error;
-            const std::string tail =
-                ShardRunner::fileTail(instance.log);
+            const std::string tail = fileTail(instance.log);
             if (!tail.empty())
                 outcome.error += "; log tail: " + tail;
         }

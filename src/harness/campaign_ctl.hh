@@ -1,17 +1,18 @@
 /**
  * @file
  * Campaign orchestrator: run a manifest of sharded campaigns across a
- * bounded pool of worker subprocesses — the layer above `bench
- * --workers N`, which dispatches ONE campaign. campaign_ctl keeps a
- * whole suite's shards flowing through the same pool, so a manifest
- * of heterogeneous campaigns (different bench binaries, args, shard
- * counts) saturates the machine without oversubscribing it.
+ * bounded pool of worker subprocesses. This is the one process pool of
+ * the harness: tools/campaign_ctl runs a whole suite through it, and a
+ * bench's `--workers N` runs its one campaign through it
+ * (BenchCli::runCampaign). A manifest of heterogeneous campaigns
+ * (different bench binaries, args, shard counts) saturates the machine
+ * without oversubscribing it.
  *
- * The dispatch contract is the shard_runner one: every shard worker
- * is `program args... --shard I/N --journal J --threads 1`, every
- * campaign's shard journals merge (ResultStore::merge) into the
- * campaign journal, and the final report is rendered by re-invoking
- * the bench with the merged journal — so the orchestrated report is
+ * Every shard worker is `program --threads=1 args... --shard I/N
+ * --journal J` (a --threads in args wins), every campaign's shard
+ * journals merge (ResultStore::merge) into the campaign journal, and a
+ * campaign that names a report has it rendered by re-invoking the
+ * bench with the merged journal — so the orchestrated report is
  * byte-identical to a serial `program args --json=...` run.
  *
  * Fault handling, per shard task:
@@ -21,12 +22,15 @@
  *  - once the queue drains, idle pool slots speculatively re-issue
  *    still-running shard tasks (classic straggler mitigation): a
  *    backup instance starts from a snapshot copy of the primary's
- *    journal, the first instance to finish wins and its siblings are
- *    killed — safe because instances never share a journal file and
- *    the merged result is index-keyed, not instance-keyed;
- *  - a task whose every instance died permanently fails its campaign,
- *    which is surfaced (no merge, no report, nonzero exit) instead of
- *    quietly shrinking the suite.
+ *    journal (`<journal>.shard<i>.r1`), the first instance to finish
+ *    wins and its siblings are killed — safe because instances never
+ *    share a journal file and the merged result is index-keyed, not
+ *    instance-keyed;
+ *  - a task whose every instance died permanently fails its campaign:
+ *    the journals its instances wrote are still merged, so their
+ *    checkpointed runs survive, but no report is rendered and the
+ *    failure is surfaced (nonzero exit) instead of quietly shrinking
+ *    the suite.
  *
  * The scheduler is deterministic where determinism is visible: tasks
  * are dispatched in manifest order, so the sequence of first-attempt
@@ -57,8 +61,9 @@ struct ManifestCampaign
     std::vector<std::string> args;  //!< bench-specific knobs
     unsigned shards = 1;            //!< worker slice count
 
-    /** Campaign journal / report paths; empty means derive
-     * "<outDir>/<name>.jsonl" and "<outDir>/<name>.json". */
+    /** Merged campaign journal (required by CampaignCtl; shard i
+     * checkpoints to journal + ".shard<i>"), and the JSON report to
+     * render from it (empty = merge only). */
     std::string journal;
     std::string report;
 };
@@ -107,9 +112,6 @@ struct CampaignCtlOptions
     /** Discard existing journals; rerun everything. */
     bool fresh = false;
 
-    /** Directory for derived journal/report paths. */
-    std::string outDir = ".";
-
     /** Fault injection: "name/shard" first attempts to SIGKILL right
      * after spawn — the deterministic worker-crash hook the CI smoke
      * and the tests drive respawn-with-resume through. */
@@ -125,11 +127,12 @@ struct CampaignOutcome
 {
     std::string name;
     std::string journal;        //!< merged campaign journal
-    std::string report;         //!< rendered JSON report
+    std::string report;         //!< rendered JSON report, if named
     bool ok = false;            //!< shards + merge + render all good
     std::string error;          //!< first failure reason when !ok
     unsigned spawns = 0;        //!< worker attempts across shards
     unsigned reissues = 0;      //!< backup instances spawned
+    unsigned deadShards = 0;    //!< shard tasks that died for good
     ResultStore::MergeStats mergeStats;
 };
 
@@ -144,7 +147,8 @@ class CampaignCtl
      * Dispatch every campaign's shards over the pool, merge and
      * render each campaign as its shards complete, and return the
      * number of failed campaigns (0 = whole manifest succeeded).
-     * POSIX-only (fork/exec/waitpid), like shard_runner.
+     * POSIX-only (fork/exec/waitpid), like the rest of the
+     * simulator's host tooling.
      */
     unsigned run();
 
@@ -154,14 +158,11 @@ class CampaignCtl
         return outcomes_;
     }
 
-    /** The artifact paths a campaign will use (derivation applied). */
-    std::string journalPath(const ManifestCampaign &campaign) const;
-    std::string reportPath(const ManifestCampaign &campaign) const;
-
   private:
     struct Task;
 
     void logLine(const std::string &line) const;
+    long launch(std::size_t taskId, unsigned instanceIdx, bool fresh);
     bool startTask(std::size_t taskId);
     bool reissueStraggler();
     void finishCampaign(std::size_t campaignIdx);

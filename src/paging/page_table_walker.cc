@@ -67,7 +67,7 @@ PageTableWalker::walk(PhysFrame root, VirtAddr va, Cycles now)
 
         if (level == 2 && pteHuge(entry)) {
             result.ok = true;
-            result.frame = pteFrame(entry) % mem.frames();
+            result.frame = pteFrame(entry);
             result.huge = true;
             return result;
         }

@@ -124,9 +124,12 @@ PageTables::translate(VirtAddr va) const
         if (!ptePresent(entry) || pteFrame(entry) >= mem.frames())
             return std::nullopt;
         if (level == 2 && pteHuge(entry)) {
+            // The 4 KiB frame inside the 2 MiB mapping faults like a
+            // leaf past the end of memory.
             FunctionalTranslation t;
-            t.frame = (pteFrame(entry) + ((va >> kPageShift) & 0x1ff)) %
-                      mem.frames();
+            t.frame = pteFrame(entry) + ((va >> kPageShift) & 0x1ff);
+            if (t.frame >= mem.frames())
+                return std::nullopt;
             t.huge = true;
             return t;
         }

@@ -7,11 +7,11 @@
  * re-issued — renders final reports byte-identical to serial
  * single-process runs.
  *
- * The test binary is its own bench: invoked as
- * `test_campaign_ctl --pth-worker [--die-at=K] [--die-marker=PATH]
- * [--hang-at=K --hang-marker=PATH] [--fail-at=K] <bench flags>` it
- * behaves like a bench binary over a fixed 9-run campaign whose every
- * result field derives from the seed.
+ * The test binary is its own bench: invoked with `--pth-worker
+ * [--die-at=K] [--die-marker=PATH] [--hang-at=K --hang-marker=PATH]
+ * [--fail-at=K]` among its bench flags it behaves like a bench binary
+ * over a fixed 9-run campaign whose every result field derives from
+ * the seed.
  *
  *  - --die-at=K: SIGKILL self when executing run K; with
  *    --die-marker, only while the marker file does not exist
@@ -117,10 +117,10 @@ makeCampaign(unsigned dieAt = kNone,
     return campaign;
 }
 
-/** Subprocess entry: argv[1] == "--pth-worker". Unlike test_shard's
- * worker this one also serves the render pass (no --shard), so it
- * honors --json and exits nonzero on failing runs, like a real
- * bench. */
+/** Subprocess entry: some argv[i] == "--pth-worker". Unlike
+ * test_shard's worker this one also serves the render pass (no
+ * --shard), so it honors --json and exits nonzero on failing runs,
+ * like a real bench. */
 int
 workerMain(int argc, char **argv)
 {
@@ -131,7 +131,9 @@ workerMain(int argc, char **argv)
     std::string hangMarker;
     std::vector<char *> args;
     args.push_back(argv[0]);
-    for (int i = 2; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--pth-worker"))
+            continue;
         if (!std::strncmp(argv[i], "--die-at=", 9))
             dieAt = static_cast<unsigned>(
                 std::strtoul(argv[i] + 9, nullptr, 10));
@@ -193,8 +195,9 @@ serialReport()
     return Campaign::toJson(campaign.run(serial));
 }
 
-/** A two-campaign manifest over this test binary; extraArgs are
- * appended to the named campaign's worker args. */
+/** A two-campaign manifest over this test binary, journaling and
+ * reporting to outDir/<name>.jsonl and .json; extraArgs are appended
+ * to the named campaign's worker args. */
 Manifest
 makeManifest(const std::string &outDir,
              const std::vector<std::string> &alphaExtra = {},
@@ -209,6 +212,8 @@ makeManifest(const std::string &outDir,
     alpha.args.insert(alpha.args.end(), alphaExtra.begin(),
                       alphaExtra.end());
     alpha.shards = alphaShards;
+    alpha.journal = outDir + "/alpha.jsonl";
+    alpha.report = outDir + "/alpha.json";
     ManifestCampaign beta;
     beta.name = "beta";
     beta.program = gProgram;
@@ -216,16 +221,16 @@ makeManifest(const std::string &outDir,
     beta.args.insert(beta.args.end(), betaExtra.begin(),
                      betaExtra.end());
     beta.shards = betaShards;
+    beta.journal = outDir + "/beta.jsonl";
+    beta.report = outDir + "/beta.json";
     manifest.campaigns = {alpha, beta};
-    (void)outDir;
     return manifest;
 }
 
 CampaignCtlOptions
-makeOptions(const std::string &outDir, std::ostream *log = nullptr)
+makeOptions(std::ostream *log = nullptr)
 {
     CampaignCtlOptions options;
-    options.outDir = outDir;
     options.workers = 3;
     options.fresh = true;
     options.log = log;
@@ -342,7 +347,7 @@ TEST(CampaignCtl, DispatchOrderIsManifestOrderForAnyPoolWidth)
 
     for (unsigned poolWidth : {1u, 2u, 8u}) {
         std::ostringstream log;
-        CampaignCtlOptions options = makeOptions(outDir, &log);
+        CampaignCtlOptions options = makeOptions(&log);
         options.workers = poolWidth;
         CampaignCtl ctl(makeManifest(outDir), options);
         ASSERT_EQ(ctl.run(), 0u) << "pool width " << poolWidth;
@@ -361,7 +366,7 @@ TEST(CampaignCtl, DispatchOrderIsManifestOrderForAnyPoolWidth)
 TEST(CampaignCtl, ManifestReportsAreByteIdenticalToSerial)
 {
     const std::string outDir = tempDir("serial");
-    CampaignCtl ctl(makeManifest(outDir), makeOptions(outDir));
+    CampaignCtl ctl(makeManifest(outDir), makeOptions());
     ASSERT_EQ(ctl.run(), 0u);
 
     const std::string expected = serialReport();
@@ -385,7 +390,7 @@ TEST(CampaignCtl, KilledWorkerIsRespawnedAndReportMatchesSerial)
     // worker owns run 4 kills itself MID-CAMPAIGN after
     // checkpointing earlier runs (die-at + marker to survive the
     // respawn). Both recover to byte-identical reports.
-    CampaignCtlOptions options = makeOptions(outDir);
+    CampaignCtlOptions options = makeOptions();
     options.injectKills.emplace_back("alpha", 1u);
     CampaignCtl ctl(
         makeManifest(outDir, {},
@@ -423,7 +428,7 @@ TEST(CampaignCtl, PermanentlyDeadShardFailsItsCampaignOnly)
     // attempt. Its campaign must fail loudly; alpha is unaffected.
     std::ostringstream log;
     CampaignCtl ctl(makeManifest(outDir, {}, {"--die-at=4"}),
-                    makeOptions(outDir, &log));
+                    makeOptions(&log));
     EXPECT_EQ(ctl.run(), 1u);
 
     const CampaignOutcome &alpha = ctl.outcomes()[0];
@@ -431,8 +436,12 @@ TEST(CampaignCtl, PermanentlyDeadShardFailsItsCampaignOnly)
     EXPECT_TRUE(alpha.ok) << alpha.error;
     EXPECT_EQ(readFile(alpha.report), serialReport());
     EXPECT_FALSE(beta.ok);
+    EXPECT_EQ(beta.deadShards, 1u);
     EXPECT_NE(beta.error.find("died"), std::string::npos);
     EXPECT_NE(beta.error.find("signal"), std::string::npos);
+    // The dead shard's journal is still merged: runs 0 and 2 were
+    // checkpointed before it died at run 4, and shard 1 has 1,3,5,7.
+    EXPECT_EQ(beta.mergeStats.entries, 6u);
     // Death after exhausting 1 + maxRespawns attempts.
     EXPECT_NE(log.str().find("dead beta/0"), std::string::npos);
     // No report was rendered for the failed campaign.
@@ -459,10 +468,12 @@ TEST(CampaignCtl, HungWorkerIsReissuedAndBackupWins)
     alpha.args = {"--pth-worker", "--hang-at=4",
                   "--hang-marker=" + marker};
     alpha.shards = 2;
+    alpha.journal = outDir + "/alpha.jsonl";
+    alpha.report = outDir + "/alpha.json";
     manifest.campaigns = {alpha};
 
     std::ostringstream log;
-    CampaignCtlOptions options = makeOptions(outDir, &log);
+    CampaignCtlOptions options = makeOptions(&log);
     options.workers = 2;
     options.maxReissues = 1;
     CampaignCtl ctl(manifest, options);
@@ -479,6 +490,36 @@ TEST(CampaignCtl, HungWorkerIsReissuedAndBackupWins)
     std::remove(marker.c_str());
 }
 
+TEST(CampaignCtl, WorkersFlagReissuesAHungShard)
+{
+    const std::string outDir = tempDir("workers_hang");
+    const std::string journal = outDir + "/alpha.jsonl";
+    const std::string marker = outDir + "/hang.marker";
+    std::remove(marker.c_str());
+
+    // A bench's --workers runs through the same pool: the instance of
+    // shard 0 that first executes run 4 hangs, the parent re-issues
+    // shard 0 from a snapshot of its journal, the other instance
+    // finishes and wins, and the hung one is killed.
+    std::vector<std::string> args = {gProgram, "--workers=2",
+                                     "--journal=" + journal, "--fresh"};
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    BenchCli cli = BenchCli::parse(
+        static_cast<int>(argv.size()), argv.data(), "test parent",
+        {"--pth-worker", "--hang-at=4", "--hang-marker=" + marker});
+    const std::vector<RunResult> results =
+        cli.runCampaign(makeCampaign());
+
+    EXPECT_EQ(cli.workerDeaths, 0u);
+    EXPECT_EQ(Campaign::toJson(results), serialReport());
+    EXPECT_TRUE(std::ifstream(marker).good()) << "nothing hung";
+    EXPECT_TRUE(std::ifstream(journal + ".shard0.r1").good())
+        << "shard 0 was not re-issued";
+    std::remove(marker.c_str());
+}
+
 TEST(CampaignCtl, SimulationFailureSurfacesThroughTheRenderPass)
 {
     const std::string outDir = tempDir("simfail");
@@ -490,7 +531,7 @@ TEST(CampaignCtl, SimulationFailureSurfacesThroughTheRenderPass)
     // without any respawn churn (the verdict is deterministic).
     std::ostringstream log;
     CampaignCtl ctl(makeManifest(outDir, {}, {"--fail-at=4"}),
-                    makeOptions(outDir, &log));
+                    makeOptions(&log));
     EXPECT_EQ(ctl.run(), 1u);
 
     const CampaignOutcome &beta = ctl.outcomes()[1];
@@ -512,7 +553,7 @@ TEST(CampaignCtl, RerunResumesFromMergedJournalsWithoutRecompute)
         makeManifest(outDir, {"--die-at=4"}, {"--die-at=4"});
 
     // First pass: clean run WITHOUT the die flag to build journals.
-    CampaignCtl first(makeManifest(outDir), makeOptions(outDir));
+    CampaignCtl first(makeManifest(outDir), makeOptions());
     ASSERT_EQ(first.run(), 0u);
     const std::string alphaReport =
         readFile(first.outcomes()[0].report);
@@ -521,7 +562,7 @@ TEST(CampaignCtl, RerunResumesFromMergedJournalsWithoutRecompute)
     // if they ever EXECUTE run 4: every shard journal is seeded from
     // the merged campaign journal, so nothing executes, nobody dies,
     // and the reports come out identical.
-    CampaignCtlOptions options = makeOptions(outDir);
+    CampaignCtlOptions options = makeOptions();
     options.fresh = false;
     CampaignCtl second(manifest, options);
     ASSERT_EQ(second.run(), 0u);
@@ -548,8 +589,10 @@ main(int argc, char **argv)
         n > 0 ? std::string(self, static_cast<std::size_t>(n))
               : std::string(argv[0]);
 
-    if (argc > 1 && !std::strcmp(argv[1], "--pth-worker"))
-        return pth::ctltest::workerMain(argc, argv);
+    // Worker argv is `program --threads=1 <campaign args>...`.
+    for (int i = 1; i < argc; ++i)
+        if (!std::strcmp(argv[i], "--pth-worker"))
+            return pth::ctltest::workerMain(argc, argv);
 
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

@@ -92,6 +92,29 @@ TEST_F(PagingFixture, Map2mTranslatesWithOffset)
     EXPECT_EQ(t->frame, 0x200u + 5);
 }
 
+TEST_F(PagingFixture, Map2mPastTheEndOfMemoryFaults)
+{
+    // A PDE whose 2 MiB page starts in memory but runs past its end
+    // (say, a flipped PFN bit): the in-range frames resolve, the rest
+    // fault like an out-of-range 4 KiB leaf instead of wrapping.
+    const VirtAddr va = 0x4000'0000'0000;
+    tables->map2m(va, 0x200);
+    PhysFrame table = tables->root();
+    for (PtLevel level : {PtLevel::Pml4e, PtLevel::Pdpte})
+        table = pteFrame(mem->read64((table << kPageShift) +
+                                     pteIndex(va, level) * kPteBytes));
+    mem->write64((table << kPageShift) +
+                     pteIndex(va, PtLevel::Pde) * kPteBytes,
+                 makePte(mem->frames() - 8, true, true, true));
+
+    auto last = tables->translate(va + 7 * kPageBytes);
+    ASSERT_TRUE(last.has_value());
+    EXPECT_TRUE(last->huge);
+    EXPECT_EQ(last->frame, mem->frames() - 1);
+    EXPECT_FALSE(tables->translate(va + 8 * kPageBytes).has_value());
+    EXPECT_FALSE(tables->translate(va + 511 * kPageBytes).has_value());
+}
+
 TEST_F(PagingFixture, Unmap4kRemoves)
 {
     tables->map4k(0x1000, 0x50);

@@ -6,11 +6,12 @@
  * (SIGKILL, nothing flushed) mid-shard and respawned to resume from
  * its own journal.
  *
- * The test binary is its own shard worker: invoked as
- * `test_shard --pth-worker [--die-at=K] [--die-marker=PATH] <bench
- * flags>` it behaves like a bench binary (BenchCli + runCampaign)
- * over a fixed 9-run campaign, so ShardRunner and the BenchCli
- * --workers parent path are exercised against real subprocesses.
+ * The test binary is its own shard worker: invoked with
+ * `--pth-worker [--die-at=K] [--die-marker=PATH]` among its bench
+ * flags it behaves like a bench binary (BenchCli + runCampaign) over
+ * a fixed 9-run campaign, so the BenchCli --workers parent path (and
+ * the CampaignCtl pool under it) is exercised against real
+ * subprocesses.
  * --die-at=K makes the worker SIGKILL itself when it reaches run K;
  * with --die-marker the suicide happens only while the marker file
  * does not exist (created just before dying), so the respawned
@@ -23,6 +24,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -35,7 +37,6 @@
 #include "harness/bench_cli.hh"
 #include "harness/campaign.hh"
 #include "harness/result_store.hh"
-#include "harness/shard_runner.hh"
 
 namespace pth
 {
@@ -99,7 +100,7 @@ makeCampaign(unsigned dieAtIndex = kNoDie,
     return campaign;
 }
 
-/** Subprocess entry: argv[1] == "--pth-worker". */
+/** Subprocess entry: some argv[i] == "--pth-worker". */
 int
 workerMain(int argc, char **argv)
 {
@@ -107,7 +108,9 @@ workerMain(int argc, char **argv)
     std::string marker;
     std::vector<char *> args;
     args.push_back(argv[0]);
-    for (int i = 2; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--pth-worker"))
+            continue;
         if (!std::strncmp(argv[i], "--die-at=", 9))
             dieAt = static_cast<unsigned>(
                 std::strtoul(argv[i] + 9, nullptr, 10));
@@ -137,6 +140,20 @@ void
 removeFile(const std::string &path)
 {
     std::remove(path.c_str());
+}
+
+/** Remove a --workers journal with its shard journals, re-issued
+ * backups and logs. */
+void
+removeWorkerArtifacts(const std::string &journal, unsigned shards)
+{
+    for (unsigned s = 0; s < shards; ++s) {
+        const std::string shard = journal + strfmt(".shard%u", s);
+        for (const std::string &path :
+             {shard, shard + ".log", shard + ".r1", shard + ".r1.log"})
+            removeFile(path);
+    }
+    removeFile(journal);
 }
 
 std::string
@@ -353,70 +370,32 @@ TEST(Shard, AppendAfterTornLineDoesNotGlueRecords)
 
 TEST(Shard, KilledWorkerRespawnsResumesAndReportMatchesSerial)
 {
-    const std::string base = tempPath("kill.jsonl");
+    const std::string journal = tempPath("kill.jsonl");
     const std::string marker = tempPath("kill.marker");
-    const std::string merged = tempPath("kill_merged.jsonl");
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(base + strfmt(".shard%u", s));
-        removeFile(base + strfmt(".shard%u.log", s));
-    }
+    removeWorkerArtifacts(journal, 3);
     removeFile(marker);
-    removeFile(merged);
 
-    ShardRunnerOptions options;
-    options.program = gProgram;
-    // Worker 1 owns run 4 (4 % 3 == 1): it SIGKILLs itself there on
-    // the first attempt, after checkpointing run 1.
-    options.args = {"--pth-worker", "--die-at=4",
-                    "--die-marker=" + marker};
-    options.workers = 3;
-    options.journalBase = base;
-    options.fresh = true;
-    ShardRunner runner(options);
-    std::vector<ShardWorkerReport> reports = runner.run();
-
-    ASSERT_EQ(reports.size(), 3u);
-    unsigned respawned = 0;
-    for (const ShardWorkerReport &report : reports) {
-        EXPECT_TRUE(report.ok)
-            << "worker " << report.shard << ": " << report.error;
-        respawned += report.spawns > 1;
-    }
-    EXPECT_EQ(respawned, 1u);
-
-    // The killed worker's journal holds its pre-death checkpoint AND
-    // the resumed remainder — merged, the report is byte-identical
-    // to serial.
-    std::vector<std::string> shardJournals;
-    for (unsigned s = 0; s < 3; ++s)
-        shardJournals.push_back(runner.shardJournalPath(s));
-    ASSERT_TRUE(ResultStore::merge(shardJournals, merged, nullptr));
-
-    const std::string expected = serialReport();
+    // Shard 1 owns run 4 (4 % 3 == 1): the first instance to reach it
+    // SIGKILLs itself there, after checkpointing run 1. The respawn
+    // finds the marker and resumes from the dead attempt's journal.
+    BenchCli cli = parseArgs(
+        {gProgram, "--workers=3", "--journal=" + journal, "--fresh"},
+        {"--pth-worker", "--die-at=4", "--die-marker=" + marker});
     Campaign campaign = makeCampaign();
-    CampaignOptions serve;
-    serve.threads = 1;
-    serve.journalPath = merged;
     gExecutions = 0;
-    EXPECT_EQ(Campaign::toJson(campaign.run(serve)), expected);
-    EXPECT_EQ(gExecutions.load(), 0u);
+    EXPECT_EQ(Campaign::toJson(cli.runCampaign(campaign)),
+              serialReport());
+    EXPECT_EQ(cli.workerDeaths, 0u);
+    EXPECT_TRUE(std::ifstream(marker).good()) << "no worker died";
 
-    for (const std::string &journal : shardJournals) {
-        removeFile(journal);
-        removeFile(journal + ".log");
-    }
+    removeWorkerArtifacts(journal, 3);
     removeFile(marker);
-    removeFile(merged);
 }
 
 TEST(Shard, WorkersParentPathIsByteIdenticalAndResumable)
 {
     const std::string journal = tempPath("parent.jsonl");
-    for (unsigned s = 0; s < 4; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 4);
 
     Campaign campaign = makeCampaign();
 
@@ -425,7 +404,6 @@ TEST(Shard, WorkersParentPathIsByteIdenticalAndResumable)
         {"--pth-worker"});
     std::vector<RunResult> results = first.runCampaign(campaign);
     EXPECT_EQ(first.workerDeaths, 0u);
-    ASSERT_EQ(first.workerReports.size(), 4u);
     EXPECT_EQ(Campaign::toJson(results), serialReport());
 
     // Again without --fresh: workers resume their complete shard
@@ -438,21 +416,13 @@ TEST(Shard, WorkersParentPathIsByteIdenticalAndResumable)
               serialReport());
     EXPECT_EQ(second.workerDeaths, 0u);
 
-    for (unsigned s = 0; s < 4; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 4);
 }
 
 TEST(Shard, WorkersResumeFromTheParentJournal)
 {
     const std::string journal = tempPath("seeded.jsonl");
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 3);
 
     // Complete the campaign single-process into the parent journal.
     Campaign campaign = makeCampaign();
@@ -472,35 +442,23 @@ TEST(Shard, WorkersResumeFromTheParentJournal)
     EXPECT_EQ(cli.workerDeaths, 0u);
     EXPECT_EQ(Campaign::toJson(results), expected);
 
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 3);
 }
 
 TEST(Shard, DeadWorkerSurfacesInReportAndFailureCount)
 {
     const std::string journal = tempPath("dead.jsonl");
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 3);
 
     Campaign campaign = makeCampaign();
 
-    // No --die-marker: worker 1 dies at run 4 on every attempt.
+    // No --die-marker: shard 1 dies at run 4 on every attempt.
     BenchCli cli = parseArgs(
         {gProgram, "--workers=3", "--journal=" + journal, "--fresh"},
         {"--pth-worker", "--die-at=4"});
     std::vector<RunResult> results = cli.runCampaign(campaign);
 
     EXPECT_EQ(cli.workerDeaths, 1u);
-    ASSERT_EQ(cli.workerReports.size(), 3u);
-    EXPECT_FALSE(cli.workerReports[1].ok);
-    EXPECT_NE(cli.workerReports[1].error.find("signal"),
-              std::string::npos);
 
     // Run 1 was checkpointed before the death; 4 and 7 were lost and
     // carry the death reason, so reportFailures (plus workerDeaths,
@@ -509,14 +467,26 @@ TEST(Shard, DeadWorkerSurfacesInReportAndFailureCount)
     EXPECT_TRUE(results[1].ok);
     EXPECT_FALSE(results[4].ok);
     EXPECT_FALSE(results[7].ok);
-    EXPECT_NE(results[4].error.find("died"), std::string::npos);
+    EXPECT_NE(results[4].error.find("signal"), std::string::npos)
+        << results[4].error;
+    EXPECT_NE(results[7].error.find("signal"), std::string::npos)
+        << results[7].error;
     EXPECT_GT(cli.failureCount(results), 0u);
 
-    for (unsigned s = 0; s < 3; ++s) {
-        removeFile(journal + strfmt(".shard%u", s));
-        removeFile(journal + strfmt(".shard%u.log", s));
-    }
-    removeFile(journal);
+    removeWorkerArtifacts(journal, 3);
+}
+
+TEST(Shard, ParseForwardsThreadsToWorkers)
+{
+    // Workers get --threads=1 ahead of the forwarded args, so an
+    // explicit --threads reaches them and wins.
+    const BenchCli cli = parseArgs(
+        {gProgram, "--workers", "2", "--threads", "3"},
+        {"--pth-worker"});
+    EXPECT_EQ(cli.workers, 2u);
+    EXPECT_EQ(cli.options.threads, 3u);
+    EXPECT_EQ(cli.forwardArgs,
+              (std::vector<std::string>{"--pth-worker", "--threads=3"}));
 }
 
 TEST(ShardCliDeath, ShardRequiresJournalAndValidFormat)
@@ -529,6 +499,28 @@ TEST(ShardCliDeath, ShardRequiresJournalAndValidFormat)
     EXPECT_EXIT(parseArgs({gProgram, "--shard=0/3",
                            "--journal=x.jsonl", "--workers=2"}),
                 testing::ExitedWithCode(2), "mutually exclusive");
+}
+
+TEST(ShardCliDeath, MalformedCountsExitTwo)
+{
+    // Only a whole non-negative decimal that fits an unsigned is a
+    // count; nothing falls back to "all cores".
+    for (const char *flag : {"--threads", "--workers", "--pool-threads"})
+        for (const char *bad : {"x", "4x", "-1", "", "4294967296"})
+            EXPECT_EXIT(
+                parseArgs({gProgram, std::string(flag) + "=" + bad}),
+                testing::ExitedWithCode(2),
+                std::string("bad ") + flag)
+                << flag << "=" << bad;
+    EXPECT_EXIT(
+        {
+            ::setenv("PTH_THREADS", "abc", 1);
+            parseArgs({gProgram});
+        },
+        testing::ExitedWithCode(2), "bad PTH_THREADS");
+    EXPECT_EXIT(parseArgs({gProgram, "--workers", "--fresh"}),
+                testing::ExitedWithCode(2),
+                "missing value for '--workers'");
 }
 
 } // namespace
@@ -547,8 +539,10 @@ main(int argc, char **argv)
         n > 0 ? std::string(self, static_cast<std::size_t>(n))
               : std::string(argv[0]);
 
-    if (argc > 1 && !std::strcmp(argv[1], "--pth-worker"))
-        return pth::shardtest::workerMain(argc, argv);
+    // Worker argv is `program --threads=1 <forwarded args>...`.
+    for (int i = 1; i < argc; ++i)
+        if (!std::strcmp(argv[i], "--pth-worker"))
+            return pth::shardtest::workerMain(argc, argv);
 
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

@@ -349,6 +349,22 @@ TEST(CampaignCtlCli, UsageAndManifestErrorsExitTwo)
     EXPECT_NE(inject.err.find("names no shard"), std::string::npos)
         << inject.err;
 
+    // Counts are whole non-negative decimals, and a flag is never
+    // another flag's value.
+    const std::vector<std::pair<std::vector<std::string>, const char *>>
+        badArgs = {
+            {{ok, "--workers", "x"}, "bad --workers 'x'"},
+            {{ok, "--max-respawns", "-1"}, "bad --max-respawns '-1'"},
+            {{ok, "--max-reissues=1x"}, "bad --max-reissues '1x'"},
+            {{ok, "--out", "--fresh"}, "missing value for '--out'"},
+        };
+    for (const auto &item : badArgs) {
+        const CliResult bad = runCli(PTH_TOOL_CAMPAIGN_CTL, item.first);
+        EXPECT_EQ(bad.exit, 2) << item.second;
+        EXPECT_NE(bad.err.find(item.second), std::string::npos)
+            << bad.err;
+    }
+
     std::remove(manifest.c_str());
     std::remove(ok.c_str());
 }

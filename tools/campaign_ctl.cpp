@@ -19,7 +19,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -27,6 +26,7 @@
 #include <sys/stat.h>
 
 #include "common/table.hh"
+#include "harness/bench_cli.hh"
 #include "harness/campaign_ctl.hh"
 
 using namespace pth;
@@ -57,17 +57,16 @@ main(int argc, char **argv)
         "  --quiet         suppress the dispatch log\n";
 
     std::string manifestPath;
+    std::string outDir = ".";
     CampaignCtlOptions options;
     options.log = &std::cout;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            const std::size_t n = std::strlen(flag);
-            if (!std::strncmp(arg, flag, n) && arg[n] == '=')
-                return arg + n + 1;
-            if (!std::strcmp(arg, flag) && i + 1 < argc)
-                return argv[++i];
-            return nullptr;
+        auto value = [&](const char *flag) {
+            return BenchCli::flagValue(argc, argv, i, flag);
+        };
+        auto count = [](const char *flag, const char *text) {
+            return BenchCli::countOrExit("campaign_ctl", flag, text);
         };
         if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
             std::fputs(usage, stdout);
@@ -77,16 +76,13 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--quiet")) {
             options.log = nullptr;
         } else if (const char *workersArg = value("--workers")) {
-            options.workers = static_cast<unsigned>(
-                std::strtoul(workersArg, nullptr, 10));
+            options.workers = count("--workers", workersArg);
         } else if (const char *outArg = value("--out")) {
-            options.outDir = outArg;
+            outDir = outArg;
         } else if (const char *respawnsArg = value("--max-respawns")) {
-            options.maxRespawns = static_cast<unsigned>(
-                std::strtoul(respawnsArg, nullptr, 10));
+            options.maxRespawns = count("--max-respawns", respawnsArg);
         } else if (const char *reissuesArg = value("--max-reissues")) {
-            options.maxReissues = static_cast<unsigned>(
-                std::strtoul(reissuesArg, nullptr, 10));
+            options.maxReissues = count("--max-reissues", reissuesArg);
         } else if (const char *v = value("--inject-kill")) {
             const char *slash = std::strrchr(v, '/');
             char excess = 0;
@@ -102,6 +98,15 @@ main(int argc, char **argv)
             }
             options.injectKills.emplace_back(
                 std::string(v, slash - v), shard);
+        } else if (!std::strcmp(arg, "--workers") ||
+                   !std::strcmp(arg, "--out") ||
+                   !std::strcmp(arg, "--max-respawns") ||
+                   !std::strcmp(arg, "--max-reissues") ||
+                   !std::strcmp(arg, "--inject-kill")) {
+            // value() only fails for these when the value is gone.
+            std::fprintf(stderr, "missing value for '%s'\n%s", arg,
+                         usage);
+            return 2;
         } else if (arg[0] == '-') {
             std::fprintf(stderr, "unknown argument '%s'\n%s", arg,
                          usage);
@@ -139,8 +144,15 @@ main(int argc, char **argv)
         }
     }
 
-    // Best-effort: derived artifact paths live under --out.
-    ::mkdir(options.outDir.c_str(), 0755);
+    // Campaigns that name no journal or report get
+    // <out>/<name>.jsonl and .json; best-effort mkdir of <out>.
+    for (ManifestCampaign &campaign : manifest.campaigns) {
+        if (campaign.journal.empty())
+            campaign.journal = outDir + "/" + campaign.name + ".jsonl";
+        if (campaign.report.empty())
+            campaign.report = outDir + "/" + campaign.name + ".json";
+    }
+    ::mkdir(outDir.c_str(), 0755);
 
     CampaignCtl ctl(std::move(manifest), std::move(options));
     const unsigned failures = ctl.run();
