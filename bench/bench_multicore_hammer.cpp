@@ -24,7 +24,7 @@
  *
  * The campaign is deterministic (byte-identical serial, --threads N,
  * --workers N, sharded) and CI pins the --tiny report against
- * bench/baselines/multicore_hammer.json via campaign_compare.
+ * bench/baselines/multicore_hammer.json via `campaign compare`.
  *
  * Standard bench flags plus --tiny. The DRAM model is this bench's
  * sweep axis, so --dram-model is rejected here.

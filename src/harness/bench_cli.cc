@@ -42,7 +42,7 @@ usage(const char *prog, const char *summary)
         "  --shard I/N     execute only runs with index %% N == I\n"
         "                  into this process's journal (requires\n"
         "                  --journal); merge the N shard journals\n"
-        "                  with campaign_merge, then rerun with the\n"
+        "                  with campaign merge, then rerun with the\n"
         "                  merged journal for the full report\n"
         "  --workers N     local multi-process dispatch: fork N\n"
         "                  shard workers of this binary, merge\n"
@@ -94,10 +94,13 @@ BenchCli::flagValue(int argc, char **argv, int &i, const char *flag)
     const std::size_t n = std::strlen(flag);
     if (!std::strncmp(argv[i], flag, n) && argv[i][n] == '=')
         return argv[i] + n + 1;
-    if (!std::strcmp(argv[i], flag) && i + 1 < argc &&
-        std::strncmp(argv[i + 1], "--", 2) != 0)
+    if (std::strcmp(argv[i], flag) != 0)
+        return nullptr;
+    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
         return argv[++i];
-    return nullptr;
+    std::fprintf(stderr, "%s: missing value for '%s'\n", argv[0],
+                 flag);
+    std::exit(2);
 }
 
 unsigned
@@ -259,20 +262,6 @@ BenchCli::parse(int argc, char **argv, const char *summary,
             cli.forwardArgs.push_back(std::string("--interleave=") +
                                       value);
             continue;
-        }
-        if (!std::strcmp(arg, "--journal") ||
-            !std::strcmp(arg, "--threads") ||
-            !std::strcmp(arg, "--shard") ||
-            !std::strcmp(arg, "--workers") ||
-            !std::strcmp(arg, "--pool-algo") ||
-            !std::strcmp(arg, "--pool-threads") ||
-            !std::strcmp(arg, "--dram-model") ||
-            !std::strcmp(arg, "--harts") ||
-            !std::strcmp(arg, "--interleave")) {
-            // flagValue only fails for these when the value is gone.
-            std::fprintf(stderr, "%s: missing value for '%s'\n",
-                         argv[0], arg);
-            std::exit(2);
         }
         std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                      arg);

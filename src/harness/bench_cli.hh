@@ -14,7 +14,7 @@
  *   --shard I/N     execute only runs with index % N == I into this
  *                   process's journal (requires --journal) — the
  *                   manual multi-host dispatch building block; merge
- *                   the shard journals with tools/campaign_merge
+ *                   the shard journals with `campaign merge`
  *   --workers N     automatic local multi-process dispatch: fork N
  *                   shard workers of this binary, merge their
  *                   journals, report from the merged journal
@@ -128,10 +128,12 @@ struct BenchCli
 
     /**
      * Value of "--flag VALUE" or "--flag=VALUE" at argv[i], advancing
-     * i past a separate value; null when argv[i] is not the flag or
-     * its value is missing. A following token that is itself a flag
-     * does not count as a value, so "--journal --fresh" reports a
-     * missing value instead of creating a journal named "--fresh".
+     * i past a separate value; null when argv[i] is not the flag.
+     * When it is the flag but the value is missing, exits the process
+     * with status 2 and "<argv[0]>: missing value". A following token
+     * that is itself a flag does not count as a value, so
+     * "--journal --fresh" reports a missing value instead of creating
+     * a journal named "--fresh".
      */
     static const char *flagValue(int argc, char **argv, int &i,
                                  const char *flag);

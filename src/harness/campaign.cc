@@ -472,15 +472,16 @@ Campaign::run(const CampaignOptions &options) const
             keys[i] = specKey(specs_[i],
                               /*sharedMachine=*/groups[i] >= 0);
         if (options.resume) {
-            std::size_t corrupt = 0;
+            ResultStore::LoadStats loaded;
             auto done = ResultStore::load(options.journalPath,
-                                          &corrupt);
-            if (corrupt)
+                                          &loaded);
+            if (loaded.corruptLines)
                 std::fprintf(stderr,
                              "warning: skipped %zu corrupt line(s) in"
                              " journal %s (truncated by a kill?);"
                              " their runs will re-execute\n",
-                             corrupt, options.journalPath.c_str());
+                             loaded.corruptLines,
+                             options.journalPath.c_str());
             for (auto &item : done) {
                 const std::size_t index = item.first;
                 ResultStore::Entry &entry = item.second;

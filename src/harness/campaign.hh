@@ -205,7 +205,7 @@ struct CampaignOptions
      * for the full campaign in index order — runs outside the slice
      * are served from the journal when it holds them (the case after
      * shard journals were merged back; see result_store.hh and
-     * tools/campaign_merge) and otherwise marked failed with a
+     * `campaign merge`) and otherwise marked failed with a
      * "not executed" error, so a partial report is visibly partial.
      * Disjoint shards of the same campaign journal disjoint run sets,
      * which is what makes the merged, journal-served report

@@ -2,7 +2,7 @@
  * @file
  * Campaign orchestrator: run a manifest of sharded campaigns across a
  * bounded pool of worker subprocesses. This is the one process pool of
- * the harness: tools/campaign_ctl runs a whole suite through it, and a
+ * the harness: `campaign ctl` runs a whole suite through it, and a
  * bench's `--workers N` runs its one campaign through it
  * (BenchCli::runCampaign). A manifest of heterogeneous campaigns
  * (different bench binaries, args, shard counts) saturates the machine

@@ -10,7 +10,6 @@
 
 #include "common/json.hh"
 #include "common/table.hh"
-#include "harness/result_store.hh"
 
 namespace pth
 {
@@ -52,50 +51,28 @@ parseRunAxis(const std::string &text, RunAxis &out)
 }
 
 std::string
-IndexedRun::axisValue(RunAxis axis) const
+runAxisValue(const RunResult &run, RunAxis axis)
 {
     switch (axis) {
-    case RunAxis::Label: return label;
-    case RunAxis::Machine: return machine;
-    case RunAxis::Defense: return defense;
-    case RunAxis::Strategy: return strategy;
+    case RunAxis::Label: return run.label;
+    case RunAxis::Machine: return run.machine;
+    case RunAxis::Defense: return run.defense;
+    case RunAxis::Strategy: return run.strategy;
     case RunAxis::Seed:
-        return strfmt("%llu", static_cast<unsigned long long>(seed));
+        return strfmt("%llu", static_cast<unsigned long long>(run.seed));
     case RunAxis::DramModel:
-        return dramModel.empty() ? "unrecorded" : dramModel;
+        return run.dramModel.empty() ? "unrecorded" : run.dramModel;
     }
     return std::string();
-}
-
-IndexedRun
-indexedRunFromResult(const RunResult &r, std::uint64_t key)
-{
-    IndexedRun run;
-    run.index = r.index;
-    run.label = r.label;
-    run.machine = r.machine;
-    run.defense = r.defense;
-    run.strategy = r.strategy;
-    run.dramModel = r.dramModel;
-    run.seed = r.seed;
-    run.key = key;
-    run.ok = r.ok;
-    run.flipped = r.flipped;
-    run.escalated = r.escalated;
-    run.flips = r.flips;
-    run.attempts = r.attempts;
-    run.simSeconds = r.simSeconds;
-    run.timeToFlipMinutes = r.report.timeToFirstFlipMinutes;
-    run.metrics = r.metrics;
-    return run;
 }
 
 namespace
 {
 
-/** Parse one object of a report's "runs" array (campaign toJson). */
+/** Parse one object of a report's "runs" array (campaign toJson)
+ * into the RunResult fields a report carries. */
 bool
-indexedRunFromReportObject(const JsonValue &obj, IndexedRun &run)
+runFromReportObject(const JsonValue &obj, RunResult &run)
 {
     if (!obj.isObject())
         return false;
@@ -124,11 +101,11 @@ indexedRunFromReportObject(const JsonValue &obj, IndexedRun &run)
     if (const JsonValue *v = obj.find("flips"))
         run.flips = v->asU64();
     if (const JsonValue *v = obj.find("attempts"))
-        run.attempts = v->asU64();
+        run.attempts = static_cast<unsigned>(v->asU64());
     if (const JsonValue *v = obj.find("sim_seconds"))
         run.simSeconds = v->asDouble();
     if (const JsonValue *v = obj.find("time_to_flip_minutes"))
-        run.timeToFlipMinutes = v->asDouble();
+        run.report.timeToFirstFlipMinutes = v->asDouble();
     if (const JsonValue *metrics = obj.find("metrics"))
         for (const auto &member : metrics->members())
             run.metrics.emplace_back(member.first,
@@ -139,37 +116,11 @@ indexedRunFromReportObject(const JsonValue &obj, IndexedRun &run)
 } // namespace
 
 void
-JournalIndex::insert(IndexedRun run)
+JournalIndex::insert(ResultStore::Entry entry)
 {
-    ++stats_.entries;
-    auto it = byIndex_.find(run.index);
-    if (it != byIndex_.end()) {
+    const std::size_t index = entry.result.index;
+    if (!byIndex_.insert_or_assign(index, std::move(entry)).second)
         ++stats_.superseded;
-        it->second = std::move(run);
-        return;
-    }
-    byIndex_.emplace(run.index, std::move(run));
-}
-
-bool
-JournalIndex::addJournal(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    ++stats_.journals;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        ResultStore::Entry entry;
-        if (!ResultStore::deserialize(line, entry)) {
-            ++stats_.corruptLines;
-            continue;
-        }
-        insert(indexedRunFromResult(entry.result, entry.key));
-    }
-    return true;
 }
 
 bool
@@ -183,20 +134,20 @@ JournalIndex::addArtifact(const std::string &path, std::string *error)
     }
     std::stringstream buffer;
     buffer << in.rdbuf();
-    const std::string text = buffer.str();
 
     JsonValue doc;
-    if (JsonValue::parse(text, doc) && doc.isObject() &&
+    if (JsonValue::parse(buffer.str(), doc) && doc.isObject() &&
         doc.find("runs")) {
         ++stats_.reports;
         std::size_t loaded = 0;
         for (const JsonValue &obj : doc.find("runs")->items()) {
-            IndexedRun run;
-            if (!indexedRunFromReportObject(obj, run))
+            ResultStore::Entry entry;
+            if (!runFromReportObject(obj, entry.result))
                 continue;
-            insert(std::move(run));
+            insert(std::move(entry));
             ++loaded;
         }
+        stats_.entries += loaded;
         if (loaded == 0) {
             if (error)
                 *error = path + ": campaign report contains no runs";
@@ -205,40 +156,23 @@ JournalIndex::addArtifact(const std::string &path, std::string *error)
         return true;
     }
 
-    // Not a report: journal lines. Parse from the text already read
-    // so the damage count belongs to this artifact alone.
+    // Not a report: journal lines.
     ++stats_.journals;
-    std::size_t loaded = 0;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        if (line.empty())
-            continue;
-        ResultStore::Entry entry;
-        if (!ResultStore::deserialize(line, entry)) {
-            ++stats_.corruptLines;
-            continue;
-        }
-        insert(indexedRunFromResult(entry.result, entry.key));
-        ++loaded;
-    }
-    if (loaded == 0) {
+    ResultStore::LoadStats read;
+    auto entries = ResultStore::load(path, &read);
+    stats_.entries += read.parsed;
+    stats_.corruptLines += read.corruptLines;
+    // Lines load() folded away were superseded within the file.
+    stats_.superseded += read.parsed - entries.size();
+    for (auto &item : entries)
+        insert(std::move(item.second));
+    if (read.parsed == 0) {
         if (error)
             *error =
                 path + ": neither a campaign report nor a journal";
         return false;
     }
     return true;
-}
-
-std::vector<const IndexedRun *>
-JournalIndex::runs() const
-{
-    std::vector<const IndexedRun *> out;
-    out.reserve(byIndex_.size());
-    for (const auto &item : byIndex_)
-        out.push_back(&item.second);
-    return out;
 }
 
 bool
@@ -263,15 +197,15 @@ JournalIndex::parseFilter(const std::string &text, Filter &out,
     return true;
 }
 
-std::vector<const IndexedRun *>
+std::vector<const RunResult *>
 JournalIndex::select(const std::vector<Filter> &filters) const
 {
-    std::vector<const IndexedRun *> out;
+    std::vector<const RunResult *> out;
     for (const auto &item : byIndex_) {
-        const IndexedRun &run = item.second;
+        const RunResult &run = item.second.result;
         bool match = true;
         for (const Filter &f : filters)
-            if (run.axisValue(f.axis) != f.value) {
+            if (runAxisValue(run, f.axis) != f.value) {
                 match = false;
                 break;
             }
@@ -281,33 +215,13 @@ JournalIndex::select(const std::vector<Filter> &filters) const
     return out;
 }
 
-void
-aggregateIndexedRun(CampaignAggregate &agg, const IndexedRun &run)
-{
-    // The same fold CampaignAggregate::add applies to a RunResult,
-    // over the indexed projection.
-    ++agg.runs;
-    if (!run.ok) {
-        ++agg.failedRuns;
-        return;
-    }
-    agg.flippedRuns += run.flipped;
-    agg.escalatedRuns += run.escalated;
-    agg.totalFlips += run.flips;
-    agg.totalAttempts += run.attempts;
-    agg.simSeconds.sample(run.simSeconds);
-    agg.flipsPerRun.sample(static_cast<double>(run.flips));
-    if (run.flipped)
-        agg.timeToFlipMinutes.sample(run.timeToFlipMinutes);
-}
-
 std::vector<JournalIndex::Group>
-JournalIndex::groupBy(const std::vector<const IndexedRun *> &runs,
+JournalIndex::groupBy(const std::vector<const RunResult *> &runs,
                       RunAxis axis)
 {
     std::map<std::string, CampaignAggregate> groups;
-    for (const IndexedRun *run : runs)
-        aggregateIndexedRun(groups[run->axisValue(axis)], *run);
+    for (const RunResult *run : runs)
+        groups[runAxisValue(*run, axis)].add(*run);
 
     std::vector<Group> out;
     out.reserve(groups.size());
@@ -353,14 +267,14 @@ JournalIndex::groupTable(const std::vector<Group> &groups,
 }
 
 Table
-JournalIndex::runTable(const std::vector<const IndexedRun *> &runs)
+JournalIndex::runTable(const std::vector<const RunResult *> &runs)
 {
     Table table({"Run", "Machine", "Defense", "Strategy", "Dram",
                  "Seed", "Ok", "Flips", "Escalated", "Sim s"});
-    for (const IndexedRun *run : runs)
+    for (const RunResult *run : runs)
         table.addRow(
             {run->label, run->machine, run->defense, run->strategy,
-             run->axisValue(RunAxis::DramModel),
+             runAxisValue(*run, RunAxis::DramModel),
              strfmt("%llu", static_cast<unsigned long long>(run->seed)),
              run->ok ? "yes" : "FAILED",
              strfmt("%llu",
@@ -397,13 +311,13 @@ sameMetrics(const std::vector<std::pair<std::string, double>> &a,
 
 /** Labels appearing more than once across both run sets. */
 std::set<std::string>
-duplicatedLabels(const std::vector<const IndexedRun *> &a,
-                 const std::vector<const IndexedRun *> &b)
+duplicatedLabels(const std::vector<const RunResult *> &a,
+                 const std::vector<const RunResult *> &b)
 {
     std::map<std::string, unsigned> uses;
-    for (const IndexedRun *run : a)
+    for (const RunResult *run : a)
         ++uses[run->label];
-    for (const IndexedRun *run : b)
+    for (const RunResult *run : b)
         ++uses[run->label];
     std::set<std::string> duplicated;
     for (const auto &item : uses)
@@ -417,12 +331,12 @@ duplicatedLabels(const std::vector<const IndexedRun *> &a,
  * either artifact — both sides must disambiguate the same way or a
  * label that repeats on one side only would never match the other.
  */
-std::map<std::string, const IndexedRun *>
-keyByLabel(const std::vector<const IndexedRun *> &runs,
+std::map<std::string, const RunResult *>
+keyByLabel(const std::vector<const RunResult *> &runs,
            const std::set<std::string> &duplicated)
 {
-    std::map<std::string, const IndexedRun *> keyed;
-    for (const IndexedRun *run : runs) {
+    std::map<std::string, const RunResult *> keyed;
+    for (const RunResult *run : runs) {
         std::string key =
             duplicated.count(run->label)
                 ? run->label + strfmt("#%zu", run->index)
@@ -447,8 +361,8 @@ deltaCell(double base, double current)
 } // namespace
 
 RunDiff
-diffRuns(const std::vector<const IndexedRun *> &baseline,
-         const std::vector<const IndexedRun *> &current,
+diffRuns(const std::vector<const RunResult *> &baseline,
+         const std::vector<const RunResult *> &current,
          const RunDiffOptions &options)
 {
     RunDiff diff;
@@ -458,7 +372,7 @@ diffRuns(const std::vector<const IndexedRun *> &baseline,
     auto curByLabel = keyByLabel(current, duplicated);
 
     for (const auto &item : baseByLabel) {
-        const IndexedRun &b = *item.second;
+        const RunResult &b = *item.second;
         RunDelta delta;
         delta.name = item.first;
         delta.base = &b;
@@ -470,7 +384,7 @@ diffRuns(const std::vector<const IndexedRun *> &baseline,
             diff.deltas.push_back(std::move(delta));
             continue;
         }
-        const IndexedRun &c = *match->second;
+        const RunResult &c = *match->second;
         delta.current = &c;
 
         const bool worseOk = b.ok && !c.ok;
@@ -487,8 +401,8 @@ diffRuns(const std::vector<const IndexedRun *> &baseline,
             b.escalated == c.escalated && b.flips == c.flips &&
             b.attempts == c.attempts &&
             sameReportValue(b.simSeconds, c.simSeconds) &&
-            sameReportValue(b.timeToFlipMinutes,
-                            c.timeToFlipMinutes) &&
+            sameReportValue(b.report.timeToFirstFlipMinutes,
+                            c.report.timeToFirstFlipMinutes) &&
             sameMetrics(b.metrics, c.metrics);
 
         if (worseOk || worseFlip || worseEsc || fewerFlips || slower) {
@@ -542,8 +456,8 @@ diffTable(const RunDiff &diff, bool showAll)
         default:
             break;
         }
-        const IndexedRun &b = *delta.base;
-        const IndexedRun &c = *delta.current;
+        const RunResult &b = *delta.base;
+        const RunResult &c = *delta.current;
         std::string status;
         switch (delta.status) {
         case RunDeltaStatus::Regressed:
@@ -562,7 +476,8 @@ diffTable(const RunDiff &diff, bool showAll)
                     static_cast<unsigned long long>(b.flips),
                     static_cast<unsigned long long>(c.flips)),
              deltaCell(b.simSeconds, c.simSeconds),
-             deltaCell(b.timeToFlipMinutes, c.timeToFlipMinutes),
+             deltaCell(b.report.timeToFirstFlipMinutes,
+                       c.report.timeToFirstFlipMinutes),
              status});
     }
     return table;

@@ -10,26 +10,25 @@
  *    strategy / seed / DRAM flip model (AND of "axis=value" filters);
  *  - group-by aggregation: fold any selection into per-group
  *    CampaignAggregates, deterministically ordered;
- *  - two-artifact diff: the regression/trend comparison engine that
- *    tools/campaign_compare fronts and tools/campaign_query exposes
- *    as --trend, extracted here so both share one definition of
- *    "regression".
+ *  - two-artifact diff: the regression comparison engine behind
+ *    `campaign compare`, the one definition of "regression".
  *
- * Corrupt journal lines are tolerated exactly like everywhere else in
- * the harness — skipped, counted in LoadStats, surfaced by callers —
- * so a torn shard journal can be queried without ceremony but never
- * silently shrinks an answer.
+ * Runs are plain RunResults: journal lines are read by
+ * ResultStore::load, report runs are parsed into the fields a report
+ * carries. Corrupt journal lines are tolerated exactly like
+ * everywhere else in the harness — skipped, counted in LoadStats,
+ * surfaced by callers — so a torn shard journal can be queried
+ * without ceremony but never silently shrinks an answer.
  */
 
 #ifndef PTH_HARNESS_JOURNAL_INDEX_HH
 #define PTH_HARNESS_JOURNAL_INDEX_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "harness/campaign_result.hh"
+#include "harness/result_store.hh"
 
 namespace pth
 {
@@ -57,39 +56,10 @@ const char *runAxisName(RunAxis axis);
  */
 bool parseRunAxis(const std::string &text, RunAxis &out);
 
-/** One run loaded from a journal or a campaign JSON report. */
-struct IndexedRun
-{
-    std::size_t index = 0;      //!< run index within its campaign
-    std::string label;
-    std::string machine;        //!< machine preset name
-    std::string defense;
-    std::string strategy;
-
-    /** DRAM flip-model name; empty when the artifact predates the
-     * field (axisValue renders that as "unrecorded"). */
-    std::string dramModel;
-
-    std::uint64_t seed = 0;
-    std::uint64_t key = 0;      //!< journal spec key; 0 for report runs
-
-    bool ok = true;
-    bool flipped = false;
-    bool escalated = false;
-    std::uint64_t flips = 0;
-    std::uint64_t attempts = 0;
-    double simSeconds = 0;
-    double timeToFlipMinutes = 0;
-    std::vector<std::pair<std::string, double>> metrics;
-
-    /** The run's value on an axis, as the string filters match
-     * against (seed in decimal; empty dramModel -> "unrecorded"). */
-    std::string axisValue(RunAxis axis) const;
-};
-
-/** Project a journal RunResult onto the indexable view. */
-IndexedRun indexedRunFromResult(const RunResult &result,
-                                std::uint64_t key = 0);
+/** A run's value on an axis, as the string filters match against
+ * (seed in decimal; an empty dramModel, from artifacts that predate
+ * the field, renders as "unrecorded"). */
+std::string runAxisValue(const RunResult &run, RunAxis axis);
 
 /** An indexed set of runs from one or many stored artifacts. */
 class JournalIndex
@@ -107,21 +77,14 @@ class JournalIndex
     };
 
     /**
-     * Ingest a result-store journal. Later entries supersede earlier
-     * ones with the same run index — within the file and across
-     * files, in ingestion order — matching ResultStore::merge, so
-     * indexing shard journals answers like querying their merge.
-     * Returns false (and indexes nothing) when the file is
-     * unreadable; a readable journal with only corrupt lines still
-     * "loads" with the damage counted in stats().
-     */
-    bool addJournal(const std::string &path);
-
-    /**
      * Ingest either stored artifact: a campaign JSON report (object
-     * with "runs") or a journal — the sniffing loader
-     * campaign_compare uses for its arguments. On failure returns
-     * false and, when error is non-null, says why.
+     * with "runs") or a journal. Later entries supersede earlier ones
+     * with the same run index — within an artifact and across
+     * artifacts, in ingestion order — matching ResultStore::merge,
+     * so indexing shard journals answers like querying their merge.
+     * On failure (unreadable, or no run in it) returns false and,
+     * when error is non-null, says why; a journal's corrupt lines are
+     * counted in stats() either way.
      */
     bool addArtifact(const std::string &path,
                      std::string *error = nullptr);
@@ -130,9 +93,12 @@ class JournalIndex
     bool empty() const { return byIndex_.empty(); }
     std::size_t size() const { return byIndex_.size(); }
 
-    /** Every indexed run, ascending run index. Pointers are owned by
-     * the index and valid until the next add. */
-    std::vector<const IndexedRun *> runs() const;
+    /** Every indexed entry by run index; report runs carry key 0. */
+    const std::map<std::size_t, ResultStore::Entry> &
+    entries() const
+    {
+        return byIndex_;
+    }
 
     /** One "axis=value" selection term. */
     struct Filter
@@ -149,12 +115,13 @@ class JournalIndex
     static bool parseFilter(const std::string &text, Filter &out,
                             std::string *error = nullptr);
 
-    /** Runs matching every filter (AND), ascending run index. */
-    std::vector<const IndexedRun *>
+    /** Runs matching every filter (AND), ascending run index.
+     * Pointers are owned by the index and valid until the next add. */
+    std::vector<const RunResult *>
     select(const std::vector<Filter> &filters) const;
 
-    /** One group of a group-by: the axis value and the fold over the
-     * group's runs (same fold as Campaign::aggregate). */
+    /** One group of a group-by: the axis value and the
+     * CampaignAggregate fold over the group's runs. */
     struct Group
     {
         std::string value;
@@ -167,26 +134,22 @@ class JournalIndex
      * lexicographically.
      */
     static std::vector<Group>
-    groupBy(const std::vector<const IndexedRun *> &runs, RunAxis axis);
+    groupBy(const std::vector<const RunResult *> &runs, RunAxis axis);
 
     /** Render a group-by as a summary table. */
     static Table groupTable(const std::vector<Group> &groups,
                             RunAxis axis);
 
     /** Render a selection as a one-row-per-run table. */
-    static Table runTable(const std::vector<const IndexedRun *> &runs);
+    static Table runTable(const std::vector<const RunResult *> &runs);
 
   private:
-    /** Fold one freshly parsed run in (last-wins by index). */
-    void insert(IndexedRun run);
+    /** Fold one entry in (last-wins by index). */
+    void insert(ResultStore::Entry entry);
 
-    std::map<std::size_t, IndexedRun> byIndex_;
+    std::map<std::size_t, ResultStore::Entry> byIndex_;
     LoadStats stats_;
 };
-
-/** Fold one indexed run into a CampaignAggregate (the same fold
- * Campaign::aggregate applies to RunResults). */
-void aggregateIndexedRun(CampaignAggregate &agg, const IndexedRun &run);
 
 /**
  * Equality at the JSON report's precision: reports render doubles
@@ -221,8 +184,8 @@ struct RunDelta
     /** Match name: the label, disambiguated with "#<index>" when the
      * label repeats in either artifact. */
     std::string name;
-    const IndexedRun *base = nullptr;    //!< null when Added
-    const IndexedRun *current = nullptr; //!< null when Removed
+    const RunResult *base = nullptr;     //!< null when Added
+    const RunResult *current = nullptr;  //!< null when Removed
     RunDeltaStatus status = RunDeltaStatus::Unchanged;
     std::string detail;                  //!< "now fails", "fewer flips", ...
 };
@@ -241,19 +204,19 @@ struct RunDiff
 
 /**
  * Compare two run sets — the regression engine behind
- * campaign_compare and campaign_query --trend. A run REGRESSES when,
- * versus the baseline, it stops completing, stops flipping, stops
- * escalating, loses flips, or its simulated seconds grow beyond
- * options.tolerancePct. Runs are matched by label with "#<index>"
- * disambiguation of duplicated labels (both sides must disambiguate
- * the same way, so duplication on either side triggers it for both).
+ * `campaign compare`. A run REGRESSES when, versus the baseline, it
+ * stops completing, stops flipping, stops escalating, loses flips, or
+ * its simulated seconds grow beyond options.tolerancePct. Runs are
+ * matched by label with "#<index>" disambiguation of duplicated
+ * labels (both sides must disambiguate the same way, so duplication
+ * on either side triggers it for both).
  */
-RunDiff diffRuns(const std::vector<const IndexedRun *> &baseline,
-                 const std::vector<const IndexedRun *> &current,
+RunDiff diffRuns(const std::vector<const RunResult *> &baseline,
+                 const std::vector<const RunResult *> &current,
                  const RunDiffOptions &options = {});
 
 /**
- * Render the diff as campaign_compare's delta table. Unchanged rows
+ * Render the diff as `campaign compare`'s delta table. Unchanged rows
  * are included only with showAll.
  */
 Table diffTable(const RunDiff &diff, bool showAll);

@@ -404,24 +404,26 @@ ResultStore::deserialize(const std::string &line, Entry &out)
 }
 
 std::map<std::size_t, ResultStore::Entry>
-ResultStore::load(const std::string &path, std::size_t *corruptLines)
+ResultStore::load(const std::string &path, LoadStats *stats)
 {
     std::map<std::size_t, Entry> entries;
-    if (corruptLines)
-        *corruptLines = 0;
+    LoadStats local;
     std::ifstream in(path);
-    if (!in)
-        return entries;
+    local.found = static_cast<bool>(in);
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
         Entry entry;
-        if (deserialize(line, entry))
+        if (deserialize(line, entry)) {
+            ++local.parsed;
             entries[entry.result.index] = std::move(entry);
-        else if (corruptLines)
-            ++*corruptLines;
+        } else {
+            ++local.corruptLines;
+        }
     }
+    if (stats)
+        *stats = local;
     return entries;
 }
 
@@ -432,26 +434,21 @@ ResultStore::merge(const std::vector<std::string> &inputs,
     MergeStats local;
     std::map<std::size_t, Entry> merged;
     for (const std::string &path : inputs) {
-        std::ifstream in(path);
-        if (!in) {
+        LoadStats read;
+        auto entries = load(path, &read);
+        if (!read.found) {
             ++local.missingInputs;
             continue;
         }
         ++local.inputs;
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty())
-                continue;
-            Entry entry;
-            if (!deserialize(line, entry)) {
-                ++local.corruptLines;
-                continue;
-            }
-            const std::size_t index = entry.result.index;
-            if (merged.count(index))
+        local.corruptLines += read.corruptLines;
+        // Lines load() folded away were superseded within the file.
+        local.overwritten += read.parsed - entries.size();
+        for (auto &item : entries)
+            if (!merged.insert_or_assign(item.first,
+                                         std::move(item.second))
+                     .second)
                 ++local.overwritten;
-            merged[index] = std::move(entry);
-        }
     }
     local.entries = merged.size();
 

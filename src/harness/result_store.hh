@@ -100,19 +100,28 @@ class ResultStore
      */
     static bool deserialize(const std::string &line, Entry &out);
 
+    /** What load() read from one journal. */
+    struct LoadStats
+    {
+        bool found = false;           //!< the file could be opened
+        std::size_t parsed = 0;       //!< valid lines, superseded included
+        std::size_t corruptLines = 0; //!< non-empty lines that failed
+    };
+
     /**
      * Load every valid journal line, keyed by run index; invalid
      * lines are skipped and duplicate indices keep the last valid
-     * entry. A missing file yields an empty map.
+     * entry. A missing file yields an empty map. This is the one
+     * journal reader: resume, merge and the query index all go
+     * through it.
      *
-     * When corruptLines is non-null it receives the number of
-     * non-empty lines that failed to parse — the visible trace of a
-     * truncated or mangled journal. Callers that resume or merge
-     * should surface the count instead of letting a torn shard
-     * journal quietly shrink a campaign.
+     * corruptLines in stats is the visible trace of a truncated or
+     * mangled journal. Callers that resume, merge or query should
+     * surface it instead of letting a torn shard journal quietly
+     * shrink a campaign.
      */
     static std::map<std::size_t, Entry>
-    load(const std::string &path, std::size_t *corruptLines = nullptr);
+    load(const std::string &path, LoadStats *stats = nullptr);
 
     /** What ResultStore::merge saw and produced. */
     struct MergeStats

@@ -4,14 +4,15 @@
  * hand-computed aggregates over hand-built journals, multi-journal
  * last-wins folding checked for consistency with ResultStore::merge,
  * corrupt-line tolerance, artifact sniffing (journal vs. campaign
- * JSON report), and the shared two-artifact diff engine behind
- * campaign_compare / campaign_query --trend.
+ * JSON report), and the two-artifact diff engine behind
+ * `campaign compare`.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -122,15 +123,13 @@ TEST(RunAxisTest, NamesAndAliasesRoundTrip)
 
 TEST(RunAxisTest, AxisValueRendersSeedAndUnrecordedModel)
 {
-    IndexedRun run = indexedRunFromResult(
-        makeRun(7, "Lenovo T420", "none", 42, 1), 123);
-    EXPECT_EQ(run.key, 123u);
-    EXPECT_EQ(run.axisValue(RunAxis::Label), "pt7");
-    EXPECT_EQ(run.axisValue(RunAxis::Machine), "Lenovo T420");
-    EXPECT_EQ(run.axisValue(RunAxis::Seed), "42");
-    EXPECT_EQ(run.axisValue(RunAxis::DramModel), "ddr3");
+    RunResult run = makeRun(7, "Lenovo T420", "none", 42, 1);
+    EXPECT_EQ(runAxisValue(run, RunAxis::Label), "pt7");
+    EXPECT_EQ(runAxisValue(run, RunAxis::Machine), "Lenovo T420");
+    EXPECT_EQ(runAxisValue(run, RunAxis::Seed), "42");
+    EXPECT_EQ(runAxisValue(run, RunAxis::DramModel), "ddr3");
     run.dramModel.clear(); // pre-dram-model journals
-    EXPECT_EQ(run.axisValue(RunAxis::DramModel), "unrecorded");
+    EXPECT_EQ(runAxisValue(run, RunAxis::DramModel), "unrecorded");
 }
 
 TEST(JournalIndexTest, ParseFilterAcceptsAxisEqualsValue)
@@ -157,14 +156,14 @@ TEST(JournalIndexTest, SelectAppliesFiltersAsConjunction)
     writeJournal(journal, fixtureRuns());
 
     JournalIndex index;
-    ASSERT_TRUE(index.addJournal(journal));
+    ASSERT_TRUE(index.addArtifact(journal));
     EXPECT_EQ(index.size(), 6u);
     EXPECT_EQ(index.stats().journals, 1u);
     EXPECT_EQ(index.stats().corruptLines, 0u);
 
-    auto labels = [](const std::vector<const IndexedRun *> &runs) {
+    auto labels = [](const std::vector<const RunResult *> &runs) {
         std::vector<std::string> out;
-        for (const IndexedRun *run : runs)
+        for (const RunResult *run : runs)
             out.push_back(run->label);
         return out;
     };
@@ -196,7 +195,7 @@ TEST(JournalIndexTest, GroupByMatchesHandComputedAggregates)
     const std::string journal = tempPath("group.jsonl");
     writeJournal(journal, fixtureRuns());
     JournalIndex index;
-    ASSERT_TRUE(index.addJournal(journal));
+    ASSERT_TRUE(index.addArtifact(journal));
 
     const auto groups =
         JournalIndex::groupBy(index.select({}), RunAxis::Machine);
@@ -237,7 +236,7 @@ TEST(JournalIndexTest, GroupByMatchesHandComputedAggregates)
     writeJournal(seedJournal, {makeRun(0, "m", "none", 10, 1),
                                makeRun(1, "m", "none", 2, 1)});
     JournalIndex seedIndex;
-    ASSERT_TRUE(seedIndex.addJournal(seedJournal));
+    ASSERT_TRUE(seedIndex.addArtifact(seedJournal));
     const auto seeds =
         JournalIndex::groupBy(seedIndex.select({}), RunAxis::Seed);
     ASSERT_EQ(seeds.size(), 2u);
@@ -262,8 +261,8 @@ TEST(JournalIndexTest, MultiJournalFoldMatchesResultStoreMerge)
     writeJournal(second, {newer1, newer2}, /*keyBase=*/500);
 
     JournalIndex direct;
-    ASSERT_TRUE(direct.addJournal(first));
-    ASSERT_TRUE(direct.addJournal(second));
+    ASSERT_TRUE(direct.addArtifact(first));
+    ASSERT_TRUE(direct.addArtifact(second));
     EXPECT_EQ(direct.size(), 3u);
     EXPECT_EQ(direct.stats().entries, 5u);
     EXPECT_EQ(direct.stats().superseded, 2u);
@@ -273,16 +272,17 @@ TEST(JournalIndexTest, MultiJournalFoldMatchesResultStoreMerge)
     ASSERT_TRUE(ResultStore::merge({first, second}, merged, &stats));
     EXPECT_EQ(stats.overwritten, 2u);
     JournalIndex viaMerge;
-    ASSERT_TRUE(viaMerge.addJournal(merged));
+    ASSERT_TRUE(viaMerge.addArtifact(merged));
 
-    const auto a = direct.runs();
-    const auto b = viaMerge.runs();
+    const auto a = direct.select({});
+    const auto b = viaMerge.select({});
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i]->index, b[i]->index);
         EXPECT_EQ(a[i]->label, b[i]->label);
         EXPECT_EQ(a[i]->seed, b[i]->seed);
-        EXPECT_EQ(a[i]->key, b[i]->key);
+        EXPECT_EQ(direct.entries().at(a[i]->index).key,
+                  viaMerge.entries().at(b[i]->index).key);
         EXPECT_EQ(a[i]->flips, b[i]->flips);
         EXPECT_EQ(a[i]->defense, b[i]->defense);
     }
@@ -293,6 +293,40 @@ TEST(JournalIndexTest, MultiJournalFoldMatchesResultStoreMerge)
     std::remove(first.c_str());
     std::remove(second.c_str());
     std::remove(merged.c_str());
+}
+
+TEST(JournalIndexTest, DuplicatesWithinAJournalCountAsSuperseded)
+{
+    // A resumed campaign re-appends a re-executed run to the same
+    // journal; the later line wins and counts as superseded, in the
+    // index and in ResultStore::merge alike.
+    const std::string first = tempPath("dup_a.jsonl");
+    const std::string second = tempPath("dup_b.jsonl");
+    writeJournal(first, {makeRun(0, "m", "none", 1, 1),
+                         makeRun(1, "m", "none", 2, 1),
+                         makeRun(0, "m", "trr", 3, 4)});
+    writeJournal(second, {makeRun(1, "m", "trr", 4, 5),
+                          makeRun(1, "m", "trr", 5, 6)});
+
+    JournalIndex index;
+    ASSERT_TRUE(index.addArtifact(first));
+    EXPECT_EQ(index.size(), 2u);
+    EXPECT_EQ(index.stats().entries, 3u);
+    EXPECT_EQ(index.stats().superseded, 1u);
+    ASSERT_TRUE(index.addArtifact(second));
+    EXPECT_EQ(index.size(), 2u);
+    EXPECT_EQ(index.stats().entries, 5u);
+    EXPECT_EQ(index.stats().superseded, 3u);
+    EXPECT_EQ(index.select({})[0]->seed, 3u);
+    EXPECT_EQ(index.select({})[1]->seed, 5u);
+
+    std::ostringstream merged;
+    ResultStore::MergeStats stats;
+    ASSERT_TRUE(ResultStore::merge({first, second}, merged, &stats));
+    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_EQ(stats.overwritten, 3u);
+    std::remove(first.c_str());
+    std::remove(second.c_str());
 }
 
 TEST(JournalIndexTest, CorruptLinesAreSkippedAndCounted)
@@ -314,7 +348,7 @@ TEST(JournalIndexTest, CorruptLinesAreSkippedAndCounted)
         out << full.substr(0, full.size() / 2);
     }
     JournalIndex index;
-    ASSERT_TRUE(index.addJournal(journal));
+    ASSERT_TRUE(index.addArtifact(journal));
     EXPECT_EQ(index.size(), 2u);
     EXPECT_EQ(index.stats().corruptLines, 3u);
     EXPECT_EQ(index.select({})[1]->label, "pt1");
@@ -322,9 +356,8 @@ TEST(JournalIndexTest, CorruptLinesAreSkippedAndCounted)
     // An unreadable path indexes nothing and reports failure.
     JournalIndex missing;
     std::string error;
-    EXPECT_FALSE(missing.addJournal("/nonexistent/x.jsonl"));
-    EXPECT_TRUE(missing.empty());
     EXPECT_FALSE(missing.addArtifact("/nonexistent/x.jsonl", &error));
+    EXPECT_TRUE(missing.empty());
     EXPECT_NE(error.find("cannot read"), std::string::npos);
     std::remove(journal.c_str());
 }
@@ -352,8 +385,8 @@ TEST(JournalIndexTest, ArtifactSniffingReadsReportsAndJournals)
     EXPECT_EQ(fromReport.stats().journals, 0u);
     EXPECT_EQ(fromJournal.stats().journals, 1u);
 
-    const auto a = fromReport.runs();
-    const auto b = fromJournal.runs();
+    const auto a = fromReport.select({});
+    const auto b = fromJournal.select({});
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i]->label, b[i]->label);
@@ -362,11 +395,14 @@ TEST(JournalIndexTest, ArtifactSniffingReadsReportsAndJournals)
         EXPECT_EQ(a[i]->flips, b[i]->flips);
         EXPECT_TRUE(sameReportValue(a[i]->simSeconds,
                                     b[i]->simSeconds));
+        EXPECT_TRUE(
+            sameReportValue(a[i]->report.timeToFirstFlipMinutes,
+                            b[i]->report.timeToFirstFlipMinutes));
     }
     // Reports carry no spec keys or dram model.
-    EXPECT_EQ(a[0]->key, 0u);
-    EXPECT_EQ(a[0]->axisValue(RunAxis::DramModel), "unrecorded");
-    EXPECT_EQ(b[0]->axisValue(RunAxis::DramModel), "ddr3");
+    EXPECT_EQ(fromReport.entries().at(0).key, 0u);
+    EXPECT_EQ(runAxisValue(*a[0], RunAxis::DramModel), "unrecorded");
+    EXPECT_EQ(runAxisValue(*b[0], RunAxis::DramModel), "ddr3");
 
     // A JSON object without "runs" is neither artifact kind.
     const std::string bogus = tempPath("sniff_bogus.json");
@@ -382,21 +418,12 @@ TEST(JournalIndexTest, ArtifactSniffingReadsReportsAndJournals)
     std::remove(bogus.c_str());
 }
 
-/** Diff fixture: pointers into locally-owned IndexedRuns. */
-std::vector<IndexedRun>
-indexRuns(const std::vector<RunResult> &runs)
+/** Diff fixture: pointers into locally-owned RunResults. */
+std::vector<const RunResult *>
+pointers(const std::vector<RunResult> &runs)
 {
-    std::vector<IndexedRun> out;
+    std::vector<const RunResult *> out;
     for (const RunResult &r : runs)
-        out.push_back(indexedRunFromResult(r));
-    return out;
-}
-
-std::vector<const IndexedRun *>
-pointers(const std::vector<IndexedRun> &runs)
-{
-    std::vector<const IndexedRun *> out;
-    for (const IndexedRun &r : runs)
         out.push_back(&r);
     return out;
 }
@@ -420,10 +447,7 @@ TEST(RunDiffTest, ClassifiesEveryDeltaStatus)
     cur.erase(cur.begin() + 5);
     cur.push_back(makeRun(6, "Lenovo X230", "trr", 7, 1));
 
-    const std::vector<IndexedRun> baseIdx = indexRuns(base);
-    const std::vector<IndexedRun> curIdx = indexRuns(cur);
-    const RunDiff diff =
-        diffRuns(pointers(baseIdx), pointers(curIdx));
+    const RunDiff diff = diffRuns(pointers(base), pointers(cur));
 
     EXPECT_EQ(diff.regressions, 3u); // pt1, pt2, pt4
     EXPECT_EQ(diff.changed, 2u);     // pt0, pt3
@@ -440,7 +464,7 @@ TEST(RunDiffTest, ClassifiesEveryDeltaStatus)
         return RunDeltaStatus::Unchanged;
     };
     // Labels present on both sides are disambiguated "label#index"
-    // (campaign_compare's long-standing matching rule); one-sided
+    // (`campaign compare`'s long-standing matching rule); one-sided
     // labels stay bare.
     EXPECT_EQ(statusOf("pt0#0"), RunDeltaStatus::Changed);
     EXPECT_EQ(statusOf("pt1#1"), RunDeltaStatus::Regressed);
@@ -464,11 +488,10 @@ TEST(RunDiffTest, ClassifiesEveryDeltaStatus)
     }
 
     // Identical sets: all unchanged, nothing else.
-    const RunDiff same =
-        diffRuns(pointers(baseIdx), pointers(baseIdx));
+    const RunDiff same = diffRuns(pointers(base), pointers(base));
     EXPECT_EQ(same.regressions, 0u);
     EXPECT_EQ(same.changed, 0u);
-    EXPECT_EQ(same.unchanged, baseIdx.size());
+    EXPECT_EQ(same.unchanged, base.size());
 }
 
 TEST(RunDiffTest, ToleranceGatesTheSlowerCriterion)
@@ -477,18 +500,13 @@ TEST(RunDiffTest, ToleranceGatesTheSlowerCriterion)
     std::vector<RunResult> cur = {makeRun(0, "m", "none", 1, 1)};
     cur[0].simSeconds = base[0].simSeconds * 1.15; // +15%
 
-    const std::vector<IndexedRun> baseIdx = indexRuns(base);
-    const std::vector<IndexedRun> curIdx = indexRuns(cur);
-
     RunDiffOptions strict;
     strict.tolerancePct = 10.0;
-    EXPECT_EQ(diffRuns(pointers(baseIdx), pointers(curIdx), strict)
-                  .regressions,
+    EXPECT_EQ(diffRuns(pointers(base), pointers(cur), strict).regressions,
               1u);
     RunDiffOptions loose;
     loose.tolerancePct = 20.0;
-    const RunDiff ok =
-        diffRuns(pointers(baseIdx), pointers(curIdx), loose);
+    const RunDiff ok = diffRuns(pointers(base), pointers(cur), loose);
     EXPECT_EQ(ok.regressions, 0u);
     EXPECT_EQ(ok.changed, 1u); // still different, just tolerated
 }
@@ -507,10 +525,7 @@ TEST(RunDiffTest, DuplicatedLabelsAreDisambiguatedByIndex)
     cur[1].report.flipped = false;
     cur[1].report.timeToFirstFlipMinutes = 0.0;
 
-    const std::vector<IndexedRun> baseIdx = indexRuns(base);
-    const std::vector<IndexedRun> curIdx = indexRuns(cur);
-    const RunDiff diff =
-        diffRuns(pointers(baseIdx), pointers(curIdx));
+    const RunDiff diff = diffRuns(pointers(base), pointers(cur));
     EXPECT_EQ(diff.regressions, 1u);
     EXPECT_EQ(diff.added, 0u);
     EXPECT_EQ(diff.removed, 0u);

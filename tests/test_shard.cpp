@@ -337,10 +337,10 @@ TEST(Shard, LoadReportsCorruptLineCount)
         out << "garbage\n";
         out << "{\"v\": 1, \"key\": \"00\", \"index\"\n";
     }
-    std::size_t corrupt = 0;
-    auto entries = ResultStore::load(journal, &corrupt);
+    ResultStore::LoadStats stats;
+    auto entries = ResultStore::load(journal, &stats);
     EXPECT_EQ(entries.size(), 1u);
-    EXPECT_EQ(corrupt, 2u);
+    EXPECT_EQ(stats.corruptLines, 2u);
     removeFile(journal);
 }
 
@@ -360,9 +360,9 @@ TEST(Shard, AppendAfterTornLineDoesNotGlueRecords)
         r.label = "after-torn";
         store.record(r, 42);
     }
-    std::size_t corrupt = 0;
-    auto entries = ResultStore::load(journal, &corrupt);
-    EXPECT_EQ(corrupt, 1u);       // the torn prefix, alone
+    ResultStore::LoadStats stats;
+    auto entries = ResultStore::load(journal, &stats);
+    EXPECT_EQ(stats.corruptLines, 1u); // the torn prefix, alone
     ASSERT_EQ(entries.size(), 1u); // the new record, intact
     EXPECT_EQ(entries[5].result.label, "after-torn");
     removeFile(journal);

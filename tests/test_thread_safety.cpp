@@ -102,9 +102,9 @@ TEST(ThreadSafety, ResultStoreConcurrentRecord)
         for (auto &w : writers)
             w.join();
     }
-    std::size_t corrupt = 0;
-    auto entries = ResultStore::load(path, &corrupt);
-    EXPECT_EQ(corrupt, 0u);
+    ResultStore::LoadStats stats;
+    auto entries = ResultStore::load(path, &stats);
+    EXPECT_EQ(stats.corruptLines, 0u);
     ASSERT_EQ(entries.size(),
               static_cast<std::size_t>(kThreads) * kPerThread);
     for (const auto &[index, entry] : entries) {

@@ -1,11 +1,11 @@
 /**
  * @file
- * CLI-level tests for the operator tools: campaign_merge,
- * campaign_compare, campaign_query and campaign_ctl are exercised as
- * subprocesses — the way CI and operators run them — pinning exit
- * codes (regression counts, usage errors), corrupt-input tolerance
- * and the merge byte contract. Tool paths come from the build via
- * PTH_TOOL_* compile definitions.
+ * CLI-level tests for the operator CLI: the campaign binary's merge,
+ * compare, query and ctl subcommands are exercised as subprocesses —
+ * the way CI and operators run them — pinning exit codes (regression
+ * counts, usage errors), corrupt-input tolerance and the merge byte
+ * contract. The binary's path comes from the build via the
+ * PTH_TOOL_CAMPAIGN compile definition.
  */
 
 #include <gtest/gtest.h>
@@ -44,15 +44,15 @@ readFile(const std::string &path)
     return buffer.str();
 }
 
-/** Run `tool args...` through the shell, capturing everything. Paths
- * in args must not need quoting beyond the double quotes added. */
+/** Run `campaign args...` through the shell, capturing everything.
+ * Paths in args must not need quoting beyond the double quotes
+ * added. */
 CliResult
-runCli(const std::string &tool,
-       const std::vector<std::string> &args)
+runCli(const std::vector<std::string> &args)
 {
     const std::string outPath = testing::TempDir() + "pth_cli_out";
     const std::string errPath = testing::TempDir() + "pth_cli_err";
-    std::string cmd = "\"" + tool + "\"";
+    std::string cmd = "\"" PTH_TOOL_CAMPAIGN "\"";
     for (const std::string &arg : args)
         cmd += " \"" + arg + "\"";
     cmd += " > \"" + outPath + "\" 2> \"" + errPath + "\"";
@@ -104,8 +104,61 @@ writeJournal(const std::string &path,
         out << ResultStore::serialize(r, 100 + r.index) << '\n';
 }
 
+/** writeJournal plus one torn line, as a killed writer leaves it. */
+void
+writeTornJournal(const std::string &path,
+                 const std::vector<RunResult> &runs)
+{
+    writeJournal(path, runs);
+    std::ofstream out(path, std::ios::app);
+    out << "{\"torn\":  \n";
+}
+
 // ---------------------------------------------------------------- //
-// campaign_merge                                                   //
+// campaign (no subcommand)                                         //
+// ---------------------------------------------------------------- //
+
+TEST(CampaignCli, HelpNamesEverySubcommandAndBadOnesExitTwo)
+{
+    const CliResult help = runCli({"--help"});
+    EXPECT_EQ(help.exit, 0);
+    for (const char *sub : {"merge", "query", "compare", "ctl"})
+        EXPECT_NE(help.out.find(sub), std::string::npos) << sub;
+
+    EXPECT_EQ(runCli({}).exit, 2);
+    const CliResult unknown = runCli({"bogus"});
+    EXPECT_EQ(unknown.exit, 2);
+    EXPECT_NE(unknown.err.find("unknown subcommand 'bogus'"),
+              std::string::npos)
+        << unknown.err;
+}
+
+TEST(CampaignCli, AFlagIsNeverAValue)
+{
+    const std::string journal = tempPath("flag_value.jsonl");
+    writeJournal(journal, {makeRun(0, 1)});
+
+    // "-o --fresh" is a missing value, not an output named "--fresh".
+    std::remove("--fresh");
+    const CliResult merge =
+        runCli({"merge", journal, "-o", "--fresh"});
+    EXPECT_EQ(merge.exit, 2);
+    EXPECT_NE(merge.err.find("missing value for '-o'"),
+              std::string::npos)
+        << merge.err;
+    EXPECT_FALSE(std::ifstream("--fresh").good());
+
+    const CliResult compare = runCli(
+        {"compare", journal, journal, "--tolerance", "--all"});
+    EXPECT_EQ(compare.exit, 2);
+    EXPECT_NE(compare.err.find("missing value for '--tolerance'"),
+              std::string::npos)
+        << compare.err;
+    std::remove(journal.c_str());
+}
+
+// ---------------------------------------------------------------- //
+// campaign merge                                                   //
 // ---------------------------------------------------------------- //
 
 TEST(CampaignMergeCli, MergesShardsAndCountsSupersededDuplicates)
@@ -117,7 +170,7 @@ TEST(CampaignMergeCli, MergesShardsAndCountsSupersededDuplicates)
     writeJournal(b, {makeRun(1, 9), makeRun(2, 2)});
 
     const CliResult result =
-        runCli(PTH_TOOL_CAMPAIGN_MERGE, {a, b, "-o", out});
+        runCli({"merge", a, b, "-o", out});
     EXPECT_EQ(result.exit, 0) << result.err;
     EXPECT_NE(result.err.find("merged 3 run(s) from 2 journal(s)"),
               std::string::npos)
@@ -145,9 +198,8 @@ TEST(CampaignMergeCli, ToleratesCorruptAndMissingInputs)
         os << ResultStore::serialize(makeRun(0, 1), 100) << '\n';
         os << "{\"torn\":  \n";
     }
-    const CliResult result = runCli(
-        PTH_TOOL_CAMPAIGN_MERGE, {a, "/nonexistent/s1.jsonl", "-o",
-                                  out});
+    const CliResult result =
+        runCli({"merge", a, "/nonexistent/s1.jsonl", "-o", out});
     EXPECT_EQ(result.exit, 0) << result.err;
     EXPECT_NE(result.err.find("skipped 1 corrupt line(s)"),
               std::string::npos)
@@ -157,8 +209,7 @@ TEST(CampaignMergeCli, ToleratesCorruptAndMissingInputs)
 
     // All inputs missing: hard failure, no output left behind.
     const CliResult nothing = runCli(
-        PTH_TOOL_CAMPAIGN_MERGE,
-        {"/nonexistent/s0.jsonl", "-o", out + ".none"});
+        {"merge", "/nonexistent/s0.jsonl", "-o", out + ".none"});
     EXPECT_EQ(nothing.exit, 1);
     EXPECT_NE(nothing.err.find("no readable input journal"),
               std::string::npos);
@@ -170,15 +221,13 @@ TEST(CampaignMergeCli, ToleratesCorruptAndMissingInputs)
 
 TEST(CampaignMergeCli, UsageErrorsExitTwo)
 {
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_MERGE, {}).exit, 2);
-    EXPECT_EQ(
-        runCli(PTH_TOOL_CAMPAIGN_MERGE, {"--bogus", "x.jsonl"}).exit,
-        2);
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_MERGE, {"--help"}).exit, 0);
+    EXPECT_EQ(runCli({"merge"}).exit, 2);
+    EXPECT_EQ(runCli({"merge", "--bogus", "x.jsonl"}).exit, 2);
+    EXPECT_EQ(runCli({"merge", "--help"}).exit, 0);
 }
 
 // ---------------------------------------------------------------- //
-// campaign_compare                                                 //
+// campaign compare                                                 //
 // ---------------------------------------------------------------- //
 
 TEST(CampaignCompareCli, ExitStatusIsTheRegressionCount)
@@ -196,9 +245,8 @@ TEST(CampaignCompareCli, ExitStatusIsTheRegressionCount)
     regressed[1].error = "boom";
     writeJournal(worse, regressed);
 
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_COMPARE, {base, same}).exit, 0);
-    const CliResult result =
-        runCli(PTH_TOOL_CAMPAIGN_COMPARE, {base, worse});
+    EXPECT_EQ(runCli({"compare", base, same}).exit, 0);
+    const CliResult result = runCli({"compare", base, worse});
     EXPECT_EQ(result.exit, 2) << result.out;
     EXPECT_NE(result.out.find("2 regressed"), std::string::npos)
         << result.out;
@@ -214,11 +262,9 @@ TEST(CampaignCompareCli, BadArtifactsAndCorruptLinesAreSurfaced)
     const std::string good = tempPath("cmp_good.jsonl");
     writeJournal(good, {makeRun(0, 1)});
 
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_COMPARE,
-                     {"/nonexistent/a.jsonl", good})
-                  .exit,
+    EXPECT_EQ(runCli({"compare", "/nonexistent/a.jsonl", good}).exit,
               2);
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_COMPARE, {good}).exit, 2);
+    EXPECT_EQ(runCli({"compare", good}).exit, 2);
 
     // A torn line warns but does not fail the comparison.
     const std::string torn = tempPath("cmp_torn.jsonl");
@@ -227,19 +273,99 @@ TEST(CampaignCompareCli, BadArtifactsAndCorruptLinesAreSurfaced)
         os << ResultStore::serialize(makeRun(0, 1), 100) << '\n';
         os << "{{{\n";
     }
-    const CliResult result =
-        runCli(PTH_TOOL_CAMPAIGN_COMPARE, {good, torn});
+    const CliResult result = runCli({"compare", good, torn});
     EXPECT_EQ(result.exit, 0) << result.err;
     EXPECT_NE(result.err.find("skipped 1 corrupt journal line(s)"),
               std::string::npos)
         << result.err;
 
+    // The same warning with --filter, whichever side is torn.
+    const std::string tornBase = tempPath("cmp_torn_base.jsonl");
+    writeTornJournal(tornBase, {makeRun(0, 1)});
+    const CliResult filtered = runCli(
+        {"compare", tornBase, good, "--filter", "defense=none"});
+    EXPECT_EQ(filtered.exit, 0) << filtered.err;
+    EXPECT_NE(filtered.err.find("skipped 1 corrupt journal line(s)"),
+              std::string::npos)
+        << filtered.err;
+
     std::remove(good.c_str());
     std::remove(torn.c_str());
+    std::remove(tornBase.c_str());
+}
+
+TEST(CampaignCompareCli, FilterNarrowsTheComparedRuns)
+{
+    const std::string base = tempPath("filter_base.jsonl");
+    const std::string worse = tempPath("filter_worse.jsonl");
+    std::vector<RunResult> runs = {makeRun(0, 3), makeRun(1, 2)};
+    runs[1].defense = "trr";
+    writeJournal(base, runs);
+    std::vector<RunResult> regressed = runs;
+    regressed[0].flips = 1; // fewer flips, on the defense=none run
+    writeJournal(worse, regressed);
+
+    const CliResult result =
+        runCli({"compare", base, worse, "--filter", "defense=none"});
+    EXPECT_EQ(result.exit, 1) << result.out;
+    EXPECT_NE(result.out.find("1 regressed"), std::string::npos)
+        << result.out;
+    EXPECT_NE(result.out.find("1 baseline runs, 1 current"),
+              std::string::npos)
+        << result.out;
+    // A regression outside the filter is not counted.
+    const CliResult outside =
+        runCli({"compare", base, worse, "--filter=defense=trr"});
+    EXPECT_EQ(outside.exit, 0) << outside.out;
+    EXPECT_NE(outside.out.find("0 regressed"), std::string::npos)
+        << outside.out;
+    EXPECT_EQ(runCli({"compare", base, base, "--filter", "defense=none"})
+                  .exit,
+              0);
+    EXPECT_EQ(runCli({"compare", base, worse, "--filter", "bogus=1"})
+                  .exit,
+              2);
+    // compare needs exactly two artifacts.
+    EXPECT_EQ(runCli({"compare", base}).exit, 2);
+
+    std::remove(base.c_str());
+    std::remove(worse.c_str());
+}
+
+TEST(CampaignCompareCli, ToleranceIsAFiniteNonNegativeDecimal)
+{
+    const std::string base = tempPath("tol_base.jsonl");
+    const std::string slower = tempPath("tol_slower.jsonl");
+    std::vector<RunResult> runs = {makeRun(0, 1), makeRun(1, 1),
+                                   makeRun(2, 1)};
+    writeJournal(base, runs);
+    for (RunResult &r : runs)
+        r.simSeconds *= 1.05; // every run 5% slower
+    writeJournal(slower, runs);
+
+    EXPECT_EQ(runCli({"compare", base, slower, "--tolerance", "2.5"})
+                  .exit,
+              3);
+    EXPECT_EQ(runCli({"compare", base, slower, "--tolerance=10"}).exit,
+              0);
+    for (const std::vector<std::string> &flag :
+         std::vector<std::vector<std::string>>{{"--tolerance", "abc"},
+                                               {"--tolerance=1x"},
+                                               {"--tolerance", "-50"},
+                                               {"--tolerance", "nan"}}) {
+        std::vector<std::string> args = {"compare", base, slower};
+        args.insert(args.end(), flag.begin(), flag.end());
+        const CliResult bad = runCli(args);
+        EXPECT_EQ(bad.exit, 2) << flag.back();
+        EXPECT_NE(bad.err.find("bad --tolerance"), std::string::npos)
+            << bad.err;
+    }
+    std::remove(base.c_str());
+    std::remove(slower.c_str());
 }
 
 // ---------------------------------------------------------------- //
-// campaign_query                                                   //
+// campaign query                                                   //
 // ---------------------------------------------------------------- //
 
 TEST(CampaignQueryCli, FiltersGroupsAndFoldsArtifacts)
@@ -251,15 +377,14 @@ TEST(CampaignQueryCli, FiltersGroupsAndFoldsArtifacts)
     writeJournal(a, runs);
     writeJournal(b, {makeRun(1, 5)}); // supersedes run 1
 
-    CliResult result = runCli(PTH_TOOL_CAMPAIGN_QUERY, {a, b});
+    CliResult result = runCli({"query", a, b});
     EXPECT_EQ(result.exit, 0) << result.err;
     EXPECT_NE(result.out.find("2 run(s) selected of 2 indexed"),
               std::string::npos)
         << result.out;
     EXPECT_NE(result.out.find("1 superseded"), std::string::npos);
 
-    result = runCli(PTH_TOOL_CAMPAIGN_QUERY,
-                    {a, "--filter", "defense=trr"});
+    result = runCli({"query", a, "--filter", "defense=trr"});
     EXPECT_EQ(result.exit, 0);
     EXPECT_NE(result.out.find("cli1"), std::string::npos);
     EXPECT_EQ(result.out.find("cli0"), std::string::npos)
@@ -267,62 +392,41 @@ TEST(CampaignQueryCli, FiltersGroupsAndFoldsArtifacts)
     EXPECT_NE(result.out.find("1 run(s) selected of 2"),
               std::string::npos);
 
-    result = runCli(PTH_TOOL_CAMPAIGN_QUERY,
-                    {a, "--group-by", "defense"});
+    result = runCli({"query", a, "--group-by", "defense"});
     EXPECT_EQ(result.exit, 0);
     EXPECT_NE(result.out.find("none"), std::string::npos);
     EXPECT_NE(result.out.find("trr"), std::string::npos);
 
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
-                     {a, "--filter", "bogus=1"})
-                  .exit,
-              2);
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY,
-                     {a, "--group-by", "bogus"})
-                  .exit,
-              2);
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_QUERY, {}).exit, 2);
+    EXPECT_EQ(runCli({"query", a, "--filter", "bogus=1"}).exit, 2);
+    EXPECT_EQ(runCli({"query", a, "--group-by", "bogus"}).exit, 2);
+    EXPECT_EQ(runCli({"query"}).exit, 2);
+
+    // A torn journal is queried on its intact lines, with a warning.
+    const std::string torn = tempPath("query_torn.jsonl");
+    writeTornJournal(torn, runs);
+    result = runCli({"query", torn});
+    EXPECT_EQ(result.exit, 0) << result.err;
+    EXPECT_NE(result.err.find("skipped 1 corrupt journal line(s)"),
+              std::string::npos)
+        << result.err;
+    EXPECT_NE(result.out.find("2 run(s) selected of 2 indexed"),
+              std::string::npos)
+        << result.out;
 
     std::remove(a.c_str());
     std::remove(b.c_str());
-}
-
-TEST(CampaignQueryCli, TrendSharesTheCompareRegressionRules)
-{
-    const std::string base = tempPath("trend_base.jsonl");
-    const std::string worse = tempPath("trend_worse.jsonl");
-    writeJournal(base, {makeRun(0, 3)});
-    std::vector<RunResult> regressed = {makeRun(0, 1)};
-    writeJournal(worse, regressed);
-
-    const CliResult result = runCli(
-        PTH_TOOL_CAMPAIGN_QUERY, {"--trend", base, worse});
-    EXPECT_EQ(result.exit, 1) << result.out;
-    EXPECT_NE(result.out.find("1 regressed"), std::string::npos)
-        << result.out;
-    EXPECT_EQ(
-        runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", base, base}).exit,
-        0);
-    // --trend needs exactly two artifacts.
-    EXPECT_EQ(
-        runCli(PTH_TOOL_CAMPAIGN_QUERY, {"--trend", base}).exit, 2);
-
-    std::remove(base.c_str());
-    std::remove(worse.c_str());
+    std::remove(torn.c_str());
 }
 
 // ---------------------------------------------------------------- //
-// campaign_ctl                                                     //
+// campaign ctl                                                     //
 // ---------------------------------------------------------------- //
 
 TEST(CampaignCtlCli, UsageAndManifestErrorsExitTwo)
 {
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_CTL, {"--help"}).exit, 0);
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_CTL, {}).exit, 2);
-    EXPECT_EQ(runCli(PTH_TOOL_CAMPAIGN_CTL,
-                     {"/nonexistent/manifest.json"})
-                  .exit,
-              2);
+    EXPECT_EQ(runCli({"ctl", "--help"}).exit, 0);
+    EXPECT_EQ(runCli({"ctl"}).exit, 2);
+    EXPECT_EQ(runCli({"ctl", "/nonexistent/manifest.json"}).exit, 2);
 
     const std::string manifest = tempPath("ctl_bad.json");
     {
@@ -330,8 +434,7 @@ TEST(CampaignCtlCli, UsageAndManifestErrorsExitTwo)
         os << R"({"campaigns": [{"name": "a", "program": "x",
                   "shardz": 2}]})";
     }
-    const CliResult result =
-        runCli(PTH_TOOL_CAMPAIGN_CTL, {manifest});
+    const CliResult result = runCli({"ctl", manifest});
     EXPECT_EQ(result.exit, 2);
     EXPECT_NE(result.err.find("unknown key"), std::string::npos)
         << result.err;
@@ -343,8 +446,8 @@ TEST(CampaignCtlCli, UsageAndManifestErrorsExitTwo)
         os << R"({"campaigns": [{"name": "a", "program": "/bin/true",
                   "shards": 2}]})";
     }
-    const CliResult inject = runCli(
-        PTH_TOOL_CAMPAIGN_CTL, {ok, "--inject-kill", "a/7"});
+    const CliResult inject =
+        runCli({"ctl", ok, "--inject-kill", "a/7"});
     EXPECT_EQ(inject.exit, 2);
     EXPECT_NE(inject.err.find("names no shard"), std::string::npos)
         << inject.err;
@@ -353,13 +456,15 @@ TEST(CampaignCtlCli, UsageAndManifestErrorsExitTwo)
     // another flag's value.
     const std::vector<std::pair<std::vector<std::string>, const char *>>
         badArgs = {
-            {{ok, "--workers", "x"}, "bad --workers 'x'"},
-            {{ok, "--max-respawns", "-1"}, "bad --max-respawns '-1'"},
-            {{ok, "--max-reissues=1x"}, "bad --max-reissues '1x'"},
-            {{ok, "--out", "--fresh"}, "missing value for '--out'"},
+            {{"ctl", ok, "--workers", "x"}, "bad --workers 'x'"},
+            {{"ctl", ok, "--max-respawns", "-1"},
+             "bad --max-respawns '-1'"},
+            {{"ctl", ok, "--max-reissues=1x"}, "bad --max-reissues '1x'"},
+            {{"ctl", ok, "--out", "--fresh"},
+             "missing value for '--out'"},
         };
     for (const auto &item : badArgs) {
-        const CliResult bad = runCli(PTH_TOOL_CAMPAIGN_CTL, item.first);
+        const CliResult bad = runCli(item.first);
         EXPECT_EQ(bad.exit, 2) << item.second;
         EXPECT_NE(bad.err.find(item.second), std::string::npos)
             << bad.err;
@@ -380,8 +485,7 @@ TEST(CampaignCtlCli, PermanentWorkerDeathYieldsNonzeroExit)
                   "program": "/nonexistent/bench"}]})";
     }
     const CliResult result = runCli(
-        PTH_TOOL_CAMPAIGN_CTL,
-        {manifest, "--out", outDir, "--fresh", "--quiet"});
+        {"ctl", manifest, "--out", outDir, "--fresh", "--quiet"});
     EXPECT_EQ(result.exit, 1) << result.err;
     EXPECT_NE(result.err.find("campaign dead failed"),
               std::string::npos)
