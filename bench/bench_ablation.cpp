@@ -17,6 +17,7 @@
  * --json, --journal/--fresh (checkpoint/resume).
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "attack/pthammer.hh"
@@ -29,39 +30,11 @@ namespace
 
 using namespace pth;
 
-/** One hammer iteration with configurable eviction stages. */
-Cycles
-iterationVariant(Machine &m, const HammerPair &pair, bool evictTlb,
-                 bool evictLlc, unsigned llcLines, unsigned &dramFetches)
-{
-    Cycles start = m.clock().now();
-    std::vector<VirtAddr> stream;
-    if (evictTlb) {
-        stream.insert(stream.end(), pair.tlbSet1.begin(),
-                      pair.tlbSet1.end());
-        stream.insert(stream.end(), pair.tlbSet2.begin(),
-                      pair.tlbSet2.end());
-    }
-    if (evictLlc) {
-        for (unsigned i = 0; i < llcLines && i < pair.llcSet1.size(); ++i)
-            stream.push_back(pair.llcSet1[i]);
-        for (unsigned i = 0; i < llcLines && i < pair.llcSet2.size(); ++i)
-            stream.push_back(pair.llcSet2[i]);
-    }
-    if (!stream.empty())
-        m.cpu().accessBatch(stream);
-    AccessOutcome a1 = m.cpu().access(pair.va1);
-    AccessOutcome a2 = m.cpu().access(pair.va2);
-    dramFetches += a1.l1pteFromDram + a2.l1pteFromDram;
-    return m.clock().now() - start;
-}
-
 /** Variant descriptor; llcFraction scales the discovered set size. */
 struct Variant
 {
     const char *name;
     bool tlb;
-    bool llc;
     double llcFraction;
 };
 
@@ -75,23 +48,28 @@ measureVariant(const Variant &variant, Machine &machine,
     auto pair = pthammer.pairs().next();
     if (!pair)
         throw std::runtime_error("no hammer pair found");
-    unsigned fullSet = static_cast<unsigned>(pair->llcSet1.size());
-    unsigned lines = variant.llc
-                         ? static_cast<unsigned>(fullSet *
-                                                 variant.llcFraction)
-                         : 0;
+
+    // The variant's pair: its eviction sets with the removed stages
+    // emptied or cut short.
+    if (!variant.tlb) {
+        pair->tlbSet1.clear();
+        pair->tlbSet2.clear();
+    }
+    std::size_t lines = static_cast<std::size_t>(
+        static_cast<double>(pair->llcSet1.size()) * variant.llcFraction);
+    for (std::vector<VirtAddr> *set : {&pair->llcSet1, &pair->llcSet2})
+        set->resize(std::min(lines, set->size()));
 
     // Settle, then measure.
+    ImplicitHammer &hammer = pthammer.hammer();
     unsigned dramFetches = 0;
     for (int i = 0; i < 16; ++i)
-        iterationVariant(machine, *pair, variant.tlb, variant.llc,
-                         lines, dramFetches);
+        hammer.iteration(*pair, dramFetches);
     dramFetches = 0;
     Cycles total = 0;
     const unsigned rounds = 64;
     for (unsigned i = 0; i < rounds; ++i)
-        total += iterationVariant(machine, *pair, variant.tlb,
-                                  variant.llc, lines, dramFetches);
+        total += hammer.iteration(*pair, dramFetches);
     double cyclesPerIter = static_cast<double>(total) / rounds;
     double rate = dramFetches / (2.0 * rounds);
     double actsPerWindow =
@@ -119,11 +97,11 @@ main(int argc, char **argv)
                 " DRAM access (Lenovo T420) ==\n");
 
     const Variant variants[] = {
-        {"full PThammer path", true, true, 1.0},
-        {"no TLB eviction", false, true, 1.0},
-        {"no LLC eviction", true, false, 0.0},
-        {"LLC set undersized (1/2)", true, true, 0.5},
-        {"no eviction at all", false, false, 0.0},
+        {"full PThammer path", true, 1.0},
+        {"no TLB eviction", false, 1.0},
+        {"no LLC eviction", true, 0.0},
+        {"LLC set undersized (1/2)", true, 0.5},
+        {"no eviction at all", false, 0.0},
     };
 
     Campaign campaign;

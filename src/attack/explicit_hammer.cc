@@ -20,7 +20,7 @@ ExplicitHammer::setup(std::uint64_t bytes)
     m.kernel().mmapAnon(m.cpu().process(), bufferBase, bytes);
 }
 
-std::optional<std::pair<VirtAddr, VirtAddr>>
+std::optional<ExplicitHammer::BufferPair>
 ExplicitHammer::pickPair(std::uint64_t salt) const
 {
     // The published tool knows physical addresses (pagemap); emulate
@@ -46,7 +46,7 @@ ExplicitHammer::pickPair(std::uint64_t salt) const
         DramLocation l2 =
             m.dram().mapping().decompose(t2->frame << kPageShift);
         if (l1.bank == l2.bank && (l1.row + 2 == l2.row))
-            return std::make_pair(a1, a2);
+            return BufferPair{a1, a2, l1.bank, l1.row};
     }
     return std::nullopt;
 }
@@ -71,65 +71,25 @@ ExplicitHammer::measureIterationCycles(unsigned nopPadding)
     Cycles total = 0;
     const unsigned reps = 32;
     for (unsigned i = 0; i < reps; ++i)
-        total += iteration(pair->first, pair->second, nopPadding);
+        total += iteration(pair->va1, pair->va2, nopPadding);
     return static_cast<double>(total) / reps;
+}
+
+ExplicitHammerResult
+ExplicitHammer::run(unsigned nopPadding, double budgetSeconds)
+{
+    return hammer(nopPadding, budgetSeconds, /*singleSided=*/false);
 }
 
 ExplicitHammerResult
 ExplicitHammer::runSingleSided(unsigned nopPadding, double budgetSeconds)
 {
-    pth_assert(bufferBytes > 0, "setup() has not run");
-    ExplicitHammerResult result;
-    Cycles budget = m.config().cycles(budgetSeconds);
-    Cycles start = m.clock().now();
-    Cycles window = m.config().disturbance.refreshWindowCycles;
-    const std::uint64_t windowsPerPair = 8;
-    std::uint64_t salt = 0x55;
-
-    while (m.clock().now() - start < budget) {
-        auto pair = pickPair(salt++);
-        if (!pair)
-            continue;
-        ++result.pairsHammered;
-
-        // Hammer only the first aggressor; alternate with a far-away
-        // row in the same bank to defeat the row buffer.
-        VirtAddr flushPartner = pair->second + 8 *
-                                m.config().dramGeometry.rowIndexStride();
-        Cycles warmupTotal = 0;
-        const unsigned warmup = 16;
-        for (unsigned i = 0; i < warmup; ++i)
-            warmupTotal += iteration(pair->first, flushPartner,
-                                     nopPadding);
-        double perIter = static_cast<double>(warmupTotal) / warmup;
-        result.meanCyclesPerIteration = perIter;
-
-        auto pt = m.cpu().process().pageTables();
-        auto t1 = pt->translate(pair->first);
-        DramLocation l1 =
-            m.dram().mapping().decompose(t1->frame << kPageShift);
-        std::uint64_t actsPerWindow = static_cast<std::uint64_t>(
-            static_cast<double>(window) / perIter);
-        std::uint64_t flipsBefore = m.dram().totalFlips();
-        m.dram().hammerBulk(l1.bank, {l1.row}, actsPerWindow,
-                            windowsPerPair);
-        m.clock().advance(window * windowsPerPair);
-        m.clock().advance(bufferBytes / kLineBytes * 4);
-
-        if (m.dram().totalFlips() > flipsBefore) {
-            result.flipped = true;
-            result.secondsToFirstFlip =
-                m.config().seconds(m.clock().now() - start);
-            return result;
-        }
-    }
-    result.secondsToFirstFlip =
-        m.config().seconds(m.clock().now() - start);
-    return result;
+    return hammer(nopPadding, budgetSeconds, /*singleSided=*/true);
 }
 
 ExplicitHammerResult
-ExplicitHammer::run(unsigned nopPadding, double budgetSeconds)
+ExplicitHammer::hammer(unsigned nopPadding, double budgetSeconds,
+                       bool singleSided)
 {
     pth_assert(bufferBytes > 0, "setup() has not run");
     ExplicitHammerResult result;
@@ -140,7 +100,7 @@ ExplicitHammer::run(unsigned nopPadding, double budgetSeconds)
     // Like the published tool: hammer one address set for a while,
     // check for flips, move on.
     const std::uint64_t windowsPerPair = 8;
-    std::uint64_t salt = 0;
+    std::uint64_t salt = singleSided ? 0x55 : 0;
 
     while (m.clock().now() - start < budget) {
         auto pair = pickPair(salt++);
@@ -148,27 +108,28 @@ ExplicitHammer::run(unsigned nopPadding, double budgetSeconds)
             continue;
         ++result.pairsHammered;
 
+        // Single-sided hammers only the first aggressor, alternating
+        // with a far-away row in the same bank to defeat the row buffer.
+        VirtAddr partner = pair->va2;
+        if (singleSided)
+            partner += 8 * m.config().dramGeometry.rowIndexStride();
+
         // Detailed warmup for the per-iteration cost.
         Cycles warmupTotal = 0;
         const unsigned warmup = 16;
         for (unsigned i = 0; i < warmup; ++i)
-            warmupTotal += iteration(pair->first, pair->second,
-                                     nopPadding);
+            warmupTotal += iteration(pair->va1, partner, nopPadding);
         double perIter = static_cast<double>(warmupTotal) / warmup;
         result.meanCyclesPerIteration = perIter;
 
         // Bulk-apply the rest of this pair's budget.
-        auto pt = m.cpu().process().pageTables();
-        auto t1 = pt->translate(pair->first);
-        auto t2 = pt->translate(pair->second);
-        DramLocation l1 =
-            m.dram().mapping().decompose(t1->frame << kPageShift);
-        DramLocation l2 =
-            m.dram().mapping().decompose(t2->frame << kPageShift);
+        std::vector<std::uint64_t> rows = {pair->row1};
+        if (!singleSided)
+            rows.push_back(pair->row1 + 2);
         std::uint64_t actsPerWindow = static_cast<std::uint64_t>(
             static_cast<double>(window) / perIter);
         std::uint64_t flipsBefore = m.dram().totalFlips();
-        m.dram().hammerBulk(l1.bank, {l1.row, l2.row}, actsPerWindow,
+        m.dram().hammerBulk(pair->bank, rows, actsPerWindow,
                             windowsPerPair);
         m.clock().advance(window * windowsPerPair);
 
@@ -177,9 +138,7 @@ ExplicitHammer::run(unsigned nopPadding, double budgetSeconds)
 
         if (m.dram().totalFlips() > flipsBefore) {
             result.flipped = true;
-            result.secondsToFirstFlip =
-                m.config().seconds(m.clock().now() - start);
-            return result;
+            break;
         }
     }
     result.secondsToFirstFlip =

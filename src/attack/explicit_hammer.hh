@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 
 #include "attack/attack_config.hh"
 #include "common/types.hh"
@@ -62,10 +61,23 @@ class ExplicitHammer
                                         double budgetSeconds);
 
   private:
-    /** Pick a double-sided pair of buffer addresses (same bank, rows
-     * two apart), as the tool does with physical-address hints. */
-    std::optional<std::pair<VirtAddr, VirtAddr>> pickPair(
-        std::uint64_t salt) const;
+    /** A double-sided pair of buffer addresses: same bank, va2's row
+     * two after va1's. */
+    struct BufferPair
+    {
+        VirtAddr va1 = 0;
+        VirtAddr va2 = 0;
+        unsigned bank = 0;
+        std::uint64_t row1 = 0;
+    };
+
+    /** Pick a double-sided pair, as the tool does with physical-address
+     * hints. */
+    std::optional<BufferPair> pickPair(std::uint64_t salt) const;
+
+    /** The loop behind run() and runSingleSided(). */
+    ExplicitHammerResult hammer(unsigned nopPadding, double budgetSeconds,
+                                bool singleSided);
 
     /** One clflush + access + NOP iteration. */
     Cycles iteration(VirtAddr a1, VirtAddr a2, unsigned nopPadding);

@@ -2,41 +2,19 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
-#include "attack/implicit_hammer.hh"
-#include "common/logging.hh"
 #include "cpu/machine.hh"
 
 namespace pth
 {
 
-namespace
-{
-
-/** Bank of a pair's leaf-PTE rows through the attacker's page tables,
- * or -1 when a PTE is unmapped or the two sides straddle banks. */
-int
-pairBank(Machine &m, const HammerPair &pair)
-{
-    auto pt = m.cpu().process().pageTables();
-    auto pte1 = pt->l1pteAddress(pair.va1);
-    auto pte2 = pt->l1pteAddress(pair.va2);
-    if (!pte1 || !pte2)
-        return -1;
-    DramLocation l1 = m.dram().mapping().decompose(*pte1);
-    DramLocation l2 = m.dram().mapping().decompose(*pte2);
-    if (l1.bank != l2.bank)
-        return -1;
-    return static_cast<int>(l1.bank);
-}
-
-} // namespace
-
 MultiHartHammer::MultiHartHammer(Machine &machine,
                                  const AttackConfig &config,
-                                 InterleaveMode mode_,
+                                 InterleaveMode mode,
                                  std::uint64_t interleaveSeed)
-    : m(machine), cfg(config), mode(mode_), seed(interleaveSeed)
+    : m(machine), cfg(config), engine(machine, config, mode, interleaveSeed),
+      victims(std::min(config.victimHarts, machine.hartCount() - 1))
 {
 }
 
@@ -50,16 +28,15 @@ MultiHartHammer::selectPairs(PairFinder &finder, unsigned maxPairs)
     // the oversampling cap bounds the simulated-time spend.
     const unsigned oversample = 16;
     std::vector<HammerPair> drawn;
-    std::map<int, std::vector<std::size_t>> byBank;
+    std::map<unsigned, std::vector<std::size_t>> byBank;
     std::size_t bestBank = 0;
     for (unsigned i = 0; i < maxPairs * oversample; ++i) {
         auto pair = finder.next();
         if (!pair)
             break;
         drawn.push_back(std::move(*pair));
-        int bank = pairBank(m, drawn.back());
-        if (bank >= 0) {
-            std::vector<std::size_t> &group = byBank[bank];
+        if (auto rows = engine.aggressorRows(drawn.back())) {
+            std::vector<std::size_t> &group = byBank[rows->bank];
             group.push_back(drawn.size() - 1);
             bestBank = std::max(bestBank, group.size());
         }
@@ -88,148 +65,35 @@ MultiHartHammer::selectPairs(PairFinder &finder, unsigned maxPairs)
     return picked;
 }
 
-MultiHartHammerResult
+HammerRunResult
 MultiHartHammer::run(const std::vector<HammerPair> &pairs,
                      std::uint64_t iterationsPerHart)
 {
-    MultiHartHammerResult res;
-    const unsigned harts = m.hartCount();
-    const unsigned reserved = std::min(cfg.victimHarts, harts - 1);
-    unsigned aggressors = static_cast<unsigned>(std::min<std::size_t>(
-        pairs.size(), harts - reserved));
-    pth_assert(aggressors >= 1,
-               "multi-hart hammering needs at least one pair and one"
-               " non-victim hart");
-    const unsigned victims = std::min(reserved, harts - aggressors);
-    res.aggressors = aggressors;
-    res.victims = victims;
-    res.iterationsPerHart = iterationsPerHart;
+    const std::size_t aggressors =
+        std::min<std::size_t>(pairs.size(), m.hartCount() - victims);
+    return engine.runBatch(std::span(pairs).first(aggressors), victims,
+                           iterationsPerHart);
+}
 
-    Cycles start = m.clock().now();
-    std::uint64_t flipsBefore = m.dram().totalFlips();
-
-    // Aggressor harts beyond hart 0 join the attacker's address space
-    // (threads of the attacking process); setProcess charges the
-    // context-switch cost and flushes only that hart's own TLB/PSC.
-    Process &attacker = m.cpu().process();
-    for (unsigned h = 1; h < aggressors; ++h)
-        m.cpu(h).setProcess(attacker);
-
-    // Victim harts run separate co-tenant processes with private
-    // working sets — the noisy neighbors sharing L2/LLC/DRAM.
-    std::vector<Rng> victimRngs;
-    victimRngs.reserve(victims);
-    for (unsigned v = 0; v < victims; ++v) {
-        unsigned hart = aggressors + v;
-        Process &proc = m.kernel().createProcess(3000 + v);
-        m.kernel().mmapAnon(proc, cfg.userDataBase,
-                            cfg.victimTrafficPages * kPageBytes);
-        m.cpu(hart).setProcess(proc);
-        victimRngs.emplace_back(hashCombine(cfg.seed, 0x71c71a, hart));
+MultiHartAttempts
+MultiHartHammer::runAttempts(PairFinder &finder)
+{
+    MultiHartAttempts out;
+    const double startSeconds = m.seconds();
+    while (out.attempts < cfg.maxAttempts &&
+           m.seconds() - startSeconds < cfg.hammerBudgetSeconds) {
+        std::vector<HammerPair> pairs =
+            selectPairs(finder, m.hartCount() - victims);
+        if (pairs.empty())
+            break;
+        out.lastBatch = run(pairs, cfg.hammerIterations);
+        out.hammerCycles += out.lastBatch.totalCycles;
+        out.attempts += out.lastBatch.aggressors;
+        out.flips += out.lastBatch.flips;
+        if (out.lastBatch.flips > 0)
+            break;
     }
-
-    ImplicitHammer hammer(m, cfg);
-    const unsigned warmup = static_cast<unsigned>(
-        std::min<std::uint64_t>(cfg.hammerWarmupIterations,
-                                iterationsPerHart));
-
-    // Detailed phase: the interleaver serializes per-hart steps onto
-    // the global clock — one aggressor iteration or one victim slot at
-    // a time — until every aggressor finished its warmup share. Harts
-    // contend in the shared L2/LLC and DRAM, so the measured rates
-    // (and the victim's latencies) carry the cross-hart interference.
-    std::vector<unsigned> done(aggressors, 0);
-    std::vector<unsigned> fetches(aggressors, 0);
-    std::vector<Cycles> spent(aggressors, 0);
-    std::uint64_t victimLatency = 0;
-    Interleaver schedule(mode, seed, aggressors + victims);
-    unsigned hammering = warmup > 0 ? aggressors : 0;
-    while (hammering > 0) {
-        unsigned hart = schedule.next();
-        if (hart >= aggressors) {
-            Rng &rng = victimRngs[hart - aggressors];
-            for (unsigned a = 0; a < cfg.victimAccessesPerSlot; ++a) {
-                VirtAddr va = cfg.userDataBase +
-                              rng.below(cfg.victimTrafficPages) *
-                                  kPageBytes +
-                              rng.below(kPageBytes / 64) * 64;
-                AccessOutcome out = m.cpu(hart).access(va);
-                victimLatency += out.latency;
-                ++res.victimAccesses;
-            }
-            continue;
-        }
-        spent[hart] +=
-            hammer.iteration(pairs[hart], fetches[hart], hart);
-        if (++done[hart] == warmup) {
-            schedule.finish(hart);
-            --hammering;
-        }
-    }
-    if (res.victimAccesses > 0)
-        res.victimMeanLatency = static_cast<double>(victimLatency) /
-                                static_cast<double>(res.victimAccesses);
-
-    // Analytic bulk: the remaining iterations with the cores modelled
-    // in parallel. One round = every aggressor hart completing one
-    // iteration; its wall cost is the slowest hart's measured mean, so
-    // each hart contributes its full activation rate per round and the
-    // per-bank rates stack.
-    double roundCycles = 0;
-    for (unsigned i = 0; i < aggressors; ++i)
-        roundCycles = std::max(
-            roundCycles, static_cast<double>(spent[i]) / warmup);
-    res.meanRoundCycles = roundCycles;
-
-    std::uint64_t remaining = iterationsPerHart - warmup;
-    if (remaining > 0 && roundCycles > 0) {
-        Cycles window = m.config().disturbance.refreshWindowCycles;
-        Cycles bulkCycles = static_cast<Cycles>(
-            static_cast<double>(remaining) * roundCycles);
-        std::uint64_t windows = bulkCycles / window;
-        if (windows > 0) {
-            struct BankRows
-            {
-                std::vector<std::uint64_t> rows;
-                double actsPerRow = 0;
-                unsigned pairCount = 0;
-            };
-            std::map<int, BankRows> banks;
-            for (unsigned i = 0; i < aggressors; ++i) {
-                int bank = pairBank(m, pairs[i]);
-                if (bank < 0)
-                    continue;
-                auto pt = m.cpu().process().pageTables();
-                DramLocation l1 = m.dram().mapping().decompose(
-                    *pt->l1pteAddress(pairs[i].va1));
-                DramLocation l2 = m.dram().mapping().decompose(
-                    *pt->l1pteAddress(pairs[i].va2));
-                double actsPerRow =
-                    (static_cast<double>(fetches[i]) / (2.0 * warmup)) *
-                    static_cast<double>(window) / roundCycles;
-                BankRows &group = banks[bank];
-                for (std::uint64_t row : {l1.row, l2.row})
-                    if (std::find(group.rows.begin(), group.rows.end(),
-                                  row) == group.rows.end())
-                        group.rows.push_back(row);
-                group.actsPerRow += actsPerRow;
-                ++group.pairCount;
-                res.stackedActsPerWindow += 2.0 * actsPerRow;
-            }
-            for (const auto &entry : banks) {
-                const BankRows &group = entry.second;
-                std::uint64_t acts = static_cast<std::uint64_t>(
-                    group.actsPerRow / group.pairCount);
-                m.dram().hammerBulk(static_cast<unsigned>(entry.first),
-                                    group.rows, acts, windows);
-            }
-        }
-        m.clock().advance(bulkCycles);
-    }
-
-    res.totalCycles = m.clock().now() - start;
-    res.flips = m.dram().totalFlips() - flipsBefore;
-    return res;
+    return out;
 }
 
 } // namespace pth

@@ -1,21 +1,14 @@
 /**
  * @file
- * Multi-hart interleaved implicit hammering: aggressor harts drive
- * PThammer-style page-walk evictions concurrently while victim harts
- * generate co-tenant (noisy-neighbor) traffic through the shared
- * L2/LLC.
+ * Multi-hart implicit hammering policy: which pairs a batch hammers,
+ * how many harts the noisy-neighbor victims keep, and the attempt
+ * loop. The hammering itself is ImplicitHammer's batch engine: one
+ * pair per aggressor hart, interleaved detailed warmup, then per-bank
+ * analytic bulk with the harts' activation rates stacked.
  *
- * Execution is deterministic: a seeded Interleaver merges the harts'
- * access streams into one global clock order, so every multi-hart run
- * replays byte-identically. The detailed phase interleaves real
- * micro-architectural iterations (each hart on its own TLB/L1, all
- * contending in L2/LLC/DRAM); the analytic bulk phase then models the
- * cores running in parallel — one round per wall-clock `max` of the
- * per-hart iteration costs — so per-hart activation rates stack at the
- * banks the way interleaved multi-thread hammer patterns do on real
- * machines. Aggressor pairs are picked bank-synchronized (the most
- * populated bank first): many aggressor rows in one bank are what
- * overwhelm a TRR-style tracker.
+ * Aggressor pairs are picked bank-synchronized (the most populated
+ * bank first): many aggressor rows in one bank are what overwhelm a
+ * TRR-style tracker.
  */
 
 #ifndef PTH_ATTACK_MULTI_HAMMER_HH
@@ -25,6 +18,7 @@
 #include <vector>
 
 #include "attack/attack_config.hh"
+#include "attack/implicit_hammer.hh"
 #include "attack/pair_finder.hh"
 #include "cpu/interleaver.hh"
 
@@ -33,26 +27,17 @@ namespace pth
 
 class Machine;
 
-/** What one multi-hart hammering run produced. */
-struct MultiHartHammerResult
+/** The host-time benchmark's replica of the attempt loop names this
+ * type, and a benchmark change is what retires that replica. */
+using MultiHartHammerResult = HammerRunResult;
+
+/** What the multi-hart attempt loop produced. */
+struct MultiHartAttempts
 {
-    unsigned aggressors = 0;   //!< harts that hammered a pair
-    unsigned victims = 0;      //!< harts that ran co-tenant traffic
-    std::uint64_t iterationsPerHart = 0;
-    Cycles totalCycles = 0;
-
-    /** Modelled parallel cost of one round (every aggressor hart
-     * completing one iteration): max over harts of the measured mean
-     * iteration cost. */
-    double meanRoundCycles = 0;
-
-    /** Aggressor-row activations per refresh window summed over all
-     * harts — the stacked rate the banks see. */
-    double stackedActsPerWindow = 0;
-
+    unsigned attempts = 0;      //!< pairs hammered over all batches
     std::uint64_t flips = 0;
-    std::uint64_t victimAccesses = 0;
-    double victimMeanLatency = 0;  //!< cycles, under attack pressure
+    Cycles hammerCycles = 0;    //!< summed over batches
+    HammerRunResult lastBatch;  //!< zero when no batch ran
 };
 
 /** The multi-hart hammer. Requires a prepared PThammerAttack: hart 0
@@ -77,14 +62,21 @@ class MultiHartHammer
      * clamped to the machine's hart count minus the victim harts)
      * while the configured victim harts run interleaved traffic.
      */
-    MultiHartHammerResult run(const std::vector<HammerPair> &pairs,
-                              std::uint64_t iterationsPerHart);
+    HammerRunResult run(const std::vector<HammerPair> &pairs,
+                        std::uint64_t iterationsPerHart);
+
+    /**
+     * The attempt loop: hammer one bank-synchronized batch per
+     * attempt, a pair per aggressor hart, until a flip lands or the
+     * attempt or simulated-time budget runs out.
+     */
+    MultiHartAttempts runAttempts(PairFinder &finder);
 
   private:
     Machine &m;
     const AttackConfig &cfg;
-    InterleaveMode mode;
-    std::uint64_t seed;
+    ImplicitHammer engine;
+    unsigned victims;  //!< victim harts, leaving at least one aggressor
 };
 
 } // namespace pth

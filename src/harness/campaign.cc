@@ -136,43 +136,21 @@ runMultiHart(const RunSpec &spec, const AttackConfig &attack,
     PThammerAttack attackRun(machine, attack);
     attackRun.prepare();
     res.report = attackRun.prepReport();
-
     MultiHartHammer hammer(machine, attack, spec.interleave,
                            spec.interleaveSeed);
-    const unsigned reserved = std::min(attack.victimHarts,
-                                       machine.hartCount() - 1);
-    const unsigned batchPairs = machine.hartCount() - reserved;
-
-    // Attempt loop, like the single-hart end-to-end attack: each
-    // attempt hammers one bank-synchronized batch of pairs — one per
-    // aggressor hart — until a flip lands or the attempt/time budget
-    // runs out.
-    const double startSeconds = machine.seconds();
-    MultiHartHammerResult r;
-    Cycles hammered = 0;
-    while (res.attempts < attack.maxAttempts &&
-           machine.seconds() - startSeconds <
-               attack.hammerBudgetSeconds) {
-        std::vector<HammerPair> pairs =
-            hammer.selectPairs(attackRun.pairs(), batchPairs);
-        if (pairs.empty())
-            break;
-        r = hammer.run(pairs, attack.hammerIterations);
-        hammered += r.totalCycles;
-        res.attempts += r.aggressors;
-        res.flips += r.flips;
-        if (r.flips > 0)
-            break;
-    }
+    MultiHartAttempts r = hammer.runAttempts(attackRun.pairs());
+    res.attempts = r.attempts;
+    res.flips = r.flips;
     res.flipped = res.flips > 0;
     res.report.flipped = res.flipped;
-    res.report.hammerMs = machine.seconds(hammered) * 1e3;
-    res.metrics.emplace_back("aggressorHarts", r.aggressors);
-    res.metrics.emplace_back("victimHarts", r.victims);
-    res.metrics.emplace_back("meanRoundCycles", r.meanRoundCycles);
+    res.report.hammerMs = machine.seconds(r.hammerCycles) * 1e3;
+    const HammerRunResult &last = r.lastBatch;
+    res.metrics.emplace_back("aggressorHarts", last.aggressors);
+    res.metrics.emplace_back("victimHarts", last.victims);
+    res.metrics.emplace_back("meanRoundCycles", last.meanRoundCycles);
     res.metrics.emplace_back("stackedActsPerWindow",
-                             r.stackedActsPerWindow);
-    res.metrics.emplace_back("victimMeanLatency", r.victimMeanLatency);
+                             last.stackedActsPerWindow);
+    res.metrics.emplace_back("victimMeanLatency", last.victimMeanLatency);
 }
 
 void

@@ -74,7 +74,7 @@ TEST_F(HammerEnv, ImplicitAccessFetchesL1pteFromDram)
     ASSERT_TRUE(pair.has_value());
     HammerRunResult r = pthammer->hammer().run(*pair, 256);
     EXPECT_GT(r.dramFetchRate, 0.7);
-    EXPECT_GT(r.meanCyclesPerIteration, 100.0);
+    EXPECT_GT(r.meanRoundCycles, 100.0);
 }
 
 TEST_F(HammerEnv, HammerRunAdvancesSimulatedTime)
@@ -86,8 +86,23 @@ TEST_F(HammerEnv, HammerRunAdvancesSimulatedTime)
     EXPECT_EQ(machine.clock().now() - before, r.totalCycles);
     // Extrapolation must scale with iteration count.
     EXPECT_NEAR(static_cast<double>(r.totalCycles),
-                r.meanCyclesPerIteration * 100000,
-                r.meanCyclesPerIteration * 100000 * 0.2);
+                r.meanRoundCycles * 100000,
+                r.meanRoundCycles * 100000 * 0.2);
+}
+
+using HammerEnvDeathTest = HammerEnv;
+
+/** With no warmup there is no measured iteration cost to extrapolate
+ * from, so a run must stop instead of skipping its iterations. */
+TEST_F(HammerEnvDeathTest, ZeroWarmupIsFatal)
+{
+    auto pair = pthammer->pairs().next();
+    ASSERT_TRUE(pair.has_value());
+    AttackConfig noWarmup = attack;
+    noWarmup.hammerWarmupIterations = 0;
+    ImplicitHammer hammer(machine, noWarmup);
+    EXPECT_EXIT(hammer.run(*pair, 1'000'000), testing::ExitedWithCode(1),
+                "hammerWarmupIterations is 0");
 }
 
 TEST_F(HammerEnv, MeasureRoundsReturnsPlausibleTimings)
@@ -257,6 +272,52 @@ TEST(ExplicitHammerTest, SingleSidedStillFlipsAtFullSpeed)
     hammer.setup(8ull << 20);
     ExplicitHammerResult r = hammer.runSingleSided(0, 600);
     EXPECT_TRUE(r.flipped);
+}
+
+/** Both entry points replay the values captured before their loops
+ * were folded into one, on a fresh machine per call. */
+TEST(ExplicitHammerTest, EntryPointsArePinned)
+{
+    struct Pin
+    {
+        bool singleSided;
+        unsigned nopPadding;
+        bool flipped;
+        double secondsToFirstFlip;
+        std::uint64_t pairsHammered;
+        double meanCyclesPerIteration;
+        std::uint64_t fingerprint;
+    };
+    const Pin pins[] = {
+        {false, 0, true, 12.806633589, 25, 403.9375,
+         0xbb59aa80d923dd71ull},
+        {false, 3500, true, 24.077786147000001, 47, 3900.75,
+         0xc7a1c670b1d2d88aull},
+        {true, 0, true, 3.5858543114999999, 7, 315.125,
+         0xac49c2b15a160642ull},
+        {true, 3500, false, 400.10048170649998, 781, 3783.625,
+         0x3f48b10485486167ull},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(testing::Message()
+                     << (pin.singleSided ? "single" : "double")
+                     << "-sided, padding " << pin.nopPadding);
+        Machine machine(MachineConfig::testSmall());
+        Process &proc = machine.kernel().createProcess(1000);
+        machine.cpu().setProcess(proc);
+        AttackConfig attack;
+        ExplicitHammer hammer(machine, attack);
+        hammer.setup(8ull << 20);
+        ExplicitHammerResult r =
+            pin.singleSided ? hammer.runSingleSided(pin.nopPadding, 400)
+                            : hammer.run(pin.nopPadding, 400);
+        EXPECT_EQ(r.flipped, pin.flipped);
+        EXPECT_DOUBLE_EQ(r.secondsToFirstFlip, pin.secondsToFirstFlip);
+        EXPECT_EQ(r.pairsHammered, pin.pairsHammered);
+        EXPECT_DOUBLE_EQ(r.meanCyclesPerIteration,
+                         pin.meanCyclesPerIteration);
+        EXPECT_EQ(machine.stateFingerprint(), pin.fingerprint);
+    }
 }
 
 TEST(ExplicitHammerTest, ExtremePaddingPreventsFlips)

@@ -124,22 +124,42 @@ TEST(MultiHartPins, WorkloadFingerprintsUnchangedAllModels)
     }
 }
 
-/** The full end-to-end attack replays the pre-refactor capture:
- * same flips, same attempt count, same final machine state. */
+/** The full end-to-end attack replays the pre-refactor capture under
+ * every DRAM model: same flips, same attempt count, same final machine
+ * state. */
 TEST(MultiHartPins, PthammerRunUnchanged)
 {
-    AttackConfig attack;
-    attack.superpages = true;
-    attack.sprayBytes = 24ull << 20;
-    attack.superpageSampleClasses = 2;
-    attack.maxAttempts = 120;
-    attack.hammerBudgetSeconds = 36000;
-    Machine machine(MachineConfig::testSmall());
-    PThammerAttack pthammer(machine, attack);
-    AttackReport report = pthammer.run();
-    EXPECT_EQ(report.flipsObserved, 9u);
-    EXPECT_EQ(report.attempts, 120u);
-    EXPECT_EQ(machine.stateFingerprint(), 0x9e30aa2afe6c2d60ull);
+    struct Pin
+    {
+        unsigned flips;
+        unsigned attempts;
+        std::uint64_t fingerprint;
+    };
+    // Indexed like kModels.
+    constexpr Pin kPins[] = {
+        {9, 120, 0x9e30aa2afe6c2d60ull},  // Ddr3Seeded
+        {0, 120, 0x00ac007d6397ff6aull},  // Trr
+        {9, 120, 0x9e30aa2afe6c2d60ull},  // Distance2
+        {0, 120, 0x71447f965977f23dull},  // Ecc
+    };
+    for (std::size_t i = 0; i < std::size(kModels); ++i) {
+        SCOPED_TRACE(flipModelKindName(kModels[i]));
+        AttackConfig attack;
+        attack.superpages = true;
+        attack.sprayBytes = 24ull << 20;
+        attack.superpageSampleClasses = 2;
+        attack.maxAttempts = 120;
+        attack.hammerBudgetSeconds = 36000;
+        MachineConfig config = MachineConfig::testSmall();
+        if (kModels[i] != FlipModelKind::Ddr3Seeded)
+            config.withDramModel(kModels[i]);
+        Machine machine(config);
+        PThammerAttack pthammer(machine, attack);
+        AttackReport report = pthammer.run();
+        EXPECT_EQ(report.flipsObserved, kPins[i].flips);
+        EXPECT_EQ(report.attempts, kPins[i].attempts);
+        EXPECT_EQ(machine.stateFingerprint(), kPins[i].fingerprint);
+    }
 }
 
 // ---------------------------------------------------------------------
