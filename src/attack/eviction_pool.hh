@@ -41,12 +41,13 @@ struct EvictionSet
     /** Member line addresses (virtual). */
     std::vector<VirtAddr> lines;
 
-    /** First size lines (the working eviction set). */
-    std::vector<VirtAddr>
-    firstLines(unsigned size) const
+    /** Replace out with the first size lines (the working eviction
+     * set); reusing out's storage allocates nothing once it has grown. */
+    void
+    firstLines(unsigned size, std::vector<VirtAddr> &out) const
     {
-        return {lines.begin(),
-                lines.begin() + std::min<std::size_t>(size, lines.size())};
+        out.assign(lines.begin(),
+                   lines.begin() + std::min<std::size_t>(size, lines.size()));
     }
 };
 

@@ -30,18 +30,17 @@ EvictionSetSelector::profileSet(const EvictionSet &set, VirtAddr target)
 {
     unsigned detailed = std::min(cfg.llcSelectDetailedCount,
                                  cfg.llcSelectCount);
-    std::vector<VirtAddr> lines = set.firstLines(pool.workingSetSize());
-    std::vector<double> latencies;
-    latencies.reserve(detailed);
+    set.firstLines(pool.workingSetSize(), lineBuffer);
+    latencyBuffer.clear();
 
     Cycles detailedStart = m.clock().now();
     for (unsigned i = 0; i < detailed; ++i) {
         // Access every memory line of the eviction set...
-        m.cpu().accessBatch(lines);
+        m.cpu().accessBatch(lineBuffer);
         // ...flush the target's TLB entry so the next access walks...
         tlbTool.evictNow(target, tlbTool.workingSetSize());
         // ...and time the target access.
-        latencies.push_back(
+        latencyBuffer.push_back(
             static_cast<double>(probe.timeAccess(target)));
     }
     // The paper profiles with a large repeat count; we simulate a
@@ -51,7 +50,7 @@ EvictionSetSelector::profileSet(const EvictionSet &set, VirtAddr target)
         m.clock().advance(detailedCost *
                           (cfg.llcSelectCount - detailed) / detailed);
     }
-    return median(latencies);
+    return medianInPlace(latencyBuffer);
 }
 
 SetSelection

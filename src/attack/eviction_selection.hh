@@ -55,7 +55,9 @@ class EvictionSetSelector
     static std::uint64_t l1pteLineOffset(VirtAddr va);
 
   private:
-    /** profile_evict_set of Algorithm 2: median timed latency. */
+    /** profile_evict_set of Algorithm 2: median timed latency.
+     * Reuses the buffers below, so a call allocates nothing once they
+     * have grown. */
     double profileSet(const EvictionSet &set, VirtAddr target);
 
     Machine &m;
@@ -63,6 +65,8 @@ class EvictionSetSelector
     LlcEvictionPool &pool;
     TlbEvictionTool &tlbTool;
     LatencyProbe probe;
+    std::vector<VirtAddr> lineBuffer;    //!< profileSet's working set
+    std::vector<double> latencyBuffer;   //!< profileSet's timings
 };
 
 } // namespace pth

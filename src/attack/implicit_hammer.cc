@@ -25,10 +25,7 @@ ImplicitHammer::iteration(const HammerPair &pair, unsigned &dramFetches,
 
     // Evict both TLB entries and both L1PTE lines. The four streams
     // are independent loads, so they overlap (accessBatch).
-    std::vector<VirtAddr> stream;
-    stream.reserve(pair.tlbSet1.size() + pair.tlbSet2.size() +
-                   pair.llcSet1.size() + pair.llcSet2.size());
-    stream.insert(stream.end(), pair.tlbSet1.begin(), pair.tlbSet1.end());
+    stream.assign(pair.tlbSet1.begin(), pair.tlbSet1.end());
     stream.insert(stream.end(), pair.tlbSet2.begin(), pair.tlbSet2.end());
     stream.insert(stream.end(), pair.llcSet1.begin(), pair.llcSet1.end());
     stream.insert(stream.end(), pair.llcSet2.begin(), pair.llcSet2.end());

@@ -76,6 +76,8 @@ class ImplicitHammer
                    std::uint64_t interleaveSeed = 0);
 
     /** One fully-detailed double-sided iteration; returns its cost.
+     * Reuses one stream buffer, so a call allocates nothing once it
+     * has grown.
      * @param hart Hart the iteration executes on (its CPU/TLB/L1);
      *        the default is hart 0, the single-hart behaviour. */
     Cycles iteration(const HammerPair &pair, unsigned &dramFetches,
@@ -113,6 +115,7 @@ class ImplicitHammer
     const AttackConfig &cfg;
     InterleaveMode mode;
     std::uint64_t seed;
+    std::vector<VirtAddr> stream;  //!< iteration()'s eviction loads
 };
 
 } // namespace pth

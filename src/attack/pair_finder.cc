@@ -46,8 +46,8 @@ PairFinder::provision(VirtAddr va1, VirtAddr va2)
     unsigned size = std::min<unsigned>(
         static_cast<unsigned>(sel1.set->lines.size()),
         m.config().caches.llc.ways + cfg.llcSetSizeMargin);
-    pair.llcSet1 = sel1.set->firstLines(size);
-    pair.llcSet2 = sel2.set->firstLines(size);
+    sel1.set->firstLines(size, pair.llcSet1);
+    sel2.set->firstLines(size, pair.llcSet2);
     pair.llcSelectCycles = sel1.elapsed + sel2.elapsed;
     return pair;
 }

@@ -49,8 +49,9 @@ TlbEvictionTool::prepare()
     return m.clock().now() - start;
 }
 
-std::vector<VirtAddr>
-TlbEvictionTool::evictionSetFor(VirtAddr target, unsigned size) const
+void
+TlbEvictionTool::collectEvictionSet(VirtAddr target, unsigned size,
+                                    std::vector<VirtAddr> &set) const
 {
     pth_assert(!poolPages.empty(), "TLB pool not prepared");
     VirtPage targetVpn = target >> kPageShift;
@@ -58,8 +59,7 @@ TlbEvictionTool::evictionSetFor(VirtAddr target, unsigned size) const
     std::uint64_t firstIndex =
         (targetVpn - baseVpn) & (l2Sets - 1);  // k with vpn = target (mod)
 
-    std::vector<VirtAddr> set;
-    set.reserve(size);
+    set.clear();
     for (unsigned j = 0; set.size() < size; ++j) {
         std::uint64_t k = firstIndex + static_cast<std::uint64_t>(j) *
                                            l2Sets;
@@ -67,13 +67,22 @@ TlbEvictionTool::evictionSetFor(VirtAddr target, unsigned size) const
                    "TLB pool too small for requested set size %u", size);
         set.push_back(poolPages[k]);
     }
+}
+
+std::vector<VirtAddr>
+TlbEvictionTool::evictionSetFor(VirtAddr target, unsigned size) const
+{
+    std::vector<VirtAddr> set;
+    set.reserve(size);
+    collectEvictionSet(target, size, set);
     return set;
 }
 
 void
 TlbEvictionTool::evictNow(VirtAddr target, unsigned size)
 {
-    m.cpu().accessBatch(evictionSetFor(target, size));
+    collectEvictionSet(target, size, evictBuffer);
+    m.cpu().accessBatch(evictBuffer);
 }
 
 double

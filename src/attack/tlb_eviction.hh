@@ -64,7 +64,8 @@ class TlbEvictionTool
     std::vector<VirtAddr> evictionSetFor(VirtAddr target,
                                          unsigned size) const;
 
-    /** Convenience: evict the target's TLB entry right now. */
+    /** Convenience: evict the target's TLB entry right now. Reuses
+     * one buffer, so a call allocates nothing once it has grown. */
     void evictNow(VirtAddr target, unsigned size);
 
     /** Number of sTLB sets covered. */
@@ -77,12 +78,17 @@ class TlbEvictionTool
     void setWorkingSetSize(unsigned size) { workingSize = size; }
 
   private:
+    /** Replace set with evictionSetFor(target, size). */
+    void collectEvictionSet(VirtAddr target, unsigned size,
+                            std::vector<VirtAddr> &set) const;
+
     Machine &m;
     const AttackConfig &cfg;
     std::uint64_t l2Sets;
     unsigned pagesPerSet;
     std::vector<VirtAddr> poolPages;  //!< indexed [set * pagesPerSet + i]
     unsigned workingSize = 12;
+    std::vector<VirtAddr> evictBuffer;  //!< evictNow's set, reused
 };
 
 } // namespace pth

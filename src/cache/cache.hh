@@ -61,13 +61,15 @@ class Cache
     }
 
     /**
-     * Insert the line holding pa, evicting if the set is full.
+     * Insert the line holding pa, which access() has just missed,
+     * evicting if the set is full (SetAssocArray::fill: the line must
+     * be absent).
      * @return The physical line address evicted, if any.
      */
     std::optional<PhysAddr> fill(PhysAddr pa)
     {
         std::optional<std::uint64_t> evicted =
-            lines.place(globalSet(pa), tagOf(pa)).evicted;
+            lines.fill(globalSet(pa), tagOf(pa)).evicted;
         if (!evicted)
             return std::nullopt;
         return *evicted << kLineShift;

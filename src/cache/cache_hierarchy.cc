@@ -70,7 +70,8 @@ CacheHierarchy::access(PhysAddr pa, Cycles now, unsigned hart)
     result.latency += dramResult.latency;
     result.servedBy = ServedBy::Dram;
 
-    // Fill back. Inclusive LLC: whoever the LLC displaces must leave
+    // Fill back; every level filled here missed above, as Cache::fill
+    // requires. Inclusive LLC: whoever the LLC displaces must leave
     // the core caches too — every hart's L1, not just the accessor's.
     if (auto evicted = llcCache.fill(pa)) {
         for (Cache &l1 : l1Caches)

@@ -26,14 +26,15 @@ enum class ReplacementKind { Lru, TreePlru, Aging };
 
 /**
  * Per-structure replacement state covering all sets of one
- * set-associative structure. A plain value: copies (Machine
- * snapshot/fork) carry every stamp, tree bit, age and the RNG
+ * set-associative structure of 1 to 64 ways. A plain value: copies
+ * (Machine snapshot/fork) carry every stamp, tree bit, age and the RNG
  * position, so a copy replays victim choices bit-identically.
  *
  * - Lru: true least-recently-used via per-way age stamps.
- * - TreePlru: tree pseudo-LRU. Associativities that are not a power of
- *   two (e.g. 12-way LLC slices) use the next larger tree and re-draw
- *   when the tree points at a nonexistent way.
+ * - TreePlru: tree pseudo-LRU, one word of node bits per set.
+ *   Associativities that are not a power of two (e.g. 12-way LLC
+ *   slices) use the next larger tree and re-draw when the tree points
+ *   at a nonexistent way.
  * - Aging: clock-style aging with a re-reference counter per way. Hits
  *   recharge an entry to the maximum age; fills start low; victim
  *   selection picks (randomly) among ways at age 0, ageing the whole
@@ -41,7 +42,8 @@ enum class ReplacementKind { Lru, TreePlru, Aging };
  *   survives roughly touchAge ageing rounds of fills, pushing the
  *   reliable eviction-set size to ~3x the associativity — the TLB
  *   behaviour behind the paper's Figure 3 knee at 12 pages for 4-way
- *   TLBs.
+ *   TLBs. Ages are one-byte lanes of 64-bit words, eight ways a word,
+ *   so victim selection compares, counts and ages a word at a time.
  */
 class ReplacementPolicy
 {
@@ -61,10 +63,10 @@ class ReplacementPolicy
             stamps[set * ways + way] = ++tick;
             break;
           case ReplacementKind::TreePlru:
-            updatePath(set, way);
+            tree[set] = (tree[set] & ~paths[way].mask) | paths[way].bits;
             break;
           case ReplacementKind::Aging:
-            ages[set * ways + way] = touchAge;
+            setAge(set, way, touchAge);
             break;
         }
     }
@@ -73,7 +75,7 @@ class ReplacementPolicy
     void insert(std::uint64_t set, unsigned way)
     {
         if (kind == ReplacementKind::Aging)
-            ages[set * ways + way] = insertAge;
+            setAge(set, way, insertAge);
         else
             touch(set, way);
     }
@@ -106,19 +108,38 @@ class ReplacementPolicy
     static constexpr std::uint8_t insertAge = 1;
     static constexpr double skipAgeProbability = 0.60;
 
-    void updatePath(std::uint64_t set, unsigned way);
+    /** TreePlru: the node bits a touch of one way rewrites (mask) and
+     * the values it writes there (bits), each pointing away from it. */
+    struct TreePath
+    {
+        std::uint64_t mask = 0;
+        std::uint64_t bits = 0;
+    };
+
+    void setAge(std::uint64_t set, unsigned way, std::uint8_t age)
+    {
+        std::uint64_t &word = ages[set * ageWords + way / 8];
+        const unsigned shift = 8 * (way % 8);
+        word = (word & ~(0xffull << shift)) |
+               (static_cast<std::uint64_t>(age) << shift);
+    }
+
     unsigned lruVictim(std::uint64_t set) const;
     unsigned treeVictim(std::uint64_t set);
     unsigned agingVictim(std::uint64_t set);
+    int pickAged(std::uint64_t set, std::uint8_t age);
+    unsigned drawBelow(unsigned count);
 
     ReplacementKind kind;
     unsigned ways;
     unsigned treeWays = 1;   //!< TreePlru: ways rounded up to a power of two
     unsigned levels = 0;     //!< TreePlru: log2(treeWays)
+    unsigned ageWords = 0;   //!< Aging: words per set, ceil(ways / 8)
     std::uint64_t tick = 0;  //!< Lru: last stamp handed out
     std::vector<std::uint64_t> stamps;  //!< Lru: sets x ways age stamps
-    std::vector<std::uint8_t> bits;     //!< TreePlru: sets x (treeWays-1) nodes
-    std::vector<std::uint8_t> ages;     //!< Aging: sets x ways
+    std::vector<std::uint64_t> tree;    //!< TreePlru: bit n = node n, per set
+    std::vector<TreePath> paths;        //!< TreePlru: per way
+    std::vector<std::uint64_t> ages;    //!< Aging: sets x ageWords
     Rng rng;                            //!< Aging: victim draws
 };
 

@@ -1,5 +1,8 @@
 #include "cache/set_assoc.hh"
 
+#include <algorithm>
+
+#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace pth
@@ -7,37 +10,30 @@ namespace pth
 
 SetAssocArray::SetAssocArray(std::uint64_t sets, unsigned ways_,
                              ReplacementKind kind, std::uint64_t seed)
-    : ways(ways_), slots(sets * ways_, 0), policy(kind, sets, ways_, seed)
+    : ways(ways_), slots(sets * ways_, 0), validWays(sets, 0),
+      policy(kind, sets, ways_, seed)
 {
 }
 
 SetAssocArray::Placement
-SetAssocArray::place(std::uint64_t set, std::uint64_t key)
+SetAssocArray::fill(std::uint64_t set, std::uint64_t key)
 {
     pth_assert(!(key & kValid), "key 0x%llx overlaps the valid bit",
                static_cast<unsigned long long>(key));
     const std::uint64_t base = set * ways;
-    std::uint64_t *row = &slots[base];
+    std::uint64_t &valid = validWays[set];
+    const std::uint64_t free = ~valid & (~0ull >> (64 - ways));
 
-    // One scan finds both an already-present key and the first free
-    // way: most places follow a miss into a full set.
-    unsigned w = ways;
-    for (unsigned i = 0; i < ways; ++i) {
-        if (row[i] == (key | kValid)) {
-            // Already present: refresh replacement state only.
-            policy.touch(set, i);
-            return {base + i, std::nullopt};
-        }
-        if (!(row[i] & kValid) && w == ways)
-            w = i;
-    }
-
+    unsigned w;
     std::optional<std::uint64_t> evicted;
-    if (w == ways) {
+    if (free) {
+        w = lowestSetBit(free);
+        valid |= 1ull << w;
+    } else {
         w = policy.victim(set);
-        evicted = row[w] & ~kValid;
+        evicted = slots[base + w] & ~kValid;
     }
-    row[w] = key | kValid;
+    slots[base + w] = key | kValid;
     policy.insert(set, w);
     return {base + w, evicted};
 }
@@ -49,6 +45,7 @@ SetAssocArray::invalidate(std::uint64_t set, std::uint64_t key)
     if (w == ways)
         return false;
     slots[set * ways + w] = key;
+    validWays[set] &= ~(1ull << w);
     return true;
 }
 
@@ -57,6 +54,7 @@ SetAssocArray::flushAll()
 {
     for (std::uint64_t &slot : slots)
         slot &= ~kValid;
+    std::fill(validWays.begin(), validWays.end(), 0);
 }
 
 std::uint64_t

@@ -1,8 +1,9 @@
 /**
  * @file
  * The set-associative way array under Cache and Tlb: contiguous per-set
- * keys with valid bits, and the replacement policy that picks victims
- * among them. Cache keys a slot by line address, Tlb by (vpn, huge).
+ * keys with valid bits, a per-set mask of the valid ways, and the
+ * replacement policy that picks victims among them. Cache keys a slot
+ * by line address, Tlb by (vpn, huge).
  */
 
 #ifndef PTH_CACHE_SET_ASSOC_HH
@@ -17,14 +18,14 @@
 namespace pth
 {
 
-/** sets x ways slots, slot = set * ways + way. */
+/** sets x ways slots, slot = set * ways + way, for 1 to 64 ways. */
 class SetAssocArray
 {
   public:
     /** Slot index meaning "not present". */
     static constexpr std::uint64_t npos = ~0ull;
 
-    /** Outcome of place(). */
+    /** Outcome of place() and fill(). */
     struct Placement
     {
         std::uint64_t slot;                    //!< slot now holding the key
@@ -56,10 +57,28 @@ class SetAssocArray
 
     /**
      * Make key resident in set: refresh it when already present, else
-     * take the first free way, else replace the policy's victim.
+     * fill() it.
      * @param key Must leave bit 63 clear (the valid bit).
      */
-    Placement place(std::uint64_t set, std::uint64_t key);
+    Placement place(std::uint64_t set, std::uint64_t key)
+    {
+        unsigned w = find(set, key);
+        if (w == ways)
+            return fill(set, key);
+        policy.touch(set, w);
+        return {set * ways + w, std::nullopt};
+    }
+
+    /**
+     * Make a key that has just missed in set resident: take the lowest
+     * free way, else replace the policy's victim. Skips place()'s
+     * presence scan, so the key must be absent from the set. That is
+     * not checked at run time (a check would cost the scan this
+     * saves); a duplicate would move the slots every digest folds, so
+     * the digest pins and fingerprints hold it.
+     * @param key Must leave bit 63 clear (the valid bit).
+     */
+    Placement fill(std::uint64_t set, std::uint64_t key);
 
     /**
      * Clear the valid bit of key's slot; the stale key stays, and so
@@ -106,6 +125,7 @@ class SetAssocArray
 
     unsigned ways;
     std::vector<std::uint64_t> slots;  //!< key | kValid while resident
+    std::vector<std::uint64_t> validWays;  //!< per set, bit w = way w valid
     ReplacementPolicy policy;
 };
 

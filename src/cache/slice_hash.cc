@@ -18,25 +18,11 @@ constexpr std::uint64_t kMaskO2 = 0x3cccc93100ull;
 
 } // namespace
 
-SliceHash::SliceHash(unsigned slices) : nSlices(slices)
+SliceHash::SliceHash(unsigned slices) : bitMasks{kMaskO0, kMaskO1, kMaskO2}
 {
     pth_assert(isPow2(slices) && slices <= 8,
                "slice count must be 1, 2, 4 or 8");
-    if (slices >= 2)
-        bitMasks.push_back(kMaskO0);
-    if (slices >= 4)
-        bitMasks.push_back(kMaskO1);
-    if (slices >= 8)
-        bitMasks.push_back(kMaskO2);
-}
-
-unsigned
-SliceHash::slice(PhysAddr pa) const
-{
-    unsigned s = 0;
-    for (std::size_t b = 0; b < bitMasks.size(); ++b)
-        s |= maskedParity(pa, bitMasks[b]) << b;
-    return s;
+    nBits = log2i(slices);
 }
 
 } // namespace pth

@@ -13,9 +13,10 @@
 #ifndef PTH_CACHE_SLICE_HASH_HH
 #define PTH_CACHE_SLICE_HASH_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
+#include "common/bitops.hh"
 #include "common/types.hh"
 
 namespace pth
@@ -25,24 +26,22 @@ namespace pth
 class SliceHash
 {
   public:
-    /**
-     * @param slices Number of LLC slices (1, 2, 4 or 8).
-     * @param seed Unused for the published masks; reserved.
-     */
+    /** @param slices Number of LLC slices (1, 2, 4 or 8). */
     explicit SliceHash(unsigned slices);
 
-    /** Slice index of a physical address. */
-    unsigned slice(PhysAddr pa) const;
-
-    /** Number of slices. */
-    unsigned slices() const { return nSlices; }
-
-    /** Parity masks in use (one per slice-index bit). */
-    const std::vector<std::uint64_t> &masks() const { return bitMasks; }
+    /** Slice index of a physical address. Inline: the LLC hashes every
+     * address it looks up or fills; one slice takes no work. */
+    unsigned slice(PhysAddr pa) const
+    {
+        unsigned s = 0;
+        for (unsigned b = 0; b < nBits; ++b)
+            s |= maskedParity(pa, bitMasks[b]) << b;
+        return s;
+    }
 
   private:
-    unsigned nSlices;
-    std::vector<std::uint64_t> bitMasks;
+    unsigned nBits = 0;  //!< log2(slices): one parity mask per bit
+    std::array<std::uint64_t, 3> bitMasks{};
 };
 
 } // namespace pth

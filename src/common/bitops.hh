@@ -58,6 +58,13 @@ log2i(std::uint64_t value)
     return 63u - static_cast<unsigned>(__builtin_clzll(value));
 }
 
+/** Index of the lowest set bit (value must be nonzero). */
+constexpr unsigned
+lowestSetBit(std::uint64_t value)
+{
+    return static_cast<unsigned>(__builtin_ctzll(value));
+}
+
 } // namespace pth
 
 #endif // PTH_COMMON_BITOPS_HH

@@ -106,6 +106,12 @@ Histogram::quantile(double q) const
 double
 median(std::vector<double> samples)
 {
+    return medianInPlace(samples);
+}
+
+double
+medianInPlace(std::vector<double> &samples)
+{
     if (samples.empty())
         return 0.0;
     std::size_t mid = samples.size() / 2;

@@ -97,6 +97,9 @@ class Histogram
 /** Median of a sample vector (by copy; empty vectors return 0). */
 double median(std::vector<double> samples);
 
+/** median() without the copy: reorders samples. */
+double medianInPlace(std::vector<double> &samples);
+
 } // namespace pth
 
 #endif // PTH_COMMON_STATS_HH

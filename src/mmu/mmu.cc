@@ -80,16 +80,18 @@ Mmu::translate(VirtAddr va, Cycles now)
     if (!walk.ok)
         return result;
 
+    // Both lookups above missed in both levels, so the walked
+    // translation is absent: a miss-only fill.
     result.ok = true;
     result.huge = walk.huge;
     if (walk.huge) {
         TlbEntry entry{va >> kSuperPageShift, walk.frame, true};
-        tlbs.insert(entry);
+        tlbs.fill(entry);
         PhysAddr base = walk.frame << kPageShift;
         result.pa = base + (va & (kSuperPageBytes - 1));
     } else {
         TlbEntry entry{va >> kPageShift, walk.frame, false};
-        tlbs.insert(entry);
+        tlbs.fill(entry);
         result.pa = (walk.frame << kPageShift) | (va & (kPageBytes - 1));
     }
     return result;

@@ -61,11 +61,20 @@ class Tlb
         return slots.contains(setOf(vpn), keyOf(vpn, huge));
     }
 
-    /** Insert (possibly evicting) a translation. */
+    /** Insert (possibly evicting) a translation, or refresh it in
+     * place when already present. */
     void insert(const TlbEntry &entry)
     {
         std::uint64_t key = keyOf(entry.vpn, entry.huge);
         pfns[slots.place(setOf(entry.vpn), key).slot] = entry.pfn;
+    }
+
+    /** Insert (possibly evicting) a translation that lookup() has just
+     * missed (SetAssocArray::fill: it must be absent). */
+    void fill(const TlbEntry &entry)
+    {
+        std::uint64_t key = keyOf(entry.vpn, entry.huge);
+        pfns[slots.fill(setOf(entry.vpn), key).slot] = entry.pfn;
     }
 
     /** Invalidate one translation (invlpg). */

@@ -23,8 +23,8 @@ TwoLevelTlb::lookup(VirtPage vpn, bool huge)
         result.hit = true;
         result.latency = l2HitLatency;
         result.entry = *entry;
-        // Promote into the L1.
-        l1Tlb.insert(*entry);
+        // Promote into the L1, which has just missed it.
+        l1Tlb.fill(*entry);
         return result;
     }
     result.latency = l2HitLatency;
@@ -38,10 +38,10 @@ TwoLevelTlb::contains(VirtPage vpn, bool huge) const
 }
 
 void
-TwoLevelTlb::insert(const TlbEntry &entry)
+TwoLevelTlb::fill(const TlbEntry &entry)
 {
-    l1Tlb.insert(entry);
-    l2Tlb.insert(entry);
+    l1Tlb.fill(entry);
+    l2Tlb.fill(entry);
 }
 
 void

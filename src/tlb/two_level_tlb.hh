@@ -39,8 +39,9 @@ class TwoLevelTlb
     /** Presence in either level, without state updates. */
     bool contains(VirtPage vpn, bool huge) const;
 
-    /** Fill both levels after a page-table walk. */
-    void insert(const TlbEntry &entry);
+    /** Fill both levels after a page-table walk, with a translation
+     * that lookup() has just missed in both (Tlb::fill). */
+    void fill(const TlbEntry &entry);
 
     /** invlpg semantics: drop from both levels. */
     void invalidate(VirtPage vpn, bool huge);

@@ -70,14 +70,15 @@ TEST(CacheStateHash, SeesReplacementOrder)
     EXPECT_EQ(a.stateHash(), c.stateHash());
 }
 
-/** Cache::stateHash after one fixed sequence of fills past capacity,
- * hits, invalidations, a full flush and refills. */
+/** Cache::stateHash of an 8-set, 2-slice cache of the given width
+ * after one fixed sequence of fills past capacity, hits,
+ * invalidations, a full flush and refills. */
 std::uint64_t
-pinnedSequenceDigest(ReplacementKind kind)
+pinnedSequenceDigest(ReplacementKind kind, unsigned ways)
 {
-    // 6 ways exercise the padded tree of a non-power-of-two TreePlru;
-    // 256 distinct lines over 96 slots force policy victims.
-    Cache cache(CacheConfig{8, 6, 2, 4, kind}, "pin");
+    // 256 distinct lines over 16 sets force policy victims at every
+    // width pinned below.
+    Cache cache(CacheConfig{8, ways, 2, 4, kind}, "pin");
     Rng rng(42);
     auto touch = [&](int n) {
         for (int i = 0; i < n; ++i) {
@@ -100,12 +101,32 @@ TEST(CacheStateHash, PinnedPerPolicy)
     // Cache::stateHash must stay byte-identical when the way array or
     // a policy is reworked. A drift fails here, at the structure that
     // caused it, not only in machine fingerprints.
-    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru),
+    // 6 ways exercise the padded tree of a non-power-of-two TreePlru.
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru, 6),
               0x1010274374d70091ull);
-    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru),
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru, 6),
               0x083c726f9232cd08ull);
-    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging),
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging, 6),
               0x9bfa88f9266dc699ull);
+}
+
+TEST(CacheStateHash, PinnedAtLlcWidths)
+{
+    // The T420 (12-way) and Dell (16-way) LLC widths. Both span two
+    // words of Aging's eight-lane age rows, and 12 ways pads the tree
+    // of TreePlru.
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru, 12),
+              0x98f2ec5950dd3eb5ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru, 12),
+              0x631aab375d06ead8ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging, 12),
+              0x56349dfc480b3f6aull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru, 16),
+              0x713f94bbf8076267ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru, 16),
+              0x1a171bed4dddb4f0ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging, 16),
+              0x1e40dac5138b2674ull);
 }
 
 TEST(SliceHash, SpreadsAcrossSlices)

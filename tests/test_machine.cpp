@@ -162,7 +162,7 @@ TEST_F(CpuDeathTest, PhysicalAddressPastMemoryEndFaults)
     // refuses such leaf entries, so the translation goes straight into
     // the TLB.
     const VirtAddr va = kVa + 128 * kPageBytes;
-    machine.mmu().tlb().insert(
+    machine.mmu().tlb().fill(
         {va >> kPageShift, machine.memory().frames(), false});
     EXPECT_DEATH(machine.cpu().access(va), "beyond memory end");
     EXPECT_DEATH(machine.cpu().accessBatch({va}), "beyond memory end");

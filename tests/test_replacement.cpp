@@ -98,6 +98,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          ReplacementKind::Aging),
                        ::testing::Values(4u, 8u, 12u, 16u)));
 
+TEST(ReplacementDeathTest, MoreThan64WaysIsFatal)
+{
+    // Per-set valid masks, tree words and age rows hold at most 64
+    // ways.
+    EXPECT_DEATH((ReplacementPolicy{ReplacementKind::Lru, 1, 65, 1}),
+                 "1 to 64 ways");
+}
+
 TEST(LruPolicy, EvictsLeastRecentlyUsed)
 {
     ReplacementPolicy lru(ReplacementKind::Lru, 1, 4, 1);

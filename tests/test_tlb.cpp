@@ -98,13 +98,14 @@ TEST(Tlb, FlushAllEmpties)
     EXPECT_EQ(tlb.validEntries(), 0u);
 }
 
-/** Tlb::stateHash after one fixed sequence of inserts past capacity,
- * hits, invalidations, a full flush and a partial refill, so most
- * slots end up holding the stale entries the flush left behind. */
+/** Tlb::stateHash of an 8-set TLB of the given width after one fixed
+ * sequence of inserts past capacity, hits, invalidations, a full
+ * flush and a partial refill, so most slots end up holding the stale
+ * entries the flush left behind. */
 std::uint64_t
-pinnedSequenceDigest(ReplacementKind kind)
+pinnedSequenceDigest(ReplacementKind kind, unsigned ways)
 {
-    Tlb tlb({8, 4, kind, 7});
+    Tlb tlb({8, ways, kind, 7});
     Rng rng(42);
     auto fill = [&](int n) {
         for (int i = 0; i < n; ++i) {
@@ -128,12 +129,31 @@ TEST(TlbStateHash, PinnedPerPolicy)
     // Tlb::stateHash must stay byte-identical when the way array or a
     // policy is reworked. A drift fails here, at the structure that
     // caused it, not only in machine fingerprints.
-    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru),
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru, 4),
               0xa263df45a81d0fb0ull);
-    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru),
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru, 4),
               0xe08c70db3dabf979ull);
-    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging),
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging, 4),
               0x77073d16b70b9e2aull);
+}
+
+TEST(TlbStateHash, PinnedAtOneFullAgeWord)
+{
+    // 8 ways fill exactly one word of Aging's eight-lane age rows: the
+    // lane boundary with no padding lanes.
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Lru, 8),
+              0x4e3cf379bef9c62dull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::TreePlru, 8),
+              0x60c1494f5d67fab3ull);
+    EXPECT_EQ(pinnedSequenceDigest(ReplacementKind::Aging, 8),
+              0x93b9ad8eb3f30689ull);
+}
+
+TEST(TlbDeathTest, ZeroWaysIsFatal)
+{
+    // A 0-way TLB must fail at construction, not crash on its first
+    // insert.
+    EXPECT_DEATH(Tlb{level(16, 0)}, "1 to 64 ways");
 }
 
 TEST(TlbStateHash, FlushedSlotsStillFeedTheDigest)
@@ -164,7 +184,7 @@ TEST(TwoLevelTlb, MissInBothReportsMiss)
 TEST(TwoLevelTlb, InsertFillsBothLevels)
 {
     TwoLevelTlb tlb(TlbConfig{});
-    tlb.insert({42, 7, false});
+    tlb.fill({42, 7, false});
     EXPECT_TRUE(tlb.l1().contains(42, false));
     EXPECT_TRUE(tlb.l2().contains(42, false));
 }
@@ -172,7 +192,7 @@ TEST(TwoLevelTlb, InsertFillsBothLevels)
 TEST(TwoLevelTlb, L1HitIsFree)
 {
     TwoLevelTlb tlb(TlbConfig{});
-    tlb.insert({42, 7, false});
+    tlb.fill({42, 7, false});
     auto r = tlb.lookup(42, false);
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.latency, 0u);
@@ -181,7 +201,7 @@ TEST(TwoLevelTlb, L1HitIsFree)
 TEST(TwoLevelTlb, L2HitPromotesToL1)
 {
     TwoLevelTlb tlb(TlbConfig{});
-    tlb.insert({42, 7, false});
+    tlb.fill({42, 7, false});
     tlb.l1().invalidate(42, false);
     auto r = tlb.lookup(42, false);
     EXPECT_TRUE(r.hit);
@@ -192,7 +212,7 @@ TEST(TwoLevelTlb, L2HitPromotesToL1)
 TEST(TwoLevelTlb, InvalidateDropsBothLevels)
 {
     TwoLevelTlb tlb(TlbConfig{});
-    tlb.insert({42, 7, false});
+    tlb.fill({42, 7, false});
     tlb.invalidate(42, false);
     EXPECT_FALSE(tlb.contains(42, false));
 }
