@@ -28,21 +28,10 @@ struct CacheConfig
     {
         return sets * ways * slices * kLineBytes;
     }
+
+    /** Field-wise equality (campaign snapshot-sharing detection). */
+    bool operator==(const CacheConfig &) const = default;
 };
-
-/** Field-wise equality (campaign snapshot-sharing detection). */
-inline bool
-operator==(const CacheConfig &a, const CacheConfig &b)
-{
-    return a.sets == b.sets && a.ways == b.ways && a.slices == b.slices &&
-           a.latency == b.latency && a.replacement == b.replacement;
-}
-
-inline bool
-operator!=(const CacheConfig &a, const CacheConfig &b)
-{
-    return !(a == b);
-}
 
 /** The three-level hierarchy used by the paper's machines. */
 struct CacheHierarchyConfig
@@ -50,19 +39,9 @@ struct CacheHierarchyConfig
     CacheConfig l1d{64, 8, 1, 4, ReplacementKind::Lru};
     CacheConfig l2{512, 8, 1, 12, ReplacementKind::Lru};
     CacheConfig llc{2048, 12, 2, 30, ReplacementKind::Lru};
+
+    bool operator==(const CacheHierarchyConfig &) const = default;
 };
-
-inline bool
-operator==(const CacheHierarchyConfig &a, const CacheHierarchyConfig &b)
-{
-    return a.l1d == b.l1d && a.l2 == b.l2 && a.llc == b.llc;
-}
-
-inline bool
-operator!=(const CacheHierarchyConfig &a, const CacheHierarchyConfig &b)
-{
-    return !(a == b);
-}
 
 } // namespace pth
 

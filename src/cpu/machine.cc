@@ -28,8 +28,7 @@ Machine::Machine(const Machine &other)
     : cfg(other.cfg), clk(other.clk), pmem(other.pmem),
       dramDev(other.dramDev, pmem), hierarchy(other.hierarchy, dramDev)
 {
-    kern = std::make_unique<Kernel>(*other.kern, pmem, dramDev.mapping(),
-                                    dramDev.vulnerability(), clk);
+    kern = std::make_unique<Kernel>(*other.kern, pmem, clk);
     mmus.reserve(other.mmus.size());
     cpus.reserve(other.cpus.size());
     for (unsigned h = 0; h < other.hartCount(); ++h) {

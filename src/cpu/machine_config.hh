@@ -94,32 +94,15 @@ struct MachineConfig
      * for chaining onto the preset factories.
      */
     MachineConfig &withDramModel(FlipModelKind kind);
+
+    /**
+     * Field-wise equality. Campaign uses this to detect run specs whose
+     * derived machines are identical and can therefore fork from one
+     * warm snapshot instead of each booting from scratch. Defaulted, so
+     * a field added later is compared without anyone listing it.
+     */
+    bool operator==(const MachineConfig &) const = default;
 };
-
-/**
- * Field-wise equality. Campaign uses this to detect run specs whose
- * derived machines are identical and can therefore fork from one warm
- * snapshot instead of each booting from scratch.
- */
-inline bool
-operator==(const MachineConfig &a, const MachineConfig &b)
-{
-    return a.name == b.name && a.architecture == b.architecture &&
-           a.cpuModel == b.cpuModel && a.dramModel == b.dramModel &&
-           a.ghz == b.ghz && a.dramGeometry == b.dramGeometry &&
-           a.dramTiming == b.dramTiming &&
-           a.disturbance == b.disturbance && a.caches == b.caches &&
-           a.tlb == b.tlb && a.psc == b.psc && a.kernel == b.kernel &&
-           a.defense == b.defense && a.harts == b.harts &&
-           a.batchOverlap == b.batchOverlap &&
-           a.nopCycles == b.nopCycles && a.rdtscCycles == b.rdtscCycles;
-}
-
-inline bool
-operator!=(const MachineConfig &a, const MachineConfig &b)
-{
-    return !(a == b);
-}
 
 } // namespace pth
 

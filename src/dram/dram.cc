@@ -10,14 +10,14 @@ namespace pth
 Dram::Dram(const DramGeometry &geometry, const DramTiming &timing_,
            const DisturbanceConfig &disturbance, PhysicalMemory &memory)
     : map(geometry), timing(timing_),
-      model(makeFlipModel(disturbance, geometry)), mem(memory),
+      model(disturbance, geometry), mem(memory),
       bankState(geometry.banks), refreshWindow(disturbance.refreshWindowCycles)
 {
     pth_assert(refreshWindow > 0, "refresh window must be nonzero");
 }
 
 Dram::Dram(const Dram &other, PhysicalMemory &memory)
-    : map(other.map), timing(other.timing), model(other.model->clone()),
+    : map(other.map), timing(other.timing), model(other.model),
       mem(memory), bankState(other.bankState),
       pendingFlips(other.pendingFlips), refreshWindow(other.refreshWindow),
       activations(other.activations), rowHits(other.rowHits),
@@ -29,7 +29,7 @@ std::uint64_t
 Dram::stateHash() const
 {
     std::uint64_t h = hashCombine(0xd7a3, activations, rowHits);
-    h = hashCombine(h, flipsInjected, model->stateHash());
+    h = hashCombine(h, flipsInjected, model.stateHash());
     for (const BankState &bank : bankState)
         h = hashCombine(h, bank.open, bank.openRow);
     for (const FlipEvent &flip : pendingFlips) {
@@ -67,7 +67,7 @@ Dram::activate(unsigned bank, std::uint64_t row, std::uint64_t epoch)
 {
     ++activations;
     victimScratch.clear();
-    model->onActivate(bank, row, epoch, victimScratch);
+    model.onActivate(bank, row, epoch, victimScratch);
     for (const FlipModel::Victim &victim : victimScratch)
         applyDisturbance(bank, victim.row, victim.disturbance);
 }
@@ -77,7 +77,7 @@ Dram::applyDisturbance(unsigned bank, std::uint64_t victimRow,
                        std::uint64_t disturbance)
 {
     for (const WeakCell &cell :
-         model->vulnerability().weakCells(bank, victimRow)) {
+         model.vulnerability().weakCells(bank, victimRow)) {
         if (cell.threshold > disturbance)
             continue;
         DramLocation loc{bank, victimRow, cell.byteInRow};
@@ -89,7 +89,7 @@ Dram::applyDisturbance(unsigned bank, std::uint64_t victimRow,
         if (storedOne != cell.trueCell)
             continue;
         injectScratch.clear();
-        model->onCellTripped(bank, victimRow, cell, injectScratch);
+        model.onCellTripped(bank, victimRow, cell, injectScratch);
         for (const FlipModel::Injection &inject : injectScratch) {
             PhysAddr target =
                 map.compose({bank, victimRow, inject.byteInRow});
@@ -118,7 +118,7 @@ Dram::hammerBulk(unsigned bank,
         return flips;
 
     victimScratch.clear();
-    model->bulkVictims(bank, aggressorRows, actsPerWindow, victimScratch);
+    model.bulkVictims(bank, aggressorRows, actsPerWindow, victimScratch);
 
     std::size_t before = pendingFlips.size();
     // The per-window disturbance is constant across windows, so a
@@ -146,7 +146,7 @@ Dram::reset()
         bank.open = false;
         bank.openRow = 0;
     }
-    model->reset();
+    model.reset();
     pendingFlips.clear();
     activations = 0;
     rowHits = 0;

@@ -3,11 +3,12 @@
  * DRAM device model: per-bank row buffers, access timing, and the
  * rowhammer disturbance engine.
  *
- * Disturbance accounting is delegated to a pluggable FlipModel (see
- * flip_model.hh): every activation is reported to the model, which
- * answers with the victim rows whose per-window disturbance must be
- * re-checked against their weak cells' thresholds; a tripped cell is
- * injected when the model's flip filter (ECC, ...) lets it through.
+ * Disturbance accounting is delegated to the FlipModel the config
+ * selects (see flip_model.hh), held by value: every activation is
+ * reported to the model, which answers with the victim rows whose
+ * per-window disturbance must be re-checked against their weak cells'
+ * thresholds; a tripped cell is injected when the model's flip filter
+ * (ECC) lets it through.
  * Flips land directly in the simulated physical memory, so corrupted
  * page-table entries are observed by the page-table walker with no
  * extra plumbing.
@@ -17,7 +18,6 @@
 #define PTH_DRAM_DRAM_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -56,7 +56,7 @@ class Dram
      * @param geometry Bank/row geometry.
      * @param timing Access latencies.
      * @param disturbance Rowhammer fault-model parameters; the flip
-     *        model is instantiated from disturbance.flipModel.
+     *        model's kind is disturbance.flipModel.
      * @param memory Functional backing store receiving bit flips.
      */
     Dram(const DramGeometry &geometry, const DramTiming &timing,
@@ -99,11 +99,11 @@ class Dram
     /** Weak-cell map of the installed flip model. */
     const VulnerabilityModel &vulnerability() const
     {
-        return model->vulnerability();
+        return model.vulnerability();
     }
 
     /** The installed flip model. */
-    const FlipModel &flipModel() const { return *model; }
+    const FlipModel &flipModel() const { return model; }
 
     /** Flips injected since the last drain. */
     std::vector<FlipEvent> drainFlips();
@@ -149,7 +149,7 @@ class Dram
 
     AddressMapping map;
     DramTiming timing;
-    std::unique_ptr<FlipModel> model;
+    FlipModel model;
     PhysicalMemory &mem;
 
     std::vector<BankState> bankState;

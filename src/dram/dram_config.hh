@@ -36,21 +36,10 @@ struct DramGeometry
 
     /** 4 KiB frames per bank row. */
     std::uint64_t framesPerRow() const { return rowBytes / kPageBytes; }
+
+    /** Field-wise equality (campaign snapshot-sharing detection). */
+    bool operator==(const DramGeometry &) const = default;
 };
-
-/** Field-wise equality (campaign snapshot-sharing detection). */
-inline bool
-operator==(const DramGeometry &a, const DramGeometry &b)
-{
-    return a.sizeBytes == b.sizeBytes && a.banks == b.banks &&
-           a.rowBytes == b.rowBytes;
-}
-
-inline bool
-operator!=(const DramGeometry &a, const DramGeometry &b)
-{
-    return !(a == b);
-}
 
 /** DRAM access timing in CPU cycles. */
 struct DramTiming
@@ -58,20 +47,9 @@ struct DramTiming
     Cycles rowHit = 165;      //!< row-buffer hit (CAS only)
     Cycles rowClosed = 215;   //!< bank precharged: activate + CAS
     Cycles rowConflict = 315; //!< row-buffer conflict: precharge+act+CAS
+
+    bool operator==(const DramTiming &) const = default;
 };
-
-inline bool
-operator==(const DramTiming &a, const DramTiming &b)
-{
-    return a.rowHit == b.rowHit && a.rowClosed == b.rowClosed &&
-           a.rowConflict == b.rowConflict;
-}
-
-inline bool
-operator!=(const DramTiming &a, const DramTiming &b)
-{
-    return !(a == b);
-}
 
 /**
  * Which flip/threshold model the DRAM drives (see dram/flip_model.hh).
@@ -137,29 +115,9 @@ struct DisturbanceConfig
 
     /** Ecc: codeword size; one flipped cell per word is corrected. */
     std::uint64_t eccCodewordBytes = 8;
+
+    bool operator==(const DisturbanceConfig &) const = default;
 };
-
-inline bool
-operator==(const DisturbanceConfig &a, const DisturbanceConfig &b)
-{
-    return a.refreshWindowCycles == b.refreshWindowCycles &&
-           a.weakRowProbability == b.weakRowProbability &&
-           a.maxWeakCellsPerRow == b.maxWeakCellsPerRow &&
-           a.thresholdMin == b.thresholdMin &&
-           a.thresholdMax == b.thresholdMax &&
-           a.trueCellFraction == b.trueCellFraction &&
-           a.seed == b.seed && a.flipModel == b.flipModel &&
-           a.trrTrackerEntries == b.trrTrackerEntries &&
-           a.trrRefreshThreshold == b.trrRefreshThreshold &&
-           a.distance2Divisor == b.distance2Divisor &&
-           a.eccCodewordBytes == b.eccCodewordBytes;
-}
-
-inline bool
-operator!=(const DisturbanceConfig &a, const DisturbanceConfig &b)
-{
-    return !(a == b);
-}
 
 } // namespace pth
 

@@ -9,6 +9,18 @@
 namespace pth
 {
 
+namespace
+{
+
+/**
+ * Offsets, as wrapping adds, of the rows an aggressor disturbs, in
+ * victim order: Distance2 reaches all four, the other kinds the middle
+ * two. A victim below row 0 wraps past the last row and is skipped.
+ */
+constexpr std::uint64_t kOffsets[] = {~1ull, ~0ull, 1, 2};
+
+} // namespace
+
 const char *
 flipModelKindName(FlipModelKind kind)
 {
@@ -51,20 +63,27 @@ FlipModel::FlipModel(const DisturbanceConfig &config,
     : vuln(config, geometry.rowBytes), rows(geometry.rows()),
       bankActs(geometry.banks)
 {
-}
-
-void
-FlipModel::recordActivation(unsigned bank, std::uint64_t row,
-                            std::uint64_t epoch)
-{
-    RowState &rs = bankActs[bank][row];
-    if (rs.epoch != epoch) {
-        // Lazy refresh: the window rolled over, so the charge leaked
-        // into the neighbours has been restored.
-        rs.epoch = epoch;
-        rs.acts = 0;
+    switch (kind()) {
+    case FlipModelKind::Ddr3Seeded:
+        break;
+    case FlipModelKind::Trr:
+        pth_assert(cfg().trrTrackerEntries >= 1, "TRR tracker needs entries");
+        trackers.resize(geometry.banks);
+        refreshed.resize(geometry.banks);
+        break;
+    case FlipModelKind::Distance2:
+        pth_assert(cfg().distance2Divisor >= 1, "bad distance-2 divisor");
+        break;
+    case FlipModelKind::Ecc:
+        pth_assert(cfg().eccCodewordBytes >= 1 &&
+                       cfg().eccCodewordBytes <= geometry.rowBytes,
+                   "bad ECC codeword size");
+        // Ceil: a partial tail word must not alias the next row's words.
+        wordsPerRow = (geometry.rowBytes + cfg().eccCodewordBytes - 1) /
+                      cfg().eccCodewordBytes;
+        words.resize(geometry.banks);
+        break;
     }
-    ++rs.acts;
 }
 
 std::uint64_t
@@ -89,23 +108,61 @@ FlipModel::neighbourActs(unsigned bank, std::uint64_t row,
            (row + 1 < rows ? actsInWindow(bank, row + 1, epoch) : 0);
 }
 
+std::uint64_t
+FlipModel::disturbance(unsigned bank, std::uint64_t victim,
+                       std::uint64_t epoch) const
+{
+    std::uint64_t sum = neighbourActs(bank, victim, epoch);
+    switch (kind()) {
+    case FlipModelKind::Trr: {
+        // Net of the disturbance the last targeted refresh neutralized.
+        auto it = refreshed[bank].find(victim);
+        if (it == refreshed[bank].end() || it->second.epoch != epoch)
+            return sum;
+        return sum > it->second.sum ? sum - it->second.sum : 0;
+    }
+    case FlipModelKind::Distance2: {
+        std::uint64_t far =
+            actsInWindow(bank, victim - 2, epoch) +
+            (victim + 2 < rows ? actsInWindow(bank, victim + 2, epoch) : 0);
+        return sum + far / cfg().distance2Divisor;
+    }
+    case FlipModelKind::Ddr3Seeded:
+    case FlipModelKind::Ecc:
+        break;
+    }
+    return sum;
+}
+
 void
 FlipModel::onActivate(unsigned bank, std::uint64_t row, std::uint64_t epoch,
                       std::vector<Victim> &victims)
 {
-    recordActivation(bank, row, epoch);
+    RowState &rs = bankActs[bank][row];
+    if (rs.epoch != epoch) {
+        // Lazy refresh: the window rolled over, so the charge leaked
+        // into the neighbours has been restored.
+        rs.epoch = epoch;
+        rs.acts = 0;
+    }
+    ++rs.acts;
 
-    // Disturb the two neighbouring rows. A victim's per-window
-    // disturbance is the sum of its neighbours' activations.
-    for (long long delta : {-1ll, +1ll}) {
-        if (row == 0 && delta < 0)
+    if (kind() == FlipModelKind::Trr && sample(bank, row, epoch)) {
+        // Targeted refresh: restore the charge of both neighbours by
+        // remembering how much disturbance has been neutralized. Row
+        // 0's row - 1 wraps past rows and is skipped.
+        for (std::uint64_t victim : {row - 1, row + 1})
+            if (victim < rows)
+                refreshed[bank][victim] = {epoch,
+                                           neighbourActs(bank, victim, epoch)};
+    }
+
+    const std::uint64_t r = reach();
+    for (std::uint64_t i = 2 - r; i < 2 + r; ++i) {
+        std::uint64_t victim = row + kOffsets[i];
+        if (victim >= rows || !vuln.rowIsWeak(bank, victim))
             continue;
-        std::uint64_t victim = row + static_cast<std::uint64_t>(delta);
-        if (victim >= rows)
-            continue;
-        if (!vuln.rowIsWeak(bank, victim))
-            continue;
-        victims.push_back({victim, neighbourActs(bank, victim, epoch)});
+        victims.push_back({victim, disturbance(bank, victim, epoch)});
     }
 }
 
@@ -115,72 +172,94 @@ FlipModel::bulkVictims(unsigned /* bank */,
                        std::uint64_t actsPerWindow,
                        std::vector<Victim> &victims) const
 {
-    // Candidate victims: every row adjacent to an aggressor, each
+    // Candidate victims: every row within reach of an aggressor, each
     // listed once (a victim sandwiched between two aggressors must not
     // run the threshold check twice per call).
+    const std::uint64_t r = reach();
     std::vector<std::uint64_t> candidates;
-    auto push = [&candidates](std::uint64_t row) {
-        if (std::find(candidates.begin(), candidates.end(), row) ==
-            candidates.end())
-            candidates.push_back(row);
-    };
     for (std::uint64_t row : aggressors) {
-        if (row > 0)
-            push(row - 1);
-        if (row + 1 < rows)
-            push(row + 1);
+        for (std::uint64_t i = 2 - r; i < 2 + r; ++i) {
+            std::uint64_t victim = row + kOffsets[i];
+            if (victim < rows &&
+                std::find(candidates.begin(), candidates.end(), victim) ==
+                    candidates.end())
+                candidates.push_back(victim);
+        }
     }
 
+    const std::size_t first = victims.size();
     for (std::uint64_t victim : candidates) {
-        std::uint64_t adjacency = 0;
-        for (std::uint64_t row : aggressors)
+        std::uint64_t near = 0;
+        std::uint64_t far = 0;
+        for (std::uint64_t row : aggressors) {
             if (row + 1 == victim || victim + 1 == row)
-                ++adjacency;
-        victims.push_back({victim, adjacency * actsPerWindow});
+                ++near;
+            else if (row + 2 == victim || victim + 2 == row)
+                ++far;
+        }
+        std::uint64_t sum = near * actsPerWindow;
+        if (kind() == FlipModelKind::Distance2)
+            sum += far * actsPerWindow / cfg().distance2Divisor;
+        victims.push_back({victim, sum});
+    }
+    if (kind() != FlipModelKind::Trr)
+        return;
+
+    std::vector<std::uint64_t> distinct;
+    for (std::uint64_t row : aggressors)
+        if (std::find(distinct.begin(), distinct.end(), row) ==
+            distinct.end())
+            distinct.push_back(row);
+
+    // With at most trackerEntries distinct aggressors the sampler sees
+    // them all (Misra-Gries finds every row whose share exceeds
+    // 1/(K+1)), so each aggressor is serviced every refreshThreshold()
+    // activations: between two targeted refreshes a victim accumulates
+    // at most adjacency * threshold. More aggressors than entries keep
+    // every count near zero — no refresh fires and the full
+    // disturbance lands, which is why many-sided patterns are needed.
+    if (distinct.size() > cfg().trrTrackerEntries)
+        return;
+    std::uint64_t cap = refreshThreshold();
+    for (std::size_t i = first; i < victims.size(); ++i) {
+        Victim &victim = victims[i];
+        std::uint64_t adjacency =
+            actsPerWindow ? victim.disturbance / actsPerWindow : 0;
+        victim.disturbance = std::min(victim.disturbance, adjacency * cap);
     }
 }
 
 void
-FlipModel::onCellTripped(unsigned, std::uint64_t, const WeakCell &cell,
-                         std::vector<Injection> &inject)
+FlipModel::onCellTripped(unsigned bank, std::uint64_t row,
+                         const WeakCell &cell, std::vector<Injection> &inject)
 {
-    inject.push_back({cell.byteInRow, cell.bitInByte, cell.trueCell});
-}
-
-void
-FlipModel::reset()
-{
-    for (auto &acts : bankActs)
-        acts.clear();
-}
-
-std::uint64_t
-FlipModel::stateHash() const
-{
-    std::uint64_t h = hashCombine(0xf11b, rows);
-    for (std::size_t bank = 0; bank < bankActs.size(); ++bank) {
-        // determinism: commutative fold — iteration order of the
-        // unordered map cannot affect the sum.
-        std::uint64_t fold = 0;
-        for (const auto &[row, rs] : bankActs[bank])
-            fold += mix64(hashCombine(row, rs.epoch, rs.acts));
-        h = hashCombine(h, bank, fold);
+    if (kind() != FlipModelKind::Ecc) {
+        inject.push_back({cell.byteInRow, cell.bitInByte, cell.trueCell});
+        return;
     }
-    return h;
-}
-
-// --- TRR -------------------------------------------------------------
-
-TrrFlipModel::TrrFlipModel(const DisturbanceConfig &config,
-                           const DramGeometry &geometry)
-    : FlipModel(config, geometry), trackers(geometry.banks),
-      refreshed(geometry.banks)
-{
-    pth_assert(cfg().trrTrackerEntries >= 1, "TRR tracker needs entries");
+    std::uint64_t key =
+        row * wordsPerRow + cell.byteInRow / cfg().eccCodewordBytes;
+    Codeword &word = words[bank][key];
+    if (word.uncorrectable) {
+        // The word already carries two errors; correction is gone and
+        // every further tripped cell lands directly.
+        inject.push_back({cell.byteInRow, cell.bitInByte, cell.trueCell});
+        return;
+    }
+    for (const Injection &latent : word.latent)
+        if (latent.byteInRow == cell.byteInRow &&
+            latent.bitInByte == cell.bitInByte)
+            return;  // still latent from an earlier window
+    word.latent.push_back({cell.byteInRow, cell.bitInByte, cell.trueCell});
+    if (word.latent.size() < 2)
+        return;  // a single flipped cell per word is corrected on read
+    inject.insert(inject.end(), word.latent.begin(), word.latent.end());
+    word.latent.clear();
+    word.uncorrectable = true;
 }
 
 std::uint64_t
-TrrFlipModel::refreshThreshold() const
+FlipModel::refreshThreshold() const
 {
     if (cfg().trrRefreshThreshold != 0)
         return cfg().trrRefreshThreshold;
@@ -188,7 +267,7 @@ TrrFlipModel::refreshThreshold() const
 }
 
 bool
-TrrFlipModel::sample(unsigned bank, std::uint64_t row, std::uint64_t epoch)
+FlipModel::sample(unsigned bank, std::uint64_t row, std::uint64_t epoch)
 {
     BankTracker &tracker = trackers[bank];
     if (tracker.epoch != epoch) {
@@ -225,268 +304,67 @@ TrrFlipModel::sample(unsigned bank, std::uint64_t row, std::uint64_t epoch)
     return false;
 }
 
-std::uint64_t
-TrrFlipModel::netDisturbance(unsigned bank, std::uint64_t victim,
-                             std::uint64_t epoch) const
-{
-    std::uint64_t sum = neighbourActs(bank, victim, epoch);
-    auto it = refreshed[bank].find(victim);
-    if (it == refreshed[bank].end() || it->second.epoch != epoch)
-        return sum;
-    return sum > it->second.sum ? sum - it->second.sum : 0;
-}
-
 void
-TrrFlipModel::onActivate(unsigned bank, std::uint64_t row,
-                         std::uint64_t epoch, std::vector<Victim> &victims)
+FlipModel::reset()
 {
-    recordActivation(bank, row, epoch);
-
-    if (sample(bank, row, epoch)) {
-        // Targeted refresh: restore the charge of both neighbours by
-        // remembering how much disturbance has been neutralized.
-        for (long long delta : {-1ll, +1ll}) {
-            if (row == 0 && delta < 0)
-                continue;
-            std::uint64_t victim = row + static_cast<std::uint64_t>(delta);
-            if (victim >= rowsPerBank())
-                continue;
-            refreshed[bank][victim] = {epoch,
-                                       neighbourActs(bank, victim, epoch)};
-        }
-    }
-
-    for (long long delta : {-1ll, +1ll}) {
-        if (row == 0 && delta < 0)
-            continue;
-        std::uint64_t victim = row + static_cast<std::uint64_t>(delta);
-        if (victim >= rowsPerBank())
-            continue;
-        if (!vuln.rowIsWeak(bank, victim))
-            continue;
-        victims.push_back({victim, netDisturbance(bank, victim, epoch)});
-    }
-}
-
-void
-TrrFlipModel::bulkVictims(unsigned bank,
-                          const std::vector<std::uint64_t> &aggressors,
-                          std::uint64_t actsPerWindow,
-                          std::vector<Victim> &victims) const
-{
-    const std::size_t first = victims.size();
-    FlipModel::bulkVictims(bank, aggressors, actsPerWindow, victims);
-
-    std::vector<std::uint64_t> distinct;
-    for (std::uint64_t row : aggressors)
-        if (std::find(distinct.begin(), distinct.end(), row) ==
-            distinct.end())
-            distinct.push_back(row);
-
-    // With at most trackerEntries distinct aggressors the sampler sees
-    // them all (Misra-Gries finds every row whose share exceeds
-    // 1/(K+1)), so each aggressor is serviced every refreshThreshold()
-    // activations: between two targeted refreshes a victim accumulates
-    // at most adjacency * threshold. More aggressors than entries keep
-    // every count near zero — no refresh fires and the full
-    // disturbance lands, which is why many-sided patterns are needed.
-    if (distinct.size() > cfg().trrTrackerEntries)
-        return;
-    std::uint64_t cap = refreshThreshold();
-    for (std::size_t i = first; i < victims.size(); ++i) {
-        Victim &victim = victims[i];
-        std::uint64_t adjacency =
-            actsPerWindow ? victim.disturbance / actsPerWindow : 0;
-        victim.disturbance =
-            std::min(victim.disturbance, adjacency * cap);
-    }
-}
-
-std::uint64_t
-TrrFlipModel::stateHash() const
-{
-    std::uint64_t h = hashCombine(FlipModel::stateHash(), 0x77f);
-    for (const BankTracker &tracker : trackers) {
-        h = hashCombine(h, tracker.epoch, tracker.entries.size());
-        for (const TrackerEntry &entry : tracker.entries)
-            h = hashCombine(h, entry.row, entry.count);
-    }
-    for (const auto &bank : refreshed) {
-        // determinism: commutative fold — iteration order of the
-        // unordered map cannot affect the sum.
-        std::uint64_t fold = 0;
-        for (const auto &[row, baseline] : bank)
-            fold += mix64(hashCombine(row, baseline.epoch, baseline.sum));
-        h = hashCombine(h, fold);
-    }
-    return h;
-}
-
-void
-TrrFlipModel::reset()
-{
-    FlipModel::reset();
+    // The per-kind containers are empty for the other kinds.
+    for (auto &acts : bankActs)
+        acts.clear();
     for (BankTracker &tracker : trackers) {
         tracker.epoch = 0;
         tracker.entries.clear();
     }
     for (auto &bank : refreshed)
         bank.clear();
-}
-
-// --- Distance-2 ------------------------------------------------------
-
-Distance2FlipModel::Distance2FlipModel(const DisturbanceConfig &config,
-                                       const DramGeometry &geometry)
-    : FlipModel(config, geometry)
-{
-    pth_assert(cfg().distance2Divisor >= 1, "bad distance-2 divisor");
-}
-
-void
-Distance2FlipModel::onActivate(unsigned bank, std::uint64_t row,
-                               std::uint64_t epoch,
-                               std::vector<Victim> &victims)
-{
-    recordActivation(bank, row, epoch);
-
-    for (long long delta : {-2ll, -1ll, +1ll, +2ll}) {
-        if (delta < 0 && row < static_cast<std::uint64_t>(-delta))
-            continue;
-        std::uint64_t victim = row + static_cast<std::uint64_t>(delta);
-        if (victim >= rowsPerBank())
-            continue;
-        if (!vuln.rowIsWeak(bank, victim))
-            continue;
-        std::uint64_t far =
-            actsInWindow(bank, victim - 2, epoch) +
-            (victim + 2 < rowsPerBank()
-                 ? actsInWindow(bank, victim + 2, epoch)
-                 : 0);
-        victims.push_back({victim, neighbourActs(bank, victim, epoch) +
-                                       far / cfg().distance2Divisor});
-    }
-}
-
-void
-Distance2FlipModel::bulkVictims(unsigned /* bank */,
-                                const std::vector<std::uint64_t> &aggressors,
-                                std::uint64_t actsPerWindow,
-                                std::vector<Victim> &victims) const
-{
-    std::vector<std::uint64_t> candidates;
-    auto push = [&candidates, this](std::uint64_t row) {
-        if (row < rowsPerBank() &&
-            std::find(candidates.begin(), candidates.end(), row) ==
-                candidates.end())
-            candidates.push_back(row);
-    };
-    for (std::uint64_t row : aggressors) {
-        if (row >= 2)
-            push(row - 2);
-        if (row >= 1)
-            push(row - 1);
-        push(row + 1);
-        push(row + 2);
-    }
-
-    for (std::uint64_t victim : candidates) {
-        std::uint64_t near = 0;
-        std::uint64_t far = 0;
-        for (std::uint64_t row : aggressors) {
-            if (row + 1 == victim || victim + 1 == row)
-                ++near;
-            else if (row + 2 == victim || victim + 2 == row)
-                ++far;
-        }
-        victims.push_back({victim,
-                           near * actsPerWindow +
-                               far * actsPerWindow / cfg().distance2Divisor});
-    }
-}
-
-// --- ECC -------------------------------------------------------------
-
-EccFlipModel::EccFlipModel(const DisturbanceConfig &config,
-                           const DramGeometry &geometry)
-    : FlipModel(config, geometry), words(geometry.banks)
-{
-    pth_assert(cfg().eccCodewordBytes >= 1 &&
-                   cfg().eccCodewordBytes <= geometry.rowBytes,
-               "bad ECC codeword size");
-    // Ceil: a partial tail word must not alias the next row's words.
-    wordsPerRow = (geometry.rowBytes + cfg().eccCodewordBytes - 1) /
-                  cfg().eccCodewordBytes;
-}
-
-void
-EccFlipModel::onCellTripped(unsigned bank, std::uint64_t row,
-                            const WeakCell &cell,
-                            std::vector<Injection> &inject)
-{
-    std::uint64_t key =
-        row * wordsPerRow + cell.byteInRow / cfg().eccCodewordBytes;
-    Codeword &word = words[bank][key];
-    if (word.uncorrectable) {
-        // The word already carries two errors; correction is gone and
-        // every further tripped cell lands directly.
-        inject.push_back({cell.byteInRow, cell.bitInByte, cell.trueCell});
-        return;
-    }
-    for (const Injection &latent : word.latent)
-        if (latent.byteInRow == cell.byteInRow &&
-            latent.bitInByte == cell.bitInByte)
-            return;  // still latent from an earlier window
-    word.latent.push_back({cell.byteInRow, cell.bitInByte, cell.trueCell});
-    if (word.latent.size() < 2)
-        return;  // a single flipped cell per word is corrected on read
-    inject.insert(inject.end(), word.latent.begin(), word.latent.end());
-    word.latent.clear();
-    word.uncorrectable = true;
-}
-
-std::uint64_t
-EccFlipModel::stateHash() const
-{
-    std::uint64_t h = hashCombine(FlipModel::stateHash(), 0xecc);
-    for (const auto &bank : words) {
-        // determinism: commutative fold — iteration order of the
-        // unordered map cannot affect the sum.
-        std::uint64_t fold = 0;
-        for (const auto &[key, word] : bank) {
-            std::uint64_t w = hashCombine(key, word.uncorrectable);
-            for (const Injection &cell : word.latent)
-                w = hashCombine(w, cell.byteInRow, cell.bitInByte,
-                                cell.trueCell);
-            fold += mix64(w);
-        }
-        h = hashCombine(h, fold);
-    }
-    return h;
-}
-
-void
-EccFlipModel::reset()
-{
-    FlipModel::reset();
     for (auto &bank : words)
         bank.clear();
 }
 
-std::unique_ptr<FlipModel>
-makeFlipModel(const DisturbanceConfig &config, const DramGeometry &geometry)
+std::uint64_t
+FlipModel::stateHash() const
 {
-    switch (config.flipModel) {
-    case FlipModelKind::Ddr3Seeded:
-        return std::make_unique<Ddr3FlipModel>(config, geometry);
-    case FlipModelKind::Trr:
-        return std::make_unique<TrrFlipModel>(config, geometry);
-    case FlipModelKind::Distance2:
-        return std::make_unique<Distance2FlipModel>(config, geometry);
-    case FlipModelKind::Ecc:
-        return std::make_unique<EccFlipModel>(config, geometry);
+    std::uint64_t h = hashCombine(0xf11b, rows);
+    for (std::size_t bank = 0; bank < bankActs.size(); ++bank) {
+        // determinism: commutative fold — iteration order of the
+        // unordered map cannot affect the sum.
+        std::uint64_t fold = 0;
+        for (const auto &[row, rs] : bankActs[bank])
+            fold += mix64(hashCombine(row, rs.epoch, rs.acts));
+        h = hashCombine(h, bank, fold);
     }
-    return std::make_unique<Ddr3FlipModel>(config, geometry);
+
+    if (kind() == FlipModelKind::Trr) {
+        h = hashCombine(h, 0x77f);
+        for (const BankTracker &tracker : trackers) {
+            h = hashCombine(h, tracker.epoch, tracker.entries.size());
+            for (const TrackerEntry &entry : tracker.entries)
+                h = hashCombine(h, entry.row, entry.count);
+        }
+        for (const auto &bank : refreshed) {
+            // determinism: commutative fold (see above).
+            std::uint64_t fold = 0;
+            for (const auto &[row, baseline] : bank)
+                fold += mix64(hashCombine(row, baseline.epoch, baseline.sum));
+            h = hashCombine(h, fold);
+        }
+    }
+
+    if (kind() == FlipModelKind::Ecc) {
+        h = hashCombine(h, 0xecc);
+        for (const auto &bank : words) {
+            // determinism: commutative fold (see above).
+            std::uint64_t fold = 0;
+            for (const auto &[key, word] : bank) {
+                std::uint64_t w = hashCombine(key, word.uncorrectable);
+                for (const Injection &cell : word.latent)
+                    w = hashCombine(w, cell.byteInRow, cell.bitInByte,
+                                    cell.trueCell);
+                fold += mix64(w);
+            }
+            h = hashCombine(h, fold);
+        }
+    }
+    return h;
 }
 
 } // namespace pth

@@ -1,28 +1,26 @@
 /**
  * @file
- * The pluggable DRAM flip/threshold-model interface.
+ * The DRAM flip/threshold model.
  *
  * A FlipModel owns everything the Dram device delegates about
  * disturbance errors: the seeded weak-cell map, the per-refresh-window
  * activation accounting that turns aggressor activations into
  * per-victim disturbance, and the decision of whether a tripped cell
- * actually surfaces as a flip. Dram drives it through virtual
- * dispatch, so non-DDR3 devices (TRR-mitigated DDR4, half-double-style
- * distance-2 parts, ECC DIMMs) are campaign scenarios instead of
- * forks of the device model.
- *
- * Implementations shipped here:
- *  - Ddr3FlipModel  : the paper's machines; distance-1 disturbance,
- *    byte-identical to the pre-interface Dram under the default
+ * actually surfaces as a flip. It is one value type over the closed
+ * FlipModelKind set, dispatched by a switch on the configured kind, so
+ * non-DDR3 devices are campaign scenarios instead of forks of the
+ * device model:
+ *  - Ddr3Seeded : the paper's machines; distance-1 disturbance,
+ *    byte-identical to the original monolithic Dram under the default
  *    configuration (pinned by tests/test_dram.cpp).
- *  - TrrFlipModel   : a DDR4-style in-DRAM sampler tracks the top-K
+ *  - Trr        : a DDR4-style in-DRAM sampler tracks the top-K
  *    most-activated rows per bank (Misra-Gries) and targeted-refreshes
  *    their neighbours, so double-sided pairs stop flipping while
  *    many-sided patterns (more aggressors than tracker entries) still
  *    land.
- *  - Distance2FlipModel : far aggressors contribute attenuated
- *    disturbance two rows away (1/distance2Divisor per activation).
- *  - EccFlipModel   : DDR3 accounting behind a single-error-correcting
+ *  - Distance2  : far aggressors contribute attenuated disturbance two
+ *    rows away (1/distance2Divisor per activation).
+ *  - Ecc        : DDR3 accounting behind a single-error-correcting
  *    code; a flip surfaces only when a second cell of the same
  *    codeword trips.
  */
@@ -31,7 +29,6 @@
 #define PTH_DRAM_FLIP_MODEL_HH
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -50,7 +47,7 @@ const char *flipModelKindName(FlipModelKind kind);
  */
 bool parseFlipModelKind(const char *text, FlipModelKind &out);
 
-/** Abstract flip/threshold model driven by Dram. */
+/** Flip/threshold model driven by Dram; the kind is config.flipModel. */
 class FlipModel
 {
   public:
@@ -75,10 +72,9 @@ class FlipModel
 
     FlipModel(const DisturbanceConfig &config,
               const DramGeometry &geometry);
-    virtual ~FlipModel() = default;
 
     /** The model's kind (folded into campaign spec keys). */
-    virtual FlipModelKind kind() const = 0;
+    FlipModelKind kind() const { return cfg().flipModel; }
 
     /** Canonical name, for reports and logs. */
     const char *name() const { return flipModelKindName(kind()); }
@@ -89,13 +85,13 @@ class FlipModel
     /**
      * Record one activation of (bank, row) in refresh window epoch and
      * append the victims whose disturbance changed (already screened
-     * to weak rows). The default implements distance-1 accounting: a
-     * victim's disturbance is the sum of its two neighbours'
-     * activations in the current window.
+     * to weak rows), in order row-2, row-1, row+1, row+2 (Distance2)
+     * or row-1, row+1 (the others). A victim's disturbance is the sum
+     * of its two neighbours' activations in the current window, net of
+     * TRR's last targeted refresh, plus Distance2's attenuated far sum.
      */
-    virtual void onActivate(unsigned bank, std::uint64_t row,
-                            std::uint64_t epoch,
-                            std::vector<Victim> &victims);
+    void onActivate(unsigned bank, std::uint64_t row, std::uint64_t epoch,
+                    std::vector<Victim> &victims);
 
     /**
      * Victims of an analytic constant-rate hammer: every aggressor row
@@ -103,64 +99,34 @@ class FlipModel
      * the bulk path models whole steady-state windows, not the live
      * counters. Victims are deduplicated (first-occurrence order).
      */
-    virtual void bulkVictims(unsigned bank,
-                             const std::vector<std::uint64_t> &aggressors,
-                             std::uint64_t actsPerWindow,
-                             std::vector<Victim> &victims) const;
+    void bulkVictims(unsigned bank,
+                     const std::vector<std::uint64_t> &aggressors,
+                     std::uint64_t actsPerWindow,
+                     std::vector<Victim> &victims) const;
 
     /**
      * A weak cell crossed its threshold while its stored bit matched
-     * the flip orientation. Append the cells to actually flip now; the
-     * default injects the tripped cell itself. EccFlipModel defers
-     * until a codeword holds two tripped cells (single errors are
-     * corrected on read).
+     * the flip orientation. Append the cells to actually flip now: the
+     * tripped cell itself, except under ECC, which defers until a
+     * codeword holds two tripped cells (single errors are corrected on
+     * read).
      */
-    virtual void onCellTripped(unsigned bank, std::uint64_t row,
-                               const WeakCell &cell,
-                               std::vector<Injection> &inject);
+    void onCellTripped(unsigned bank, std::uint64_t row,
+                       const WeakCell &cell,
+                       std::vector<Injection> &inject);
 
     /** Forget all accounting state (device reset between experiments). */
-    virtual void reset();
-
-    /**
-     * Deep copy — weak-cell map, window accounting, and any
-     * model-specific state (TRR trackers, ECC latent cells) — so a
-     * snapshot clone trips and injects the same cells at the same
-     * accesses (Machine snapshot/fork support).
-     */
-    virtual std::unique_ptr<FlipModel> clone() const = 0;
+    void reset();
 
     /**
      * Digest of the mutable accounting state — the per-window
-     * activation counters plus any model-specific bookkeeping
-     * (TrrFlipModel's trackers and refresh baselines, EccFlipModel's
-     * latent cells). Folded into Dram::stateHash so equal machine
+     * activation counters plus TRR's trackers and refresh baselines or
+     * ECC's latent cells. Folded into Dram::stateHash so equal machine
      * fingerprints also pin future flip behaviour: without it, a
      * half-filled refresh window or a corrected-but-latent ECC error
      * was invisible to snapshot audits.
      */
-    virtual std::uint64_t stateHash() const;
-
-  protected:
-    /** Bump (bank, row)'s activation counter for the window. */
-    void recordActivation(unsigned bank, std::uint64_t row,
-                          std::uint64_t epoch);
-
-    /** Activations of (bank, row) within the given window (0 when the
-     * row is out of range or its counter belongs to an older window). */
-    std::uint64_t actsInWindow(unsigned bank, std::uint64_t row,
-                               std::uint64_t epoch) const;
-
-    /** Sum of both neighbours' activations in the window. */
-    std::uint64_t neighbourActs(unsigned bank, std::uint64_t row,
-                                std::uint64_t epoch) const;
-
-    std::uint64_t rowsPerBank() const { return rows; }
-
-    /** The configured parameters (stored once, inside the cell map). */
-    const DisturbanceConfig &cfg() const { return vuln.config(); }
-
-    VulnerabilityModel vuln;
+    std::uint64_t stateHash() const;
 
   private:
     struct RowState
@@ -169,50 +135,6 @@ class FlipModel
         std::uint64_t acts = 0;
     };
 
-    std::uint64_t rows;
-    std::vector<std::unordered_map<std::uint64_t, RowState>> bankActs;
-};
-
-/** The seeded DDR3 model of the paper's machines (the default). */
-class Ddr3FlipModel : public FlipModel
-{
-  public:
-    using FlipModel::FlipModel;
-    FlipModelKind kind() const override { return FlipModelKind::Ddr3Seeded; }
-
-    std::unique_ptr<FlipModel> clone() const override
-    {
-        return std::make_unique<Ddr3FlipModel>(*this);
-    }
-};
-
-/** DDR4-style target-row-refresh mitigation over DDR3 accounting. */
-class TrrFlipModel : public FlipModel
-{
-  public:
-    TrrFlipModel(const DisturbanceConfig &config,
-                 const DramGeometry &geometry);
-
-    FlipModelKind kind() const override { return FlipModelKind::Trr; }
-
-    void onActivate(unsigned bank, std::uint64_t row, std::uint64_t epoch,
-                    std::vector<Victim> &victims) override;
-    void bulkVictims(unsigned bank,
-                     const std::vector<std::uint64_t> &aggressors,
-                     std::uint64_t actsPerWindow,
-                     std::vector<Victim> &victims) const override;
-    void reset() override;
-    std::uint64_t stateHash() const override;
-
-    std::unique_ptr<FlipModel> clone() const override
-    {
-        return std::make_unique<TrrFlipModel>(*this);
-    }
-
-    /** Effective refresh threshold (resolves the 0 = auto default). */
-    std::uint64_t refreshThreshold() const;
-
-  private:
     struct TrackerEntry
     {
         std::uint64_t row;
@@ -225,83 +147,64 @@ class TrrFlipModel : public FlipModel
         std::vector<TrackerEntry> entries;
     };
 
-    /** Disturbance already neutralized by targeted refreshes. */
+    /** Disturbance already neutralized by TRR's targeted refreshes. */
     struct RefreshBaseline
     {
         std::uint64_t epoch = 0;
         std::uint64_t sum = 0;
     };
 
-    /** Misra-Gries sampler step; true when (bank, row) just earned a
-     * targeted refresh of its neighbours. */
-    bool sample(unsigned bank, std::uint64_t row, std::uint64_t epoch);
-
-    /** Victim disturbance net of its last targeted refresh. */
-    std::uint64_t netDisturbance(unsigned bank, std::uint64_t victim,
-                                 std::uint64_t epoch) const;
-
-    std::vector<BankTracker> trackers;
-    std::vector<std::unordered_map<std::uint64_t, RefreshBaseline>>
-        refreshed;
-};
-
-/** Half-double-style model: distance-2 aggressors disturb too. */
-class Distance2FlipModel : public FlipModel
-{
-  public:
-    Distance2FlipModel(const DisturbanceConfig &config,
-                       const DramGeometry &geometry);
-
-    FlipModelKind kind() const override { return FlipModelKind::Distance2; }
-
-    void onActivate(unsigned bank, std::uint64_t row, std::uint64_t epoch,
-                    std::vector<Victim> &victims) override;
-    void bulkVictims(unsigned bank,
-                     const std::vector<std::uint64_t> &aggressors,
-                     std::uint64_t actsPerWindow,
-                     std::vector<Victim> &victims) const override;
-
-    std::unique_ptr<FlipModel> clone() const override
-    {
-        return std::make_unique<Distance2FlipModel>(*this);
-    }
-};
-
-/** DDR3 accounting behind a single-error-correcting ECC word. */
-class EccFlipModel : public FlipModel
-{
-  public:
-    EccFlipModel(const DisturbanceConfig &config,
-                 const DramGeometry &geometry);
-
-    FlipModelKind kind() const override { return FlipModelKind::Ecc; }
-
-    void onCellTripped(unsigned bank, std::uint64_t row,
-                       const WeakCell &cell,
-                       std::vector<Injection> &inject) override;
-    void reset() override;
-    std::uint64_t stateHash() const override;
-
-    std::unique_ptr<FlipModel> clone() const override
-    {
-        return std::make_unique<EccFlipModel>(*this);
-    }
-
-  private:
-    /** Tripped-but-corrected cells of one codeword. */
+    /** Tripped-but-corrected cells of one ECC codeword. */
     struct Codeword
     {
         std::vector<Injection> latent;
         bool uncorrectable = false;
     };
 
-    std::uint64_t wordsPerRow;
+    /** The configured parameters (stored once, inside the cell map). */
+    const DisturbanceConfig &cfg() const { return vuln.config(); }
+
+    /** Rows either side of an aggressor that it disturbs. */
+    std::uint64_t reach() const
+    {
+        return kind() == FlipModelKind::Distance2 ? 2 : 1;
+    }
+
+    /** Activations of (bank, row) within the given window (0 when the
+     * row is out of range or its counter belongs to an older window). */
+    std::uint64_t actsInWindow(unsigned bank, std::uint64_t row,
+                               std::uint64_t epoch) const;
+
+    /** Sum of both neighbours' activations in the window. */
+    std::uint64_t neighbourActs(unsigned bank, std::uint64_t row,
+                                std::uint64_t epoch) const;
+
+    /** The victim's disturbance in the window under this kind. */
+    std::uint64_t disturbance(unsigned bank, std::uint64_t victim,
+                              std::uint64_t epoch) const;
+
+    /** TRR's Misra-Gries sampler step; true when (bank, row) just
+     * earned a targeted refresh of its neighbours. */
+    bool sample(unsigned bank, std::uint64_t row, std::uint64_t epoch);
+
+    /** TRR's effective refresh threshold (resolves the 0 = auto
+     * default). */
+    std::uint64_t refreshThreshold() const;
+
+    VulnerabilityModel vuln;
+    std::uint64_t rows;
+    std::vector<std::unordered_map<std::uint64_t, RowState>> bankActs;
+
+    /** Trr only, one per bank (empty for the other kinds). */
+    std::vector<BankTracker> trackers;
+    std::vector<std::unordered_map<std::uint64_t, RefreshBaseline>>
+        refreshed;
+
+    /** Ecc only: codewords per row, and each bank's codewords keyed by
+     * row * wordsPerRow + word (empty for the other kinds). */
+    std::uint64_t wordsPerRow = 0;
     std::vector<std::unordered_map<std::uint64_t, Codeword>> words;
 };
-
-/** Factory keyed on config.flipModel. */
-std::unique_ptr<FlipModel> makeFlipModel(const DisturbanceConfig &config,
-                                         const DramGeometry &geometry);
 
 } // namespace pth
 

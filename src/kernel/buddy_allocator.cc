@@ -98,44 +98,4 @@ BuddyAllocator::stateHash() const
     return h;
 }
 
-FrameListAllocator::FrameListAllocator(std::vector<PhysFrame> frames)
-{
-    for (PhysFrame f : frames) {
-        freeList.insert(f);
-        universe.insert(f);
-    }
-}
-
-PhysFrame
-FrameListAllocator::alloc()
-{
-    if (freeList.empty())
-        return kInvalidFrame;
-    PhysFrame frame = *freeList.begin();
-    freeList.erase(freeList.begin());
-    return frame;
-}
-
-void
-FrameListAllocator::free(PhysFrame frame)
-{
-    pth_assert(universe.count(frame), "freeing foreign frame");
-    freeList.insert(frame);
-}
-
-bool
-FrameListAllocator::contains(PhysFrame frame) const
-{
-    return universe.count(frame) > 0;
-}
-
-std::uint64_t
-FrameListAllocator::stateHash() const
-{
-    std::uint64_t h = hashCombine(0xf7ee, universe.size());
-    for (PhysFrame frame : freeList)  // std::set: ordered
-        h = hashCombine(h, frame);
-    return h;
-}
-
 } // namespace pth

@@ -1,13 +1,10 @@
 /**
  * @file
- * Physical-frame allocators.
+ * Physical-frame allocator.
  *
  * BuddyAllocator mirrors the Linux buddy system's tendency to hand out
  * *consecutive* physical pages under streaming allocation — the
  * property the paper's pair-selection step exploits (Section IV-D).
- * FrameListAllocator is a simple ordered free list used by defense
- * zones whose frame sets are not contiguous (CTA true-cell rows,
- * ZebRAM even rows).
  */
 
 #ifndef PTH_KERNEL_BUDDY_ALLOCATOR_HH
@@ -72,35 +69,6 @@ class BuddyAllocator
     std::uint64_t count;
     std::uint64_t nFree = 0;
     std::vector<std::set<PhysFrame>> freeLists;  //!< per order
-};
-
-/** Ordered single-frame free list over an arbitrary frame set. */
-class FrameListAllocator
-{
-  public:
-    FrameListAllocator() = default;
-
-    /** Seed the allocator with a set of usable frames. */
-    explicit FrameListAllocator(std::vector<PhysFrame> frames);
-
-    /** Allocate the lowest-address free frame. */
-    PhysFrame alloc();
-
-    /** Return a frame to the pool. */
-    void free(PhysFrame frame);
-
-    /** Frames currently free. */
-    std::uint64_t freeFrames() const { return freeList.size(); }
-
-    /** True when the frame belongs to this allocator's universe. */
-    bool contains(PhysFrame frame) const;
-
-    /** Digest of the free list (see BuddyAllocator::stateHash). */
-    std::uint64_t stateHash() const;
-
-  private:
-    std::set<PhysFrame> freeList;
-    std::set<PhysFrame> universe;
 };
 
 } // namespace pth

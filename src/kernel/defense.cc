@@ -1,12 +1,7 @@
 #include "kernel/defense.hh"
 
-#include <functional>
-#include <unordered_map>
-
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "dram/address_mapping.hh"
-#include "dram/vulnerability_model.hh"
 
 namespace pth
 {
@@ -35,172 +30,71 @@ namespace
 /** First frames are reserved for the kernel image / boot structures. */
 constexpr PhysFrame kReservedFrames = 256;
 
-/**
- * Frame allocator that walks a cursor across [lo, hi) keeping only
- * frames that satisfy a predicate. Freed frames are recycled first.
- * Used by zones whose frame sets are large but cheaply enumerable
- * (CTA's true-cell rows, ZebRAM's even rows).
- */
-class CursorAllocator
+} // namespace
+
+Defense::Defense(DefenseKind kind_, const AddressMapping &mapping,
+                 const VulnerabilityModel &vulnerability,
+                 std::uint64_t totalFrames_)
+    : kind(kind_), map(mapping), vuln(vulnerability),
+      totalFrames(totalFrames_)
 {
-  public:
-    CursorAllocator(PhysFrame lo_, PhysFrame hi_, bool descending_,
-                    std::function<bool(PhysFrame)> predicate)
-        : lo(lo_), hi(hi_), descending(descending_),
-          pred(std::move(predicate))
-    {
-        cursor = descending ? hi : lo;
-    }
-
-    /**
-     * Copy the allocator's position (cursor, recycled list) but swap
-     * in a fresh predicate — the old one captures its owning defense,
-     * which a clone must not keep pointing at.
-     */
-    CursorAllocator(const CursorAllocator &other,
-                    std::function<bool(PhysFrame)> predicate)
-        : lo(other.lo), hi(other.hi), cursor(other.cursor),
-          descending(other.descending), pred(std::move(predicate)),
-          recycled(other.recycled)
-    {
-    }
-
-    PhysFrame
-    alloc()
-    {
-        if (!recycled.empty()) {
-            PhysFrame f = *recycled.begin();
-            recycled.erase(recycled.begin());
-            return f;
-        }
-        while (true) {
-            if (descending) {
-                if (cursor == lo)
-                    return kInvalidFrame;
-                --cursor;
-                if (pred(cursor))
-                    return cursor;
-            } else {
-                if (cursor == hi)
-                    return kInvalidFrame;
-                PhysFrame f = cursor++;
-                if (pred(f))
-                    return f;
-            }
-        }
-    }
-
-    void
-    free(PhysFrame frame)
-    {
-        recycled.insert(frame);
-    }
-
-    bool
-    inRange(PhysFrame frame) const
-    {
-        return frame >= lo && frame < hi && pred(frame);
-    }
-
-    std::uint64_t
-    stateHash() const
-    {
-        std::uint64_t h = hashCombine(0xc0a5, lo, hi, cursor);
-        h = hashCombine(h, descending);
-        for (PhysFrame frame : recycled)  // std::set: ordered
-            h = hashCombine(h, frame);
-        return h;
-    }
-
-  private:
-    PhysFrame lo;
-    PhysFrame hi;
-    PhysFrame cursor;
-    bool descending;
-    std::function<bool(PhysFrame)> pred;
-    std::set<PhysFrame> recycled;
-};
-
-/** No defense: one buddy pool for everything. */
-class NoDefense : public Defense
-{
-  public:
-    explicit NoDefense(std::uint64_t totalFrames)
-        : pool(kReservedFrames, totalFrames - kReservedFrames)
-    {
-    }
-
-    std::string name() const override { return "none"; }
-
-    PhysFrame
-    alloc(AllocIntent, std::uint64_t) override
-    {
-        return pool.alloc();
-    }
-
-    void
-    free(PhysFrame frame, AllocIntent, std::uint64_t) override
-    {
-        pool.free(frame);
-    }
-
-    bool
-    frameAllowed(AllocIntent, PhysFrame frame) const override
-    {
-        return pool.contains(frame);
-    }
-
-    std::uint64_t
-    zoneFrames(AllocIntent) const override
-    {
-        return pool.totalFrames();
-    }
-
-    std::unique_ptr<Defense>
-    clone(const AddressMapping &, const VulnerabilityModel &) const override
-    {
-        return std::unique_ptr<Defense>(new NoDefense(*this));
-    }
-
-    std::uint64_t
-    stateHash() const override
-    {
-        return hashCombine(0xd0, pool.stateHash());
-    }
-
-  private:
-    NoDefense(const NoDefense &) = default;
-
-    BuddyAllocator pool;
-};
-
-/** CATT: kernel zone low, guard rows, user zone high. */
-class CattDefense : public Defense
-{
-  public:
-    CattDefense(const AddressMapping &mapping, std::uint64_t totalFrames)
-    {
+    pth_assert(totalFrames > 2 * kReservedFrames, "memory too small");
+    // A full row-index stride of frames: one row in every bank.
+    const std::uint64_t rowFrames =
+        mapping.rowBytes() * mapping.banks() / kPageBytes;
+    switch (kind) {
+      case DefenseKind::None:
+        pool = BuddyAllocator(kReservedFrames, totalFrames - kReservedFrames);
+        return;
+      case DefenseKind::Catt:
         // The kernel zone takes the low quarter; a full row-index
         // stride of guard frames separates it from user memory, so no
         // user-reachable row is adjacent to a kernel row.
-        std::uint64_t guardFrames =
-            mapping.rowBytes() * mapping.banks() / kPageBytes;
         kernelEnd = kReservedFrames + (totalFrames / 4);
-        userStart = kernelEnd + guardFrames;
-        kernelPool = std::make_unique<BuddyAllocator>(
-            kReservedFrames, kernelEnd - kReservedFrames);
-        userPool = std::make_unique<BuddyAllocator>(
-            userStart, totalFrames - userStart);
+        userStart = kernelEnd + rowFrames;
+        pool = BuddyAllocator(kReservedFrames, kernelEnd - kReservedFrames);
+        userPool = BuddyAllocator(userStart, totalFrames - userStart);
+        return;
+      case DefenseKind::RipRh:
+        kernelEnd = kReservedFrames + (totalFrames / 4);
+        userStart = kernelEnd;
+        // One region per user; enough regions for realistic process
+        // counts, but never so many that a region cannot hold a
+        // process's working set (>= 32 MiB each).
+        partitionCount = 64;
+        while (partitionCount > 4 &&
+               (totalFrames - userStart) / partitionCount < 8192)
+            partitionCount /= 2;
+        userFramesPerPartition = (totalFrames - userStart) / partitionCount;
+        // Keep one guard row between neighbouring user partitions.
+        guardFrames = rowFrames;
+        pool = BuddyAllocator(kReservedFrames, kernelEnd - kReservedFrames);
+        return;
+      case DefenseKind::Cta: {
+        // The top 3/8 of physical memory is reserved for L1PTs; rows
+        // containing anti cells are screened out (CTA's memory test).
+        const PhysFrame ptZoneStart = totalFrames - (totalFrames * 3) / 8;
+        cursor = {ptZoneStart, totalFrames, totalFrames, true, {}};
+        pool = BuddyAllocator(kReservedFrames, ptZoneStart - kReservedFrames);
+        return;
+      }
+      case DefenseKind::ZebRam:
+        cursor = {kReservedFrames, totalFrames, kReservedFrames, false, {}};
+        return;
     }
+    panic("unknown defense kind");
+}
 
-    std::string name() const override { return "CATT"; }
-
-    PhysFrame
-    alloc(AllocIntent intent, std::uint64_t) override
-    {
+PhysFrame
+Defense::alloc(AllocIntent intent, std::uint64_t owner)
+{
+    switch (kind) {
+      case DefenseKind::None:
+        return pool.alloc();
+      case DefenseKind::Catt: {
         if (intent == AllocIntent::UserData)
-            return userPool->alloc();
-        PhysFrame f = kernelPool->alloc();
+            return userPool.alloc();
+        PhysFrame f = pool.alloc();
         if (f != kInvalidFrame)
             return f;
         // Kernel zone exhausted: like the deployed CATT prototype, the
@@ -211,397 +105,189 @@ class CattDefense : public Defense
             warn("CATT kernel zone exhausted; falling back to user zone");
             warnedFallback = true;
         }
-        return userPool->alloc();
+        return userPool.alloc();
+      }
+      case DefenseKind::RipRh:
+        if (intent != AllocIntent::UserData) {
+            PhysFrame f = pool.alloc();
+            if (f != kInvalidFrame)
+                return f;
+            // RIP-RH protects user-user isolation only; the kernel
+            // spills into user memory under pressure.
+        }
+        return partitionFor(owner).alloc();
+      case DefenseKind::Cta:
+        // An exhausted L1PT zone is not refilled from elsewhere: the
+        // caller fails hard on kInvalidFrame.
+        if (intent == AllocIntent::PageTableL1)
+            return cursorAlloc();
+        return pool.alloc();
+      case DefenseKind::ZebRam:
+        return cursorAlloc();
     }
+    return kInvalidFrame;
+}
 
-    void
-    free(PhysFrame frame, AllocIntent intent, std::uint64_t) override
-    {
+void
+Defense::free(PhysFrame frame, AllocIntent intent, std::uint64_t owner)
+{
+    switch (kind) {
+      case DefenseKind::None:
+        pool.free(frame);
+        return;
+      case DefenseKind::Catt:
         if (intent == AllocIntent::UserData || frame >= userStart)
-            userPool->free(frame);
+            userPool.free(frame);
         else
-            kernelPool->free(frame);
+            pool.free(frame);
+        return;
+      case DefenseKind::RipRh:
+        if (intent != AllocIntent::UserData && frame < kernelEnd)
+            pool.free(frame);
+        else
+            partitionFor(owner).free(frame);
+        return;
+      case DefenseKind::Cta:
+        if (intent == AllocIntent::PageTableL1)
+            cursor.recycled.insert(frame);
+        else
+            pool.free(frame);
+        return;
+      case DefenseKind::ZebRam:
+        cursor.recycled.insert(frame);
+        return;
     }
+}
 
-    bool
-    frameAllowed(AllocIntent intent, PhysFrame frame) const override
-    {
+bool
+Defense::frameAllowed(AllocIntent intent, PhysFrame frame) const
+{
+    switch (kind) {
+      case DefenseKind::None:
+        return pool.contains(frame);
+      case DefenseKind::Catt:
+      case DefenseKind::RipRh:
         if (intent == AllocIntent::UserData)
             return frame >= userStart;
         // Kernel intents: the dedicated zone, or the documented
         // exhaustion fallback into user memory.
         return frame >= kReservedFrames;
+      case DefenseKind::Cta:
+        if (intent == AllocIntent::PageTableL1)
+            return frame >= cursor.lo && rowAllowed(frame);
+        return frame >= kReservedFrames && frame < cursor.lo;
+      case DefenseKind::ZebRam:
+        return frame >= kReservedFrames && rowAllowed(frame);
     }
+    return false;
+}
 
-    std::uint64_t
-    zoneFrames(AllocIntent intent) const override
-    {
-        return intent == AllocIntent::UserData ? userPool->totalFrames()
-                                               : kernelPool->totalFrames();
-    }
-
-    std::unique_ptr<Defense>
-    clone(const AddressMapping &, const VulnerabilityModel &) const override
-    {
-        return std::unique_ptr<Defense>(new CattDefense(*this));
-    }
-
-    std::uint64_t
-    stateHash() const override
-    {
-        std::uint64_t h = hashCombine(0xd1, kernelEnd, userStart);
-        h = hashCombine(h, warnedFallback, kernelPool->stateHash(),
-                        userPool->stateHash());
-        return h;
-    }
-
-  private:
-    CattDefense(const CattDefense &other)
-        : kernelEnd(other.kernelEnd), userStart(other.userStart),
-          warnedFallback(other.warnedFallback),
-          kernelPool(std::make_unique<BuddyAllocator>(*other.kernelPool)),
-          userPool(std::make_unique<BuddyAllocator>(*other.userPool))
-    {
-    }
-
-    PhysFrame kernelEnd;
-    PhysFrame userStart;
-    bool warnedFallback = false;
-    std::unique_ptr<BuddyAllocator> kernelPool;
-    std::unique_ptr<BuddyAllocator> userPool;
-};
-
-/** RIP-RH: per-process user regions; unprotected kernel zone. */
-class RipRhDefense : public Defense
+std::uint64_t
+Defense::zoneFrames(AllocIntent intent) const
 {
-  public:
-    RipRhDefense(const AddressMapping &mapping, std::uint64_t totalFrames)
-        : map(mapping)
-    {
-        kernelEnd = kReservedFrames + (totalFrames / 4);
-        userStart = kernelEnd;
-        // One region per user; enough regions for realistic process
-        // counts, but never so many that a region cannot hold a
-        // process's working set (>= 32 MiB each).
-        partitions_n = 64;
-        while (partitions_n > 4 &&
-               (totalFrames - userStart) / partitions_n < 8192)
-            partitions_n /= 2;
-        userFramesPerPartition = (totalFrames - userStart) / partitions_n;
-        // Keep one guard row between neighbouring user partitions.
-        guardFrames = mapping.rowBytes() * mapping.banks() / kPageBytes;
-        kernelPool = std::make_unique<BuddyAllocator>(
-            kReservedFrames, kernelEnd - kReservedFrames);
-    }
-
-    std::string name() const override { return "RIP-RH"; }
-
-    PhysFrame
-    alloc(AllocIntent intent, std::uint64_t owner) override
-    {
-        if (intent != AllocIntent::UserData) {
-            PhysFrame f = kernelPool->alloc();
-            if (f != kInvalidFrame)
-                return f;
-            // RIP-RH protects user-user isolation only; the kernel
-            // spills into user memory under pressure.
-            return partitionFor(owner).alloc();
-        }
-        return partitionFor(owner).alloc();
-    }
-
-    void
-    free(PhysFrame frame, AllocIntent intent, std::uint64_t owner) override
-    {
-        if (intent != AllocIntent::UserData && frame < kernelEnd)
-            kernelPool->free(frame);
-        else
-            partitionFor(owner).free(frame);
-    }
-
-    bool
-    frameAllowed(AllocIntent intent, PhysFrame frame) const override
-    {
-        if (intent == AllocIntent::UserData)
-            return frame >= userStart;
-        return frame >= kReservedFrames;
-    }
-
-  private:
-    BuddyAllocator &
-    partitionFor(std::uint64_t owner)
-    {
-        unsigned idx = static_cast<unsigned>(owner % partitions_n);
-        auto it = partitions.find(idx);
-        if (it == partitions.end()) {
-            PhysFrame start = userStart + idx * userFramesPerPartition;
-            std::uint64_t usable = userFramesPerPartition > guardFrames
-                                       ? userFramesPerPartition - guardFrames
-                                       : userFramesPerPartition;
-            it = partitions
-                     .emplace(idx, std::make_unique<BuddyAllocator>(start,
-                                                                    usable))
-                     .first;
-        }
-        return *it->second;
-    }
-
-    std::uint64_t zoneFramesImpl(AllocIntent intent) const
-    {
+    switch (kind) {
+      case DefenseKind::None:
+        return pool.totalFrames();
+      case DefenseKind::Catt:
+        return intent == AllocIntent::UserData ? userPool.totalFrames()
+                                               : pool.totalFrames();
+      case DefenseKind::RipRh:
         return intent == AllocIntent::UserData ? userFramesPerPartition
-                                               : kernelPool->totalFrames();
+                                               : pool.totalFrames();
+      case DefenseKind::Cta:
+        if (intent == AllocIntent::PageTableL1)
+            return 0;  // cursor-based; capacity not meaningfully bounded
+        return pool.totalFrames();
+      case DefenseKind::ZebRam:
+        return totalFrames / 2;
     }
+    return 0;
+}
 
-  public:
-    std::uint64_t
-    zoneFrames(AllocIntent intent) const override
-    {
-        return zoneFramesImpl(intent);
-    }
+std::uint64_t
+Defense::stateHash() const
+{
+    std::uint64_t cursorHash = hashCombine(0xc0a5, cursor.lo, cursor.hi,
+                                           cursor.next);
+    cursorHash = hashCombine(cursorHash, cursor.descending);
+    for (PhysFrame frame : cursor.recycled)  // std::set: ordered
+        cursorHash = hashCombine(cursorHash, frame);
 
-    std::unique_ptr<Defense>
-    clone(const AddressMapping &mapping,
-          const VulnerabilityModel &) const override
-    {
-        return std::unique_ptr<Defense>(new RipRhDefense(*this, mapping));
-    }
-
-    std::uint64_t
-    stateHash() const override
-    {
+    switch (kind) {
+      case DefenseKind::None:
+        return hashCombine(0xd0, pool.stateHash());
+      case DefenseKind::Catt: {
+        std::uint64_t h = hashCombine(0xd1, kernelEnd, userStart);
+        return hashCombine(h, warnedFallback, pool.stateHash(),
+                           userPool.stateHash());
+      }
+      case DefenseKind::RipRh: {
         std::uint64_t h = hashCombine(0xd2, kernelEnd, userStart);
-        h = hashCombine(h, partitions_n, userFramesPerPartition,
+        h = hashCombine(h, partitionCount, userFramesPerPartition,
                         guardFrames);
-        h = hashCombine(h, kernelPool->stateHash());
+        h = hashCombine(h, pool.stateHash());
         // determinism: commutative fold — iteration order of the
         // unordered map cannot affect the sum.
         std::uint64_t fold = 0;
-        for (const auto &[idx, pool] : partitions)
-            fold += mix64(hashCombine(idx, pool->stateHash()));
+        for (const auto &[idx, partition] : partitions)
+            fold += mix64(hashCombine(idx, partition.stateHash()));
         return hashCombine(h, fold);
-    }
-
-  private:
-    RipRhDefense(const RipRhDefense &other, const AddressMapping &mapping)
-        : map(mapping), kernelEnd(other.kernelEnd),
-          userStart(other.userStart), partitions_n(other.partitions_n),
-          userFramesPerPartition(other.userFramesPerPartition),
-          guardFrames(other.guardFrames),
-          kernelPool(std::make_unique<BuddyAllocator>(*other.kernelPool))
-    {
-        // determinism: copy into a fresh map — visit order does not
-        // affect the resulting container contents.
-        for (const auto &item : other.partitions)
-            partitions.emplace(
-                item.first,
-                std::make_unique<BuddyAllocator>(*item.second));
-    }
-
-    const AddressMapping &map;
-    PhysFrame kernelEnd;
-    PhysFrame userStart;
-    unsigned partitions_n;
-    std::uint64_t userFramesPerPartition;
-    std::uint64_t guardFrames;
-    std::unique_ptr<BuddyAllocator> kernelPool;
-    std::unordered_map<unsigned, std::unique_ptr<BuddyAllocator>> partitions;
-};
-
-/** CTA: L1PTs descend from the top of memory in true-cell-only rows. */
-class CtaDefense : public Defense
-{
-  public:
-    CtaDefense(const AddressMapping &mapping,
-               const VulnerabilityModel &vulnerability,
-               std::uint64_t totalFrames)
-        : map(mapping), vuln(vulnerability)
-    {
-        // The top 3/8 of physical memory is reserved for L1PTs; rows
-        // containing anti cells are screened out (CTA's memory test).
-        ptZoneStart = totalFrames - (totalFrames * 3) / 8;
-        ptPool = std::make_unique<CursorAllocator>(
-            ptZoneStart, totalFrames, /*descending=*/true,
-            [this](PhysFrame f) { return rowIsTrueCellOnly(f); });
-        mainPool = std::make_unique<BuddyAllocator>(
-            kReservedFrames, ptZoneStart - kReservedFrames);
-    }
-
-    std::string name() const override { return "CTA"; }
-
-    PhysFrame
-    alloc(AllocIntent intent, std::uint64_t) override
-    {
-        if (intent == AllocIntent::PageTableL1) {
-            PhysFrame f = ptPool->alloc();
-            if (f != kInvalidFrame)
-                return f;
-            // Zone exhausted: CTA falls back to refusing, we fail hard
-            // in the caller via kInvalidFrame.
-            return kInvalidFrame;
-        }
-        return mainPool->alloc();
-    }
-
-    void
-    free(PhysFrame frame, AllocIntent intent, std::uint64_t) override
-    {
-        if (intent == AllocIntent::PageTableL1)
-            ptPool->free(frame);
-        else
-            mainPool->free(frame);
-    }
-
-    bool
-    frameAllowed(AllocIntent intent, PhysFrame frame) const override
-    {
-        if (intent == AllocIntent::PageTableL1)
-            return frame >= ptZoneStart && rowIsTrueCellOnly(frame);
-        return frame >= kReservedFrames && frame < ptZoneStart;
-    }
-
-    /** First frame of the protected L1PT zone (for the exploit check). */
-    PhysFrame ptZoneFirstFrame() const { return ptZoneStart; }
-
-    std::uint64_t
-    zoneFrames(AllocIntent intent) const override
-    {
-        if (intent == AllocIntent::PageTableL1)
-            return 0;  // cursor-based; capacity not meaningfully bounded
-        return mainPool->totalFrames();
-    }
-
-    std::unique_ptr<Defense>
-    clone(const AddressMapping &mapping,
-          const VulnerabilityModel &vulnerability) const override
-    {
-        return std::unique_ptr<Defense>(
-            new CtaDefense(*this, mapping, vulnerability));
-    }
-
-    std::uint64_t
-    stateHash() const override
-    {
-        return hashCombine(0xd3, ptZoneStart, ptPool->stateHash(),
-                           mainPool->stateHash());
-    }
-
-  private:
-    CtaDefense(const CtaDefense &other, const AddressMapping &mapping,
-               const VulnerabilityModel &vulnerability)
-        : map(mapping), vuln(vulnerability), ptZoneStart(other.ptZoneStart),
-          ptPool(std::make_unique<CursorAllocator>(
-              *other.ptPool,
-              [this](PhysFrame f) { return rowIsTrueCellOnly(f); })),
-          mainPool(std::make_unique<BuddyAllocator>(*other.mainPool))
-    {
-    }
-
-    bool
-    rowIsTrueCellOnly(PhysFrame frame) const
-    {
-        DramLocation loc = map.decompose(frame << kPageShift);
-        return vuln.rowHasOnlyTrueCells(loc.bank, loc.row);
-    }
-
-    const AddressMapping &map;
-    const VulnerabilityModel &vuln;
-    PhysFrame ptZoneStart;
-    std::unique_ptr<CursorAllocator> ptPool;
-    std::unique_ptr<BuddyAllocator> mainPool;
-};
-
-/** ZebRAM: only even row indices hold data; odd rows are guards. */
-class ZebRamDefense : public Defense
-{
-  public:
-    ZebRamDefense(const AddressMapping &mapping, std::uint64_t totalFrames)
-        : map(mapping), total(totalFrames)
-    {
-        pool = std::make_unique<CursorAllocator>(
-            kReservedFrames, totalFrames, /*descending=*/false,
-            [this](PhysFrame f) { return rowIsEven(f); });
-    }
-
-    std::string name() const override { return "ZebRAM"; }
-
-    PhysFrame
-    alloc(AllocIntent, std::uint64_t) override
-    {
-        return pool->alloc();
-    }
-
-    void
-    free(PhysFrame frame, AllocIntent, std::uint64_t) override
-    {
-        pool->free(frame);
-    }
-
-    bool
-    frameAllowed(AllocIntent, PhysFrame frame) const override
-    {
-        return frame >= kReservedFrames && rowIsEven(frame);
-    }
-
-    std::uint64_t
-    zoneFrames(AllocIntent) const override
-    {
-        return total / 2;
-    }
-
-    std::unique_ptr<Defense>
-    clone(const AddressMapping &mapping,
-          const VulnerabilityModel &) const override
-    {
-        return std::unique_ptr<Defense>(new ZebRamDefense(*this, mapping));
-    }
-
-    std::uint64_t
-    stateHash() const override
-    {
-        return hashCombine(0xd4, total, pool->stateHash());
-    }
-
-  private:
-    ZebRamDefense(const ZebRamDefense &other, const AddressMapping &mapping)
-        : map(mapping), total(other.total),
-          pool(std::make_unique<CursorAllocator>(
-              *other.pool, [this](PhysFrame f) { return rowIsEven(f); }))
-    {
-    }
-
-    bool
-    rowIsEven(PhysFrame frame) const
-    {
-        return (map.decompose(frame << kPageShift).row & 1) == 0;
-    }
-
-    const AddressMapping &map;
-    std::uint64_t total;
-    std::unique_ptr<CursorAllocator> pool;
-};
-
-} // namespace
-
-std::unique_ptr<Defense>
-Defense::create(DefenseKind kind, const AddressMapping &mapping,
-                const VulnerabilityModel &vulnerability,
-                std::uint64_t totalFrames, std::uint64_t)
-{
-    pth_assert(totalFrames > 2 * kReservedFrames, "memory too small");
-    switch (kind) {
-      case DefenseKind::None:
-        return std::make_unique<NoDefense>(totalFrames);
-      case DefenseKind::Catt:
-        return std::make_unique<CattDefense>(mapping, totalFrames);
-      case DefenseKind::RipRh:
-        return std::make_unique<RipRhDefense>(mapping, totalFrames);
+      }
       case DefenseKind::Cta:
-        return std::make_unique<CtaDefense>(mapping, vulnerability,
-                                            totalFrames);
+        return hashCombine(0xd3, cursor.lo, cursorHash, pool.stateHash());
       case DefenseKind::ZebRam:
-        return std::make_unique<ZebRamDefense>(mapping, totalFrames);
+        return hashCombine(0xd4, totalFrames, cursorHash);
     }
-    panic("unknown defense kind");
+    return 0;
+}
+
+PhysFrame
+Defense::cursorAlloc()
+{
+    if (!cursor.recycled.empty()) {
+        PhysFrame f = *cursor.recycled.begin();
+        cursor.recycled.erase(cursor.recycled.begin());
+        return f;
+    }
+    while (true) {
+        if (cursor.descending) {
+            if (cursor.next == cursor.lo)
+                return kInvalidFrame;
+            --cursor.next;
+            if (rowAllowed(cursor.next))
+                return cursor.next;
+        } else {
+            if (cursor.next == cursor.hi)
+                return kInvalidFrame;
+            PhysFrame f = cursor.next++;
+            if (rowAllowed(f))
+                return f;
+        }
+    }
+}
+
+bool
+Defense::rowAllowed(PhysFrame frame) const
+{
+    DramLocation loc = map.decompose(frame << kPageShift);
+    if (kind == DefenseKind::Cta)
+        return vuln.rowHasOnlyTrueCells(loc.bank, loc.row);
+    return (loc.row & 1) == 0;
+}
+
+BuddyAllocator &
+Defense::partitionFor(std::uint64_t owner)
+{
+    unsigned idx = static_cast<unsigned>(owner % partitionCount);
+    auto it = partitions.find(idx);
+    if (it == partitions.end()) {
+        PhysFrame start = userStart + idx * userFramesPerPartition;
+        std::uint64_t usable = userFramesPerPartition > guardFrames
+                                   ? userFramesPerPartition - guardFrames
+                                   : userFramesPerPartition;
+        it = partitions.try_emplace(idx, start, usable).first;
+    }
+    return it->second;
 }
 
 } // namespace pth

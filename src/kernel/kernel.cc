@@ -1,8 +1,6 @@
 #include "kernel/kernel.hh"
 
 #include "common/logging.hh"
-#include "dram/address_mapping.hh"
-#include "dram/vulnerability_model.hh"
 #include "mem/physical_memory.hh"
 
 namespace pth
@@ -19,11 +17,11 @@ constexpr std::uint64_t kCredSlotBytes = 64;
 void
 Kernel::exhaustKernelZone(double fraction)
 {
-    std::uint64_t zone = policy->zoneFrames(AllocIntent::KernelData);
+    std::uint64_t zone = policy.zoneFrames(AllocIntent::KernelData);
     std::uint64_t target = static_cast<std::uint64_t>(
         fraction * static_cast<double>(zone));
     for (std::uint64_t i = burnedKernelFrames.size(); i < target; ++i) {
-        PhysFrame f = policy->alloc(AllocIntent::KernelData, 0);
+        PhysFrame f = policy.alloc(AllocIntent::KernelData, 0);
         if (f == kInvalidFrame)
             break;
         burnedKernelFrames.push_back(f);
@@ -34,20 +32,16 @@ Kernel::Kernel(const KernelConfig &config, PhysicalMemory &memory,
                const AddressMapping &mapping,
                const VulnerabilityModel &vulnerability, Clock &clock,
                DefenseKind defense)
-    : cfg(config), mem(memory), map(mapping), clk(clock),
-      policy(Defense::create(defense, mapping, vulnerability,
-                             memory.frames(), config.seed)),
+    : cfg(config), mem(memory), clk(clock),
+      policy(defense, mapping, vulnerability, memory.frames()),
       rng(config.seed)
 {
     applyBootNoise(memory.frames());
 }
 
-Kernel::Kernel(const Kernel &other, PhysicalMemory &memory,
-               const AddressMapping &mapping,
-               const VulnerabilityModel &vulnerability, Clock &clock)
-    : cfg(other.cfg), mem(memory), map(mapping), clk(clock),
-      policy(other.policy->clone(mapping, vulnerability)), rng(other.rng),
-      nextPid(other.nextPid), l1ptFrames(other.l1ptFrames),
+Kernel::Kernel(const Kernel &other, PhysicalMemory &memory, Clock &clock)
+    : cfg(other.cfg), mem(memory), clk(clock), policy(other.policy),
+      rng(other.rng), nextPid(other.nextPid), l1ptFrames(other.l1ptFrames),
       credFrames(other.credFrames), credPage(other.credPage),
       credSlot(other.credSlot),
       burnedKernelFrames(other.burnedKernelFrames)
@@ -80,22 +74,22 @@ Kernel::applyBootNoise(std::uint64_t totalFrames)
         // Alternate intents so every zone of every defense fragments.
         AllocIntent intent = (i % 8 == 0) ? AllocIntent::KernelData
                                           : AllocIntent::UserData;
-        PhysFrame f = policy->alloc(intent, /*owner=*/0);
+        PhysFrame f = policy.alloc(intent, /*owner=*/0);
         if (f == kInvalidFrame)
             break;
         // Keep ~1/3 of them; return the rest to punch holes.
         if (rng.chance(0.66))
-            policy->free(f, intent, 0);
+            policy.free(f, intent, 0);
     }
 }
 
 PhysFrame
 Kernel::allocFrame(AllocIntent intent, std::uint64_t owner)
 {
-    PhysFrame f = policy->alloc(intent, owner);
+    PhysFrame f = policy.alloc(intent, owner);
     if (f == kInvalidFrame)
         fatal("out of physical memory (defense=%s, intent=%d)",
-              policy->name().c_str(), static_cast<int>(intent));
+              policy.name().c_str(), static_cast<int>(intent));
     return f;
 }
 
@@ -241,7 +235,7 @@ Kernel::mmapHuge(Process &proc, VirtAddr va, std::uint64_t bytes)
                     break;
                 }
                 for (PhysFrame cf : claimed)
-                    policy->free(cf, AllocIntent::UserData, proc.pid());
+                    policy.free(cf, AllocIntent::UserData, proc.pid());
             }
             proc.userFrames.push_back(candidate);  // burned, stays live
         }
@@ -265,7 +259,7 @@ std::uint64_t
 Kernel::stateHash() const
 {
     std::uint64_t h = hashCombine(0x6e1, nextPid, credPage);
-    h = hashCombine(h, credSlot, policy->stateHash(), rng.stateHash());
+    h = hashCombine(h, credSlot, policy.stateHash(), rng.stateHash());
     for (PhysFrame frame : burnedKernelFrames)
         h = hashCombine(h, frame);
     // determinism: commutative folds — iteration order of the

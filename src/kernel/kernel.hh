@@ -27,8 +27,6 @@ namespace pth
 {
 
 class PhysicalMemory;
-class AddressMapping;
-class VulnerabilityModel;
 
 /** Simulated-time source shared by CPU and kernel. */
 class Clock
@@ -60,27 +58,10 @@ struct KernelConfig
     /** Other kernel frames (task_struct, stacks, ...) a process costs;
      * this sets the cred-page density the CTA exploit relies on. */
     unsigned processKernelFootprintFrames = 6;
+
+    /** Field-wise equality (campaign snapshot-sharing detection). */
+    bool operator==(const KernelConfig &) const = default;
 };
-
-/** Field-wise equality (campaign snapshot-sharing detection). */
-inline bool
-operator==(const KernelConfig &a, const KernelConfig &b)
-{
-    return a.syscallCycles == b.syscallCycles &&
-           a.pageFaultCycles == b.pageFaultCycles &&
-           a.ptPageAllocCycles == b.ptPageAllocCycles &&
-           a.bootNoiseFraction == b.bootNoiseFraction &&
-           a.seed == b.seed && a.credMagic == b.credMagic &&
-           a.credSlotsPerPage == b.credSlotsPerPage &&
-           a.processKernelFootprintFrames ==
-               b.processKernelFootprintFrames;
-}
-
-inline bool
-operator!=(const KernelConfig &a, const KernelConfig &b)
-{
-    return !(a == b);
-}
 
 /** Magic value marking struct cred slots in kernel pages. */
 struct Cred
@@ -124,16 +105,14 @@ class Kernel
            DefenseKind defense);
 
     /**
-     * Deep copy rewired to the new machine's devices (Machine
+     * Deep copy rewired to the new machine's memory and clock (Machine
      * snapshot/fork). Boot noise is NOT replayed — the defense policy
-     * (including allocator cursors), RNG, process table, and all
-     * bookkeeping carry over, and each cloned process's page tables
+     * (a value, including allocator cursors), RNG, process table, and
+     * all bookkeeping carry over, and each cloned process's page tables
      * are rebuilt around this kernel's frame source so future
      * page-table pages charge and register here, not in the original.
      */
-    Kernel(const Kernel &other, PhysicalMemory &memory,
-           const AddressMapping &mapping,
-           const VulnerabilityModel &vulnerability, Clock &clock);
+    Kernel(const Kernel &other, PhysicalMemory &memory, Clock &clock);
 
     /**
      * Create a process.
@@ -180,8 +159,8 @@ class Kernel
     PhysAddr credAddress(const Process &proc) const { return proc.credAddr; }
 
     /** The placement policy in force. */
-    Defense &defense() { return *policy; }
-    const Defense &defense() const { return *policy; }
+    Defense &defense() { return policy; }
+    const Defense &defense() const { return policy; }
 
     /** Frames holding Level-1 page tables, across all processes. */
     bool frameIsL1pt(PhysFrame frame) const
@@ -220,9 +199,8 @@ class Kernel
 
     KernelConfig cfg;
     PhysicalMemory &mem;
-    const AddressMapping &map;
     Clock &clk;
-    std::unique_ptr<Defense> policy;
+    Defense policy;
     Rng rng;
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Process>> processes;

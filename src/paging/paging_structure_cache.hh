@@ -31,21 +31,10 @@ struct PscConfig
     unsigned pml4Entries = 16;
     unsigned pdpteEntries = 16;
     unsigned pdeEntries = 32;
+
+    /** Field-wise equality (campaign snapshot-sharing detection). */
+    bool operator==(const PscConfig &) const = default;
 };
-
-/** Field-wise equality (campaign snapshot-sharing detection). */
-inline bool
-operator==(const PscConfig &a, const PscConfig &b)
-{
-    return a.pml4Entries == b.pml4Entries &&
-           a.pdpteEntries == b.pdpteEntries && a.pdeEntries == b.pdeEntries;
-}
-
-inline bool
-operator!=(const PscConfig &a, const PscConfig &b)
-{
-    return !(a == b);
-}
 
 /** One fully-associative LRU partial-translation cache. */
 class PagingStructureCache

@@ -23,21 +23,10 @@ struct TlbLevelConfig
     unsigned ways = 4;
     ReplacementKind replacement = ReplacementKind::TreePlru;
     std::uint64_t seed = 0;   //!< per-machine replacement seed
+
+    /** Field-wise equality (campaign snapshot-sharing detection). */
+    bool operator==(const TlbLevelConfig &) const = default;
 };
-
-/** Field-wise equality (campaign snapshot-sharing detection). */
-inline bool
-operator==(const TlbLevelConfig &a, const TlbLevelConfig &b)
-{
-    return a.sets == b.sets && a.ways == b.ways &&
-           a.replacement == b.replacement && a.seed == b.seed;
-}
-
-inline bool
-operator!=(const TlbLevelConfig &a, const TlbLevelConfig &b)
-{
-    return !(a == b);
-}
 
 /** Two-level TLB configuration. */
 struct TlbConfig
@@ -45,20 +34,9 @@ struct TlbConfig
     TlbLevelConfig l1d{16, 4, ReplacementKind::TreePlru};
     TlbLevelConfig l2s{128, 4, ReplacementKind::TreePlru};
     Cycles l2HitLatency = 7;   //!< extra cycles for an sTLB hit
+
+    bool operator==(const TlbConfig &) const = default;
 };
-
-inline bool
-operator==(const TlbConfig &a, const TlbConfig &b)
-{
-    return a.l1d == b.l1d && a.l2s == b.l2s &&
-           a.l2HitLatency == b.l2HitLatency;
-}
-
-inline bool
-operator!=(const TlbConfig &a, const TlbConfig &b)
-{
-    return !(a == b);
-}
 
 } // namespace pth
 

@@ -2,7 +2,7 @@
  * @file
  * Buddy-allocator property tests: no double allocation, coalescing,
  * lowest-first (consecutive) allocation — the behaviour the paper's
- * pair-selection step depends on — plus the frame-list allocator.
+ * pair-selection step depends on.
  */
 
 #include <gtest/gtest.h>
@@ -127,31 +127,6 @@ TEST(Buddy, ContainsChecksRange)
     EXPECT_TRUE(buddy.contains(149));
     EXPECT_FALSE(buddy.contains(99));
     EXPECT_FALSE(buddy.contains(150));
-}
-
-TEST(FrameList, AllocatesLowestFirst)
-{
-    FrameListAllocator list({5, 3, 9, 7});
-    EXPECT_EQ(list.alloc(), 3u);
-    EXPECT_EQ(list.alloc(), 5u);
-    EXPECT_EQ(list.alloc(), 7u);
-    EXPECT_EQ(list.alloc(), 9u);
-    EXPECT_EQ(list.alloc(), kInvalidFrame);
-}
-
-TEST(FrameList, FreeReturnsToPool)
-{
-    FrameListAllocator list({1, 2});
-    PhysFrame a = list.alloc();
-    list.free(a);
-    EXPECT_EQ(list.alloc(), a);
-}
-
-TEST(FrameList, ContainsTracksUniverse)
-{
-    FrameListAllocator list({4, 8});
-    EXPECT_TRUE(list.contains(4));
-    EXPECT_FALSE(list.contains(5));
 }
 
 } // namespace

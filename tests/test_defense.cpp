@@ -54,33 +54,30 @@ TEST_P(DefenseParam, StateHashTracksAllocatorPosition)
     // that. Buddy-backed policies coalesce back to exactly the
     // initial state and must digest equal. Pins Kernel::stateHash
     // ignoring allocator positions.
-    auto a = Defense::create(GetParam(), *env.mapping, *env.vuln,
-                             env.frames(), 1);
-    auto b = Defense::create(GetParam(), *env.mapping, *env.vuln,
-                             env.frames(), 1);
-    ASSERT_EQ(a->stateHash(), b->stateHash());
+    Defense a(GetParam(), *env.mapping, *env.vuln, env.frames());
+    Defense b(GetParam(), *env.mapping, *env.vuln, env.frames());
+    ASSERT_EQ(a.stateHash(), b.stateHash());
 
-    PhysFrame f = a->alloc(AllocIntent::PageTableL1, 1);
+    PhysFrame f = a.alloc(AllocIntent::PageTableL1, 1);
     ASSERT_NE(f, kInvalidFrame);
-    a->free(f, AllocIntent::PageTableL1, 1);
+    a.free(f, AllocIntent::PageTableL1, 1);
     if (GetParam() == DefenseKind::Cta || GetParam() == DefenseKind::ZebRam)
-        EXPECT_NE(a->stateHash(), b->stateHash());
+        EXPECT_NE(a.stateHash(), b.stateHash());
     else
-        EXPECT_EQ(a->stateHash(), b->stateHash());
+        EXPECT_EQ(a.stateHash(), b.stateHash());
 }
 
 TEST_P(DefenseParam, AllocationsRespectOwnPredicate)
 {
-    auto defense = Defense::create(GetParam(), *env.mapping, *env.vuln,
-                                   env.frames(), 1);
+    Defense defense(GetParam(), *env.mapping, *env.vuln, env.frames());
     for (AllocIntent intent :
          {AllocIntent::UserData, AllocIntent::PageTableL1,
           AllocIntent::PageTableUpper, AllocIntent::KernelData}) {
         for (int i = 0; i < 200; ++i) {
-            PhysFrame f = defense->alloc(intent, 7);
+            PhysFrame f = defense.alloc(intent, 7);
             ASSERT_NE(f, kInvalidFrame);
-            EXPECT_TRUE(defense->frameAllowed(intent, f))
-                << defense->name() << " intent "
+            EXPECT_TRUE(defense.frameAllowed(intent, f))
+                << defense.name() << " intent "
                 << static_cast<int>(intent) << " frame " << f;
         }
     }
@@ -88,12 +85,11 @@ TEST_P(DefenseParam, AllocationsRespectOwnPredicate)
 
 TEST_P(DefenseParam, NoDoubleAllocationAcrossIntents)
 {
-    auto defense = Defense::create(GetParam(), *env.mapping, *env.vuln,
-                                   env.frames(), 1);
+    Defense defense(GetParam(), *env.mapping, *env.vuln, env.frames());
     std::set<PhysFrame> seen;
     for (int i = 0; i < 500; ++i) {
         AllocIntent intent = static_cast<AllocIntent>(i % 4);
-        PhysFrame f = defense->alloc(intent, i % 3);
+        PhysFrame f = defense.alloc(intent, i % 3);
         ASSERT_NE(f, kInvalidFrame);
         EXPECT_TRUE(seen.insert(f).second);
     }
@@ -101,11 +97,10 @@ TEST_P(DefenseParam, NoDoubleAllocationAcrossIntents)
 
 TEST_P(DefenseParam, FreedFramesAreReusable)
 {
-    auto defense = Defense::create(GetParam(), *env.mapping, *env.vuln,
-                                   env.frames(), 1);
-    PhysFrame f = defense->alloc(AllocIntent::UserData, 1);
-    defense->free(f, AllocIntent::UserData, 1);
-    PhysFrame g = defense->alloc(AllocIntent::UserData, 1);
+    Defense defense(GetParam(), *env.mapping, *env.vuln, env.frames());
+    PhysFrame f = defense.alloc(AllocIntent::UserData, 1);
+    defense.free(f, AllocIntent::UserData, 1);
+    PhysFrame g = defense.alloc(AllocIntent::UserData, 1);
     EXPECT_EQ(f, g);
 }
 
@@ -119,14 +114,13 @@ INSTANTIATE_TEST_SUITE_P(AllDefenses, DefenseParam,
 TEST(CattDefense, UserRowsNeverAdjacentToKernelRows)
 {
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::Catt, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
+    Defense defense(DefenseKind::Catt, *env.mapping, *env.vuln, env.frames());
     // Collect row extremes per bank for both zones.
     std::uint64_t maxKernelRow = 0;
     std::uint64_t minUserRow = ~0ull;
     for (int i = 0; i < 3000; ++i) {
-        PhysFrame k = defense->alloc(AllocIntent::PageTableL1, 0);
-        PhysFrame u = defense->alloc(AllocIntent::UserData, 0);
+        PhysFrame k = defense.alloc(AllocIntent::PageTableL1, 0);
+        PhysFrame u = defense.alloc(AllocIntent::UserData, 0);
         maxKernelRow = std::max(
             maxKernelRow, env.mapping->decompose(k << kPageShift).row);
         minUserRow = std::min(
@@ -139,13 +133,12 @@ TEST(CattDefense, UserRowsNeverAdjacentToKernelRows)
 TEST(CattDefense, UserDataNeverEntersKernelZone)
 {
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::Catt, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
-    PhysFrame k = defense->alloc(AllocIntent::KernelData, 0);
-    EXPECT_FALSE(defense->frameAllowed(AllocIntent::UserData, k));
+    Defense defense(DefenseKind::Catt, *env.mapping, *env.vuln, env.frames());
+    PhysFrame k = defense.alloc(AllocIntent::KernelData, 0);
+    EXPECT_FALSE(defense.frameAllowed(AllocIntent::UserData, k));
     // Kernel allocations prefer their own zone while it lasts...
-    PhysFrame pt = defense->alloc(AllocIntent::PageTableL1, 0);
-    PhysFrame u = defense->alloc(AllocIntent::UserData, 0);
+    PhysFrame pt = defense.alloc(AllocIntent::PageTableL1, 0);
+    PhysFrame u = defense.alloc(AllocIntent::UserData, 0);
     EXPECT_LT(pt, u);
 }
 
@@ -154,23 +147,21 @@ TEST(CattDefense, ExhaustionSpillsKernelIntoUserZone)
     // The CATTmew fallback the paper's CATT attack provokes: once the
     // kernel zone runs dry, page tables land in user memory.
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::Catt, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
-    std::uint64_t zone = defense->zoneFrames(AllocIntent::KernelData);
+    Defense defense(DefenseKind::Catt, *env.mapping, *env.vuln, env.frames());
+    std::uint64_t zone = defense.zoneFrames(AllocIntent::KernelData);
     for (std::uint64_t i = 0; i < zone; ++i)
-        defense->alloc(AllocIntent::KernelData, 0);
-    PhysFrame spilled = defense->alloc(AllocIntent::PageTableL1, 0);
+        defense.alloc(AllocIntent::KernelData, 0);
+    PhysFrame spilled = defense.alloc(AllocIntent::PageTableL1, 0);
     ASSERT_NE(spilled, kInvalidFrame);
-    EXPECT_TRUE(defense->frameAllowed(AllocIntent::UserData, spilled));
+    EXPECT_TRUE(defense.frameAllowed(AllocIntent::UserData, spilled));
 }
 
 TEST(RipRhDefense, DifferentOwnersGetDifferentRegions)
 {
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::RipRh, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
-    PhysFrame a = defense->alloc(AllocIntent::UserData, 1);
-    PhysFrame b = defense->alloc(AllocIntent::UserData, 2);
+    Defense defense(DefenseKind::RipRh, *env.mapping, *env.vuln, env.frames());
+    PhysFrame a = defense.alloc(AllocIntent::UserData, 1);
+    PhysFrame b = defense.alloc(AllocIntent::UserData, 2);
     // Frames from distinct partitions are far apart.
     std::uint64_t distance = a > b ? a - b : b - a;
     EXPECT_GT(distance, 256u);
@@ -180,27 +171,25 @@ TEST(RipRhDefense, KernelNotProtected)
 {
     // RIP-RH segregates users only; page tables share the kernel pool.
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::RipRh, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
-    PhysFrame pt = defense->alloc(AllocIntent::PageTableL1, 1);
-    PhysFrame kd = defense->alloc(AllocIntent::KernelData, 2);
-    EXPECT_TRUE(defense->frameAllowed(AllocIntent::KernelData, pt));
-    EXPECT_TRUE(defense->frameAllowed(AllocIntent::PageTableL1, kd));
-    EXPECT_LT(pt, defense->zoneFrames(AllocIntent::KernelData) + 256);
+    Defense defense(DefenseKind::RipRh, *env.mapping, *env.vuln, env.frames());
+    PhysFrame pt = defense.alloc(AllocIntent::PageTableL1, 1);
+    PhysFrame kd = defense.alloc(AllocIntent::KernelData, 2);
+    EXPECT_TRUE(defense.frameAllowed(AllocIntent::KernelData, pt));
+    EXPECT_TRUE(defense.frameAllowed(AllocIntent::PageTableL1, kd));
+    EXPECT_LT(pt, defense.zoneFrames(AllocIntent::KernelData) + 256);
 }
 
 TEST(CtaDefense, L1ptsLiveAboveEveryUserFrame)
 {
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::Cta, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
+    Defense defense(DefenseKind::Cta, *env.mapping, *env.vuln, env.frames());
     PhysFrame maxUser = 0;
     PhysFrame minPt = ~0ull;
     for (int i = 0; i < 2000; ++i) {
         maxUser = std::max(maxUser,
-                           defense->alloc(AllocIntent::UserData, 0));
+                           defense.alloc(AllocIntent::UserData, 0));
         minPt = std::min(minPt,
-                         defense->alloc(AllocIntent::PageTableL1, 0));
+                         defense.alloc(AllocIntent::PageTableL1, 0));
     }
     EXPECT_GT(minPt, maxUser);
 }
@@ -208,10 +197,9 @@ TEST(CtaDefense, L1ptsLiveAboveEveryUserFrame)
 TEST(CtaDefense, L1ptRowsContainOnlyTrueCells)
 {
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::Cta, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
+    Defense defense(DefenseKind::Cta, *env.mapping, *env.vuln, env.frames());
     for (int i = 0; i < 2000; ++i) {
-        PhysFrame f = defense->alloc(AllocIntent::PageTableL1, 0);
+        PhysFrame f = defense.alloc(AllocIntent::PageTableL1, 0);
         DramLocation loc = env.mapping->decompose(f << kPageShift);
         EXPECT_TRUE(env.vuln->rowHasOnlyTrueCells(loc.bank, loc.row))
             << "frame " << f << " row has anti cells";
@@ -223,11 +211,10 @@ TEST(CtaDefense, TrueCellFlipCannotReachPtZone)
     // The CTA security argument: clearing any PFN bit of an entry that
     // points below the PT zone keeps it below the PT zone.
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::Cta, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
-    PhysFrame pt = defense->alloc(AllocIntent::PageTableL1, 0);
+    Defense defense(DefenseKind::Cta, *env.mapping, *env.vuln, env.frames());
+    PhysFrame pt = defense.alloc(AllocIntent::PageTableL1, 0);
     for (int i = 0; i < 500; ++i) {
-        PhysFrame user = defense->alloc(AllocIntent::UserData, 0);
+        PhysFrame user = defense.alloc(AllocIntent::UserData, 0);
         for (unsigned bitPos = 0; bitPos < 21; ++bitPos) {
             PhysFrame flipped = user & ~(1ull << bitPos);  // 1 -> 0 only
             EXPECT_LT(flipped, pt);
@@ -238,10 +225,9 @@ TEST(CtaDefense, TrueCellFlipCannotReachPtZone)
 TEST(ZebRamDefense, OnlyEvenRowsAllocated)
 {
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::ZebRam, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
+    Defense defense(DefenseKind::ZebRam, *env.mapping, *env.vuln, env.frames());
     for (int i = 0; i < 2000; ++i) {
-        PhysFrame f = defense->alloc(AllocIntent::UserData, 0);
+        PhysFrame f = defense.alloc(AllocIntent::UserData, 0);
         EXPECT_EQ(env.mapping->decompose(f << kPageShift).row % 2, 0u);
     }
 }
@@ -251,17 +237,16 @@ TEST(ZebRamDefense, NeighboursOfDataRowsHoldNoData)
     // The zebra property: rows adjacent to any allocated row are never
     // allocatable.
     DefenseEnv env;
-    auto defense = Defense::create(DefenseKind::ZebRam, *env.mapping,
-                                   *env.vuln, env.frames(), 1);
-    PhysFrame f = defense->alloc(AllocIntent::PageTableL1, 0);
+    Defense defense(DefenseKind::ZebRam, *env.mapping, *env.vuln, env.frames());
+    PhysFrame f = defense.alloc(AllocIntent::PageTableL1, 0);
     DramLocation loc = env.mapping->decompose(f << kPageShift);
     for (long long delta : {-1ll, 1ll}) {
         DramLocation neighbour = loc;
         neighbour.row = loc.row + static_cast<std::uint64_t>(delta);
         PhysFrame nf =
             env.mapping->compose(neighbour) >> kPageShift;
-        EXPECT_FALSE(defense->frameAllowed(AllocIntent::UserData, nf));
-        EXPECT_FALSE(defense->frameAllowed(AllocIntent::PageTableL1, nf));
+        EXPECT_FALSE(defense.frameAllowed(AllocIntent::UserData, nf));
+        EXPECT_FALSE(defense.frameAllowed(AllocIntent::PageTableL1, nf));
     }
 }
 

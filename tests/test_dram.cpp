@@ -392,6 +392,101 @@ struct FlipModelFixture : public DramFixture
     }
 };
 
+/**
+ * Per-model pin: one scenario whose flips tell the four models apart,
+ * so each model's own path is pinned (the DDR3 pin above cannot see
+ * the others). It hammers many-sided (more aggressors than TRR tracker
+ * entries, which the sampler cannot see), double-sided (which TRR
+ * suppresses), and far-only at row +- 2 (which only Distance2 turns
+ * into flips two rows away), in bulk and in detail, over codewords
+ * wide enough to hold two weak cells so ECC surfaces some flips. Every
+ * FlipEvent and the device's stateHash are folded in.
+ */
+TEST_F(FlipModelFixture, EveryModelPinnedOnItsOwnPath)
+{
+    struct Pin
+    {
+        FlipModelKind kind;
+        std::uint64_t flips;
+        std::uint64_t digest;
+    };
+    const Pin kPins[] = {
+        {FlipModelKind::Ddr3Seeded, 320, 0x7b198e9c19978ee5ull},
+        {FlipModelKind::Trr, 117, 0x33fd1b6a91947b59ull},
+        {FlipModelKind::Distance2, 347, 0x54865ad4fdb2247aull},
+        {FlipModelKind::Ecc, 42, 0x71dc5869407f0103ull},
+    };
+
+    disturbance.weakRowProbability = 0.25;
+    disturbance.eccCodewordBytes = 1024;
+    std::vector<std::uint64_t> digests;
+    for (const Pin &pin : kPins) {
+        install(pin.kind);
+        std::uint64_t h = 0xf11bd1ff;
+        auto fold = [&h](const std::vector<FlipEvent> &flips) {
+            for (const FlipEvent &f : flips) {
+                h = hashCombine(h, f.address, f.bitInByte, f.wasOne);
+                h = hashCombine(h, f.bank, f.row);
+            }
+        };
+        // Odd banks hold ones, so their true cells can discharge.
+        auto fill = [this](unsigned bank, std::uint64_t lo,
+                           std::uint64_t hi) {
+            if (bank & 1)
+                for (std::uint64_t row = lo; row < hi; ++row)
+                    for (PhysFrame f :
+                         dram->mapping().framesInRow(bank, row))
+                        mem->fillFramePattern(f, 0xffffffffffffffffull);
+        };
+
+        for (unsigned bank = 0; bank < 6; ++bank) {
+            fill(bank, 0, 400);
+            // Many-sided: six aggressors, every second row.
+            for (std::uint64_t base = 2; base + 12 < 200; base += 12)
+                fold(dram->hammerBulk(
+                    bank,
+                    {base, base + 2, base + 4, base + 6, base + 8,
+                     base + 10},
+                    600 + base % 100, 1));
+            // Double-sided.
+            for (std::uint64_t victim = 201; victim + 1 < 300; victim += 3)
+                fold(dram->hammerBulk(bank, {victim - 1, victim + 1},
+                                      1100 + victim % 150, 1));
+            // Far-only: aggressors two rows either side of the victim,
+            // hard enough that Distance2 also flips rows four away.
+            for (std::uint64_t victim = 304; victim + 4 < 400;
+                 victim += 9)
+                fold(dram->hammerBulk(bank, {victim - 2, victim + 2},
+                                      4000 + victim % 800, 1));
+        }
+
+        // Detailed, inside one refresh window: five-sided in bank 7,
+        // double-sided in bank 9, far-only in bank 11.
+        fill(7, 595, 615);
+        fill(9, 695, 710);
+        fill(11, 795, 810);
+        Cycles now = 0;
+        for (unsigned round = 0; round < 2400; ++round) {
+            for (std::uint64_t row : {600, 602, 604, 606, 608})
+                dram->access(addrOf(7, row), now++);
+            for (std::uint64_t row : {700, 702})
+                dram->access(addrOf(9, row), now++);
+            for (std::uint64_t row : {800, 804})
+                dram->access(addrOf(11, row), now++);
+        }
+        ASSERT_LT(now, disturbance.refreshWindowCycles);
+        fold(dram->drainFlips());
+
+        h = hashCombine(h, dram->totalFlips(), dram->stateHash());
+        EXPECT_EQ(dram->totalFlips(), pin.flips) << dram->flipModel().name();
+        EXPECT_EQ(h, pin.digest) << dram->flipModel().name();
+        EXPECT_GT(dram->totalFlips(), 0u) << dram->flipModel().name();
+        digests.push_back(h);
+    }
+    std::sort(digests.begin(), digests.end());
+    EXPECT_EQ(std::unique(digests.begin(), digests.end()), digests.end());
+}
+
 TEST_F(FlipModelFixture, TrrSuppressesDoubleSidedBulk)
 {
     // The same double-sided pattern that flips under DDR3...

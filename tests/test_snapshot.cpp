@@ -2,8 +2,8 @@
  * @file
  * Machine snapshot/fork contract tests. The hard contract: a run on a
  * machine forked from a snapshot is byte-identical to the same run on
- * a cold-constructed machine — across DRAM flip models, machine
- * presets, clone-of-clone chains, and the campaign's warm/cold
+ * a cold-constructed machine — across defenses and DRAM flip models,
+ * machine presets, clone-of-clone chains, and the campaign's warm/cold
  * execution modes (serial and threaded). Also audits that every
  * counter (cache hits/misses, LLC misses, perf counters, kernel
  * bookkeeping) restores to its captured value.
@@ -52,27 +52,96 @@ const FlipModelKind kAllModels[] = {
     FlipModelKind::Ddr3Seeded, FlipModelKind::Trr,
     FlipModelKind::Distance2, FlipModelKind::Ecc};
 
+const DefenseKind kAllDefenses[] = {
+    DefenseKind::None, DefenseKind::Catt, DefenseKind::RipRh,
+    DefenseKind::Cta, DefenseKind::ZebRam};
+
 TEST(MachineSnapshot, ForkMatchesColdConstructionEveryDramModel)
 {
-    for (FlipModelKind kind : kAllModels) {
+    for (DefenseKind defense : kAllDefenses) {
+        for (FlipModelKind kind : kAllModels) {
+            MachineConfig config = MachineConfig::testSmall();
+            config.withDramModel(kind);
+            config.defense = defense;
+            const std::string what = defenseKindName(defense) + "/" +
+                                     flipModelKindName(kind);
+
+            Machine original(config);
+            MachineSnapshot snap = original.snapshot();
+            std::unique_ptr<Machine> forked = snap.instantiate();
+            Machine cold(config);
+
+            // Construction is deterministic, so a fork of a just-built
+            // machine must land exactly where a cold build does.
+            ASSERT_EQ(forked->stateFingerprint(), cold.stateFingerprint())
+                << what;
+
+            // And the fork replays identically from there on.
+            drive(*forked, 1);
+            drive(cold, 1);
+            EXPECT_EQ(forked->stateFingerprint(), cold.stateFingerprint())
+                << what;
+        }
+    }
+}
+
+/**
+ * A workload that reaches every defense's own allocator state: two
+ * processes in distinct RIP-RH partitions, an L1PT frame freed and
+ * handed out again (CTA's and ZebRAM's recycled-frame lists), and,
+ * under CATT, the kernel zone exhausted so kernel frames fall back to
+ * the user zone.
+ */
+void
+defenseWorkload(Machine &m, std::uint32_t salt)
+{
+    Kernel &kernel = m.kernel();
+    Process &a = kernel.createProcess(1000 + salt);
+    m.cpu().setProcess(a);
+    kernel.mmapAnon(a, kVa, 16 * kPageBytes);
+
+    Defense &defense = kernel.defense();
+    PhysFrame pt = defense.alloc(AllocIntent::PageTableL1, a.pid());
+    defense.free(pt, AllocIntent::PageTableL1, a.pid());
+    if (defense.name() == "CATT")
+        kernel.exhaustKernelZone(1.0);
+
+    Process &b = kernel.createProcess(2000 + salt);
+    kernel.mmapAnon(b, kVa, 16 * kPageBytes);
+    Rng rng(0xdef + salt);
+    for (int i = 0; i < 100; ++i)
+        m.cpu().access(kVa + rng.below(16) * kPageBytes + rng.below(64) * 64);
+}
+
+TEST(MachineSnapshot, DefenseStatePinnedThroughFork)
+{
+    // Fingerprints after defenseWorkload(m, 0) on TestSmall, one per
+    // DefenseKind in kAllDefenses order.
+    const std::uint64_t kPinned[] = {
+        0xac251323dfed8e28ull,  // None
+        0xaddd102467852539ull,  // CATT
+        0x063b379426ab9daaull,  // RIP-RH
+        0x5e4a8d37b9b3d136ull,  // CTA
+        0x3ae815d359be60b3ull,  // ZebRAM
+    };
+    std::size_t i = 0;
+    for (DefenseKind defense : kAllDefenses) {
         MachineConfig config = MachineConfig::testSmall();
-        config.withDramModel(kind);
-
+        config.defense = defense;
         Machine original(config);
-        MachineSnapshot snap = original.snapshot();
-        std::unique_ptr<Machine> forked = snap.instantiate();
-        Machine cold(config);
+        defenseWorkload(original, 0);
+        EXPECT_EQ(original.stateFingerprint(), kPinned[i++])
+            << defenseKindName(defense);
 
-        // Construction is deterministic, so a fork of a just-built
-        // machine must land exactly where a cold build does.
-        ASSERT_EQ(forked->stateFingerprint(), cold.stateFingerprint())
-            << "model " << static_cast<int>(kind);
-
-        // And the fork replays identically from there on.
-        drive(*forked, 1);
-        drive(cold, 1);
-        EXPECT_EQ(forked->stateFingerprint(), cold.stateFingerprint())
-            << "model " << static_cast<int>(kind);
+        // A fork of the worked machine carries every pool, cursor,
+        // recycled frame and fallback flag: it replays in lockstep.
+        std::unique_ptr<Machine> forked = original.clone();
+        ASSERT_EQ(forked->stateFingerprint(), original.stateFingerprint())
+            << defenseKindName(defense);
+        defenseWorkload(original, 1);
+        defenseWorkload(*forked, 1);
+        EXPECT_EQ(forked->stateFingerprint(), original.stateFingerprint())
+            << defenseKindName(defense);
     }
 }
 
