@@ -76,7 +76,7 @@ driveBody(Machine &machine, const AttackConfig &attack, RunResult &res)
         static_cast<double>(machine.caches().llcMisses()));
     res.metrics.emplace_back(
         "page_walks",
-        static_cast<double>(machine.mmu().counters().pageWalks));
+        static_cast<double>(machine.mmu().walker().walks()));
     // 32-bit slice of the full machine-state digest: metrics travel
     // as doubles, which hold 53 bits exactly.
     res.metrics.emplace_back(

@@ -26,11 +26,16 @@
  * --workers N, sharded) and CI pins the --tiny report against
  * bench/baselines/multicore_hammer.json via `campaign compare`.
  *
- * Standard bench flags plus --tiny. The DRAM model is this bench's
- * sweep axis, so --dram-model is rejected here.
+ * Standard bench flags plus three of its own: --tiny, --harts N (the
+ * top of the hart sweep, default 4) and --interleave M[:SEED] (the
+ * per-hart stream merge order: round-robin/rr, the default, or
+ * seeded/random with an optional seed). No other bench reads --harts
+ * or --interleave, so they are parsed here. The DRAM model is this
+ * bench's sweep axis, so --dram-model is rejected here.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -62,21 +67,65 @@ metric(const RunResult &run, const char *name)
 int
 main(int argc, char **argv)
 {
+    // This bench's own flags; BenchCli parses the rest, and shard
+    // workers get these back through passthrough. --harts is the top
+    // of the hart sweep (default 4, also for --harts 1); {1, 2} below
+    // it provide the single-hart reference and the scaling midpoint.
     bool tiny = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (i > 0 && !std::strcmp(argv[i], "--tiny"))
-            tiny = true;
-        else
-            args.push_back(argv[i]);
-    }
+    unsigned topHarts = 4;
+    InterleaveMode interleave = InterleaveMode::RoundRobin;
+    std::uint64_t interleaveSeed = 0;
+    std::vector<char *> args{argv[0]};
     std::vector<std::string> passthrough;
-    if (tiny)
-        passthrough.push_back("--tiny");
+    for (int i = 1; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--tiny")) {
+            tiny = true;
+            passthrough.push_back("--tiny");
+            continue;
+        }
+        if (const char *value =
+                BenchCli::flagValue(argc, argv, i, "--harts")) {
+            const unsigned harts =
+                BenchCli::countOrExit(argv[0], "--harts", value);
+            if (harts == 0) {
+                std::fprintf(stderr,
+                             "%s: bad --harts '%s' (need a positive"
+                             " count)\n",
+                             argv[0], value);
+                return 2;
+            }
+            topHarts = harts > 1 ? harts : 4;
+            passthrough.push_back(std::string("--harts=") + value);
+            continue;
+        }
+        if (const char *value =
+                BenchCli::flagValue(argc, argv, i, "--interleave")) {
+            std::string mode = value;
+            const std::size_t colon = mode.find(':');
+            if (colon != std::string::npos) {
+                interleaveSeed = std::strtoull(mode.c_str() + colon + 1,
+                                               nullptr, 10);
+                mode.resize(colon);
+            }
+            if (!parseInterleaveMode(mode.c_str(), interleave)) {
+                std::fprintf(stderr,
+                             "%s: unknown interleave mode '%s' (use"
+                             " round-robin/rr or seeded/random,"
+                             " optionally :SEED)\n",
+                             argv[0], mode.c_str());
+                return 2;
+            }
+            passthrough.push_back(std::string("--interleave=") + value);
+            continue;
+        }
+        args.push_back(argv[i]);
+    }
     BenchCli cli = BenchCli::parse(
         static_cast<int>(args.size()), args.data(),
         "multi-hart interleaved hammering: TRR defeat and"
-        " noisy-neighbor latency (--tiny for the CI scale)",
+        " noisy-neighbor latency (--tiny for the CI scale, --harts N"
+        " tops the hart sweep, --interleave M[:SEED] merges the hart"
+        " streams)",
         passthrough);
     if (cli.dramModel != FlipModelKind::Ddr3Seeded) {
         std::fprintf(stderr,
@@ -86,14 +135,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // --harts is the top of the hart sweep (default 4); {1, 2} below
-    // it provide the single-hart reference and the scaling midpoint.
-    const unsigned topHarts = cli.harts > 1 ? cli.harts : 4;
-
     RunSpec base;
     base.strategy = HammerStrategy::MultiHart;
-    base.interleave = cli.interleave;
-    base.interleaveSeed = cli.interleaveSeed;
+    base.interleave = interleave;
+    base.interleaveSeed = interleaveSeed;
     base.attack.poolBuild = cli.pool;
     if (tiny) {
         base.preset = MachinePreset::TestSmall;

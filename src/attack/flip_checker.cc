@@ -21,10 +21,8 @@ FlipChecker::check()
     for (const FlipEvent &flip : m.dram().drainFlips()) {
         PhysFrame frame = flip.address >> kPageShift;
         std::uint64_t region = sprayer.regionOfPtFrame(frame);
-        if (region == ~0ull) {
-            ++invisible;  // landed outside our L1PTs: we cannot see it
-            continue;
-        }
+        if (region == ~0ull)
+            continue;  // landed outside our L1PTs: we cannot see it
         std::uint64_t pteIndex =
             (flip.address & (kPageBytes - 1)) / kPteBytes;
         VirtAddr va = sprayer.regionBase(region) + pteIndex * kPageBytes;
@@ -37,8 +35,6 @@ FlipChecker::check()
         bool mapped = m.cpu().readUser64(va, value);
         if (!mapped || value != sprayer.expectedMarker(region))
             findings.push_back({va, region});
-        else
-            ++invisible;
     }
 
     // The scan itself trashed the caches and TLB.

@@ -46,14 +46,10 @@ class FlipChecker
      */
     std::vector<FlipFinding> check();
 
-    /** Flips that landed outside attacker-visible L1PTEs so far. */
-    std::uint64_t invisibleFlips() const { return invisible; }
-
   private:
     Machine &m;
     const AttackConfig &cfg;
     SprayManager &sprayer;
-    std::uint64_t invisible = 0;
 };
 
 } // namespace pth

@@ -76,6 +76,10 @@ ImplicitHammer::runBatch(std::span<const HammerPair> pairs,
         fatal("hammerWarmupIterations is 0: no measured iteration cost"
               " to extrapolate %llu hammer iterations from",
               static_cast<unsigned long long>(iterationsPerHart));
+    if (victims > 0 && cfg.victimTrafficPages == 0)
+        fatal("victimTrafficPages is 0: %u victim hart(s) have no"
+              " pages to draw their accesses from",
+              victims);
 
     HammerRunResult res;
     res.aggressors = aggressors;

@@ -40,6 +40,9 @@ SprayManager::regionOfPtFrame(PhysFrame frame) const
 Cycles
 SprayManager::spray()
 {
+    if (cfg.userSharedFrames == 0)
+        fatal("userSharedFrames is 0: the spray has no user frame to"
+              " map its regions over");
     Cycles start = m.clock().now();
     Process &proc = m.cpu().process();
 

@@ -68,9 +68,6 @@ class TlbEvictionTool
      * one buffer, so a call allocates nothing once it has grown. */
     void evictNow(VirtAddr target, unsigned size);
 
-    /** Number of sTLB sets covered. */
-    std::uint64_t coveredSets() const { return l2Sets; }
-
     /** Default working size (minimal size + configured margin). */
     unsigned workingSetSize() const { return workingSize; }
 

@@ -21,14 +21,16 @@ CacheHierarchy::CacheHierarchy(const CacheHierarchyConfig &config,
 
 CacheHierarchy::CacheHierarchy(const CacheHierarchy &other, Dram &dram_)
     : l1Caches(other.l1Caches), l2Cache(other.l2Cache),
-      llcCache(other.llcCache), dram(dram_), nLlcMisses(other.nLlcMisses)
+      llcCache(other.llcCache), dram(dram_)
 {
 }
 
 std::uint64_t
 CacheHierarchy::stateHash() const
 {
-    std::uint64_t h = hashCombine(nLlcMisses, l1Caches[0].stateHash());
+    // The LLC's miss count leads: the layout every pinned fingerprint
+    // folds.
+    std::uint64_t h = hashCombine(llcCache.misses(), l1Caches[0].stateHash());
     h = hashCombine(h, l2Cache.stateHash(), llcCache.stateHash());
     // Extra harts' private L1s fold in after the single-hart digest so
     // a harts=1 hierarchy hashes byte-identically to the pre-multi-hart
@@ -65,7 +67,6 @@ CacheHierarchy::access(PhysAddr pa, Cycles now, unsigned hart)
     }
 
     // LLC miss: go to memory.
-    ++nLlcMisses;
     DramAccessResult dramResult = dram.access(pa, now);
     result.latency += dramResult.latency;
     result.servedBy = ServedBy::Dram;

@@ -8,7 +8,9 @@
  * paper). With more than one hart, each hart owns a private L1 while
  * L2/LLC are shared, so one hart's evictions are visible to every
  * other hart at those levels — the coupling multi-hart interleaved
- * hammering and noisy-neighbor scenarios exercise.
+ * hammering and noisy-neighbor scenarios exercise. Each level counts
+ * its own hits and misses. The hierarchy is the LLC's only caller, so
+ * the LLC's miss count is the longest_lat_cache.miss event.
  */
 
 #ifndef PTH_CACHE_CACHE_HIERARCHY_HH
@@ -47,8 +49,8 @@ class CacheHierarchy
                    unsigned harts = 1);
 
     /** Deep copy rewired to a new Dram (Machine snapshot/fork): all
-     * levels (every hart's L1), replacement state, and the LLC-miss
-     * counter. */
+     * levels (every hart's L1) with their replacement state and
+     * counters. */
     CacheHierarchy(const CacheHierarchy &other, Dram &dram);
 
     /**
@@ -84,12 +86,12 @@ class CacheHierarchy
     }
 
     /** LLC misses observed (the longest_lat_cache.miss PMC event). */
-    std::uint64_t llcMisses() const { return nLlcMisses; }
+    std::uint64_t llcMisses() const { return llcCache.misses(); }
 
     /** Drop all cached lines (context-switch-free full flush). */
     void flushAll();
 
-    /** Digest of all levels plus the LLC-miss counter (snapshot
+    /** Digest of all levels, the LLC's miss count first (snapshot
      * audits). Extra harts' L1s are folded after the single-hart
      * digest, so a harts=1 hierarchy hashes byte-identically to the
      * pre-multi-hart code. */
@@ -100,7 +102,6 @@ class CacheHierarchy
     Cache l2Cache;
     Cache llcCache;
     Dram &dram;
-    std::uint64_t nLlcMisses = 0;
 };
 
 } // namespace pth

@@ -103,6 +103,12 @@ class ReplacementPolicy
      */
     std::uint64_t stateHash() const;
 
+    /** Lru: the last stamp handed out, and the stamp of one slot
+     * (set * ways + way), for owners that digest them in their own
+     * layout. */
+    std::uint64_t lruTick() const { return tick; }
+    std::uint64_t lruStamp(std::uint64_t slot) const { return stamps[slot]; }
+
   private:
     static constexpr std::uint8_t touchAge = 4;
     static constexpr std::uint8_t insertAge = 1;

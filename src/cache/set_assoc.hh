@@ -108,6 +108,9 @@ class SetAssocArray
     /** Digest of the replacement state (ReplacementPolicy::stateHash). */
     std::uint64_t policyHash() const { return policy.stateHash(); }
 
+    /** The replacement state itself, read-only. */
+    const ReplacementPolicy &replacement() const { return policy; }
+
   private:
     static constexpr std::uint64_t kValid = 1ull << 63;
 

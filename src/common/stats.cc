@@ -71,12 +71,6 @@ Histogram::sample(double value)
 }
 
 double
-Histogram::bucketLo(unsigned i) const
-{
-    return lo + width * i;
-}
-
-double
 Histogram::fractionBelow(double value) const
 {
     if (!n)

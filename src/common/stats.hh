@@ -70,9 +70,6 @@ class Histogram
     /** Count in bucket i. */
     std::uint64_t bucketCount(unsigned i) const { return counts.at(i); }
 
-    /** Inclusive lower edge of bucket i. */
-    double bucketLo(unsigned i) const;
-
     /** Number of buckets. */
     unsigned buckets() const { return static_cast<unsigned>(counts.size()); }
 

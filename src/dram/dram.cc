@@ -139,18 +139,4 @@ Dram::drainFlips()
     return out;
 }
 
-void
-Dram::reset()
-{
-    for (BankState &bank : bankState) {
-        bank.open = false;
-        bank.openRow = 0;
-    }
-    model.reset();
-    pendingFlips.clear();
-    activations = 0;
-    rowHits = 0;
-    flipsInjected = 0;
-}
-
 } // namespace pth

@@ -121,14 +121,6 @@ class Dram
      * counters — for snapshot audits (Machine::stateFingerprint). */
     std::uint64_t stateHash() const;
 
-    /**
-     * Reset the device between experiments: close row buffers, forget
-     * the flip model's accounting state, drop pending flip events and
-     * zero the lifetime counters, so nothing from before the reset is
-     * drained into (or attributed to) the next experiment.
-     */
-    void reset();
-
   private:
     struct BankState
     {

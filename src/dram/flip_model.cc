@@ -304,22 +304,6 @@ FlipModel::sample(unsigned bank, std::uint64_t row, std::uint64_t epoch)
     return false;
 }
 
-void
-FlipModel::reset()
-{
-    // The per-kind containers are empty for the other kinds.
-    for (auto &acts : bankActs)
-        acts.clear();
-    for (BankTracker &tracker : trackers) {
-        tracker.epoch = 0;
-        tracker.entries.clear();
-    }
-    for (auto &bank : refreshed)
-        bank.clear();
-    for (auto &bank : words)
-        bank.clear();
-}
-
 std::uint64_t
 FlipModel::stateHash() const
 {

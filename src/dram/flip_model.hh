@@ -115,9 +115,6 @@ class FlipModel
                        const WeakCell &cell,
                        std::vector<Injection> &inject);
 
-    /** Forget all accounting state (device reset between experiments). */
-    void reset();
-
     /**
      * Digest of the mutable accounting state — the per-window
      * activation counters plus TRR's trackers and refresh baselines or

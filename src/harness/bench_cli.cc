@@ -28,8 +28,7 @@ usage(const char *prog, const char *summary)
         "usage: %s [--json[=PATH]] [--journal PATH] [--fresh]\n"
         "       %*s [--threads N] [--shard I/N] [--workers N]\n"
         "       %*s [--pool-algo A] [--pool-threads N]\n"
-        "       %*s [--dram-model M] [--cold-machines]\n"
-        "       %*s [--harts N] [--interleave M[:SEED]]\n\n"
+        "       %*s [--dram-model M] [--cold-machines]\n\n"
         "  --json[=PATH]   dump the raw campaign JSON report after\n"
         "                  the table (stdout, or clean to PATH)\n"
         "  --journal PATH  checkpoint completed runs to the JSONL\n"
@@ -61,14 +60,8 @@ usage(const char *prog, const char *summary)
         "                  machine configuration from one warm\n"
         "                  snapshot (results are identical either\n"
         "                  way; this trades setup time for isolation)\n"
-        "  --harts N       harts per machine for multi-hart benches\n"
-        "                  (default 1: exact single-hart replay)\n"
-        "  --interleave M[:SEED]  multi-hart stream merge order:\n"
-        "                  round-robin (rr, default) or seeded\n"
-        "                  (random), with an optional seed\n"
         "  --help          this text\n",
         prog, static_cast<int>(std::strlen(prog)), "",
-        static_cast<int>(std::strlen(prog)), "",
         static_cast<int>(std::strlen(prog)), "",
         static_cast<int>(std::strlen(prog)), "");
 }
@@ -229,38 +222,6 @@ BenchCli::parse(int argc, char **argv, const char *summary,
             }
             cli.forwardArgs.push_back(
                 std::string("--dram-model=") + value);
-            continue;
-        }
-        if (const char *value = flagValue(argc, argv, i, "--harts")) {
-            if (!parseCount(value, cli.harts) || cli.harts == 0) {
-                std::fprintf(stderr,
-                             "%s: bad --harts '%s' (need a positive"
-                             " count)\n",
-                             argv[0], value);
-                std::exit(2);
-            }
-            cli.forwardArgs.push_back(std::string("--harts=") + value);
-            continue;
-        }
-        if (const char *value =
-                flagValue(argc, argv, i, "--interleave")) {
-            std::string mode = value;
-            const std::size_t colon = mode.find(':');
-            if (colon != std::string::npos) {
-                cli.interleaveSeed = std::strtoull(
-                    mode.c_str() + colon + 1, nullptr, 10);
-                mode.resize(colon);
-            }
-            if (!parseInterleaveMode(mode.c_str(), cli.interleave)) {
-                std::fprintf(stderr,
-                             "%s: unknown interleave mode '%s' (use"
-                             " round-robin/rr or seeded/random,"
-                             " optionally :SEED)\n",
-                             argv[0], mode.c_str());
-                std::exit(2);
-            }
-            cli.forwardArgs.push_back(std::string("--interleave=") +
-                                      value);
             continue;
         }
         std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],

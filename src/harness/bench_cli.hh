@@ -28,12 +28,6 @@
  *                   ddr3 (the seeded default), trr (DDR4-style
  *                   target-row-refresh), distance2 (half-double) or
  *                   ecc (single-error-correcting DIMMs)
- *   --harts N       harts every run's machine hosts (default 1; the
- *                   single-hart configuration replays exactly like
- *                   builds that predate the flag)
- *   --interleave M[:SEED]  multi-hart stream interleaving:
- *                   round-robin (rr, the default) or seeded
- *                   (random), optionally with the Seeded mode's seed
  *   --cold-machines disable machine snapshot sharing
  *                   (CampaignOptions::reuseMachines): every run
  *                   cold-constructs its machine; reports are
@@ -42,10 +36,12 @@
  *
  * Defaults: threads from PTH_THREADS (all cores when unset or empty),
  * no journal, no JSON, no sharding. Counts (--threads, --workers,
- * --pool-threads, --harts, PTH_THREADS) must be whole decimals that
- * fit an unsigned. parse() exits the process on --help (status 0) and
- * on unknown or invalid arguments (status 2), so benches stay
- * one-liners.
+ * --pool-threads, PTH_THREADS) must be whole decimals that fit an
+ * unsigned. parse() exits the process on --help (status 0) and on
+ * unknown or invalid arguments (status 2), so benches stay
+ * one-liners. A flag only one bench reads is that bench's own: it
+ * parses it before parse() and hands it back through passthrough
+ * (bench_multicore_hammer's --tiny, --harts and --interleave).
  *
  * Sharded dispatch runs through runCampaign(), which every bench
  * calls in place of Campaign::run:
@@ -94,12 +90,6 @@ struct BenchCli
     /** DRAM flip model (--dram-model); benches copy this into every
      * RunSpec so the whole sweep runs the selected scenario. */
     FlipModelKind dramModel = FlipModelKind::Ddr3Seeded;
-
-    /** Machine topology and interleaving (--harts / --interleave);
-     * multi-hart benches copy these into every RunSpec. */
-    unsigned harts = 1;
-    InterleaveMode interleave = InterleaveMode::RoundRobin;
-    std::uint64_t interleaveSeed = 0;
 
     /** Filled by runCampaign() in --workers parent mode: how many
      * shards died for good (their runs also surface as failed runs

@@ -12,9 +12,9 @@ KernelModule::KernelModule(Machine &machine) : m(machine)
 std::uint64_t
 KernelModule::readPmc(PmcEvent event) const
 {
-    if (event == PmcEvent::LongestLatCacheMiss)
-        return m.caches().llcMisses();
-    return m.mmu().counters().read(event);
+    if (event == PmcEvent::DtlbLoadMissesWalk)
+        return m.mmu().walker().walks();
+    return m.caches().llcMisses();
 }
 
 std::optional<PhysAddr>

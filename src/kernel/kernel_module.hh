@@ -31,7 +31,7 @@ class KernelModule
   public:
     explicit KernelModule(Machine &machine);
 
-    /** Read a PMC event (TLB-miss-walk, LLC-miss, ...). */
+    /** Read a PMC event: hart 0's page-table walks, or LLC misses. */
     std::uint64_t readPmc(PmcEvent event) const;
 
     /** Physical address of the L1PTE mapping va in proc. */

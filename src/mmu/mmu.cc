@@ -67,9 +67,7 @@ Mmu::translate(VirtAddr va, Cycles now)
         return result;
     }
 
-    // TLB miss: hardware walk.
-    ++pmc.dtlbLoadMissesWalk;
-    ++pmc.pageWalks;
+    // TLB miss: hardware walk (the walker counts it).
     result.causedWalk = true;
     result.latency = hit4k.latency;
 
@@ -103,8 +101,10 @@ Mmu::stateHash() const
     std::uint64_t h = hashCombine(cr3, tlbs.stateHash());
     h = hashCombine(h, pscs.stateHash());
     h = hashCombine(h, ptWalker.walks(), ptWalker.pdeCacheStarts());
-    h = hashCombine(h, pmc.dtlbLoadMissesWalk, pmc.llcMiss);
-    return hashCombine(h, pmc.pageWalks, pmc.tlbLookups);
+    // The walk count twice more and a zero: the layout every pinned
+    // fingerprint folds.
+    h = hashCombine(h, ptWalker.walks(), 0);
+    return hashCombine(h, ptWalker.walks(), pmc.tlbLookups);
 }
 
 } // namespace pth

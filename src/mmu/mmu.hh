@@ -47,8 +47,8 @@ class Mmu
         unsigned hart = 0);
 
     /** Deep copy rewired to the new machine's memory and caches
-     * (Machine snapshot/fork): TLBs, PSCs, walker counters, perf
-     * counters and CR3 all carry over. */
+     * (Machine snapshot/fork): TLBs, PSCs, walker counters, the
+     * lookup counter and CR3 all carry over. */
     Mmu(const Mmu &other, PhysicalMemory &memory, CacheHierarchy &caches);
 
     /** Install a new address space root (CR3 write: flushes TLB+PSC). */
@@ -68,11 +68,10 @@ class Mmu
 
     /** Structures, exposed for tests and the attack's set mapping. */
     TwoLevelTlb &tlb() { return tlbs; }
-    PagingStructureCaches &pagingCaches() { return pscs; }
     PageTableWalker &walker() { return ptWalker; }
     const PerfCounters &counters() const { return pmc; }
 
-    /** Digest of TLBs, PSCs, walker and perf counters, and CR3
+    /** Digest of TLBs, PSCs, walker and lookup counters, and CR3
      * (snapshot audits). */
     std::uint64_t stateHash() const;
 

@@ -1,8 +1,11 @@
 /**
  * @file
- * Performance-monitoring counters exposed to the evaluation-only
- * kernel module, mirroring the events the paper programs:
+ * The performance-monitoring events the evaluation-only kernel module
+ * reads, mirroring the two the paper programs:
  * dtlb_load_misses.miss_causes_a_walk and longest_lat_cache.miss.
+ * Each is counted once, where it happens: walks in PageTableWalker,
+ * LLC misses in the LLC's Cache. The MMU's own block keeps only the
+ * translation-request count.
  */
 
 #ifndef PTH_MMU_PERF_COUNTERS_HH
@@ -13,39 +16,17 @@
 namespace pth
 {
 
-/** PMC event identifiers. */
+/** PMC event identifiers (KernelModule::readPmc). */
 enum class PmcEvent
 {
     DtlbLoadMissesWalk,   //!< dtlb_load_misses.miss_causes_a_walk
     LongestLatCacheMiss,  //!< longest_lat_cache.miss (LLC misses)
-    PageWalks,            //!< total hardware walks
-    TlbLookups,           //!< translation requests
 };
 
-/** Simple monotonically increasing counter block. */
+/** The MMU's counter block. */
 struct PerfCounters
 {
-    std::uint64_t dtlbLoadMissesWalk = 0;
-    std::uint64_t llcMiss = 0;
-    std::uint64_t pageWalks = 0;
-    std::uint64_t tlbLookups = 0;
-
-    /** Read one event. */
-    std::uint64_t
-    read(PmcEvent event) const
-    {
-        switch (event) {
-          case PmcEvent::DtlbLoadMissesWalk:
-            return dtlbLoadMissesWalk;
-          case PmcEvent::LongestLatCacheMiss:
-            return llcMiss;
-          case PmcEvent::PageWalks:
-            return pageWalks;
-          case PmcEvent::TlbLookups:
-            return tlbLookups;
-        }
-        return 0;
-    }
+    std::uint64_t tlbLookups = 0;  //!< translation requests
 };
 
 } // namespace pth

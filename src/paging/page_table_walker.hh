@@ -59,7 +59,8 @@ class PageTableWalker
      */
     WalkResult walk(PhysFrame root, VirtAddr va, Cycles now);
 
-    /** Total walks performed. */
+    /** Total walks performed: the dtlb_load_misses.miss_causes_a_walk
+     * event, counted here only. */
     std::uint64_t walks() const { return nWalks; }
 
     /** Walks that started from a PDE-cache hit (PThammer's fast path). */

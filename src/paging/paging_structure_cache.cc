@@ -2,145 +2,53 @@
 
 #include "common/random.hh"
 
-#include "common/logging.hh"
-
 namespace pth
 {
 
 PagingStructureCache::PagingStructureCache(unsigned entries)
-    : capacity(entries), slots(entries)
+    : tags(1, entries, ReplacementKind::Lru, 0), frames(entries, 0)
 {
-    pth_assert(entries >= 1, "PSC needs at least one entry");
 }
 
-std::optional<PhysFrame>
-PagingStructureCache::lookup(std::uint64_t tag)
+std::uint64_t
+PagingStructureCache::stateHash() const
 {
-    for (Slot &slot : slots) {
-        if (slot.valid && slot.tag == tag) {
-            slot.stamp = ++tick;
-            return slot.frame;
-        }
+    const ReplacementPolicy &lru = tags.replacement();
+    std::uint64_t h = hashCombine(0x95c, lru.lruTick());
+    for (std::uint64_t i = 0; i < tags.size(); ++i) {
+        h = hashCombine(h, tags.valid(i), tags.key(i));
+        h = hashCombine(h, frames[i], lru.lruStamp(i));
     }
-    return std::nullopt;
-}
-
-bool
-PagingStructureCache::contains(std::uint64_t tag) const
-{
-    for (const Slot &slot : slots)
-        if (slot.valid && slot.tag == tag)
-            return true;
-    return false;
-}
-
-void
-PagingStructureCache::insert(std::uint64_t tag, PhysFrame frame)
-{
-    Slot *victim = nullptr;
-    for (Slot &slot : slots) {
-        if (slot.valid && slot.tag == tag) {
-            victim = &slot;
-            break;
-        }
-        if (!slot.valid && !victim)
-            victim = &slot;
-    }
-    if (!victim) {
-        victim = &slots[0];
-        for (Slot &slot : slots)
-            if (slot.stamp < victim->stamp)
-                victim = &slot;
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->frame = frame;
-    victim->stamp = ++tick;
-}
-
-void
-PagingStructureCache::flushAll()
-{
-    for (Slot &slot : slots)
-        slot.valid = false;
-}
-
-unsigned
-PagingStructureCache::validEntries() const
-{
-    unsigned count = 0;
-    for (const Slot &slot : slots)
-        if (slot.valid)
-            ++count;
-    return count;
+    return h;
 }
 
 PagingStructureCaches::PagingStructureCaches(const PscConfig &config)
-    : pml4Cache(config.pml4Entries), pdpteCache(config.pdpteEntries),
-      pdeCache(config.pdeEntries)
+    : caches{PagingStructureCache(config.pdeEntries),
+             PagingStructureCache(config.pdpteEntries),
+             PagingStructureCache(config.pml4Entries)}
 {
 }
 
 std::uint64_t
 PagingStructureCaches::tagFor(VirtAddr va, PtLevel level)
 {
-    switch (level) {
-      case PtLevel::Pml4e:
-        return va >> 39;
-      case PtLevel::Pdpte:
-        return va >> 30;
-      case PtLevel::Pde:
-        return va >> 21;
-      default:
-        panic("no paging-structure cache for level 1");
-    }
-}
-
-PagingStructureCache &
-PagingStructureCaches::level(PtLevel level)
-{
-    switch (level) {
-      case PtLevel::Pml4e:
-        return pml4Cache;
-      case PtLevel::Pdpte:
-        return pdpteCache;
-      case PtLevel::Pde:
-        return pdeCache;
-      default:
-        panic("no paging-structure cache for level 1");
-    }
-}
-
-const PagingStructureCache &
-PagingStructureCaches::level(PtLevel level) const
-{
-    return const_cast<PagingStructureCaches *>(this)->level(level);
+    // va >> (12 + 9 * (level - 1)): 21 bits at the PDE cache, 9 more
+    // per level up.
+    return va >> (21 + 9 * index(level));
 }
 
 void
 PagingStructureCaches::flushAll()
 {
-    pml4Cache.flushAll();
-    pdpteCache.flushAll();
-    pdeCache.flushAll();
-}
-
-std::uint64_t
-PagingStructureCache::stateHash() const
-{
-    std::uint64_t h = hashCombine(0x95c, tick);
-    for (const Slot &slot : slots) {
-        h = hashCombine(h, slot.valid, slot.tag);
-        h = hashCombine(h, slot.frame, slot.stamp);
-    }
-    return h;
+    for (PagingStructureCache &cache : caches)
+        cache.flushAll();
 }
 
 std::uint64_t
 PagingStructureCaches::stateHash() const
 {
-    std::uint64_t h = pml4Cache.stateHash();
-    return hashCombine(h, pdpteCache.stateHash(), pdeCache.stateHash());
+    return hashCombine(caches[2].stateHash(), caches[1].stateHash(),
+                       caches[0].stateHash());
 }
 
 } // namespace pth

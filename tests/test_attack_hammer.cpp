@@ -19,9 +19,18 @@ namespace pth
 namespace
 {
 
+MachineConfig
+testSmallWithHarts(unsigned harts)
+{
+    MachineConfig config = MachineConfig::testSmall();
+    config.harts = harts;
+    return config;
+}
+
 struct HammerEnv : public ::testing::Test
 {
-    HammerEnv() : machine(MachineConfig::testSmall())
+    explicit HammerEnv(unsigned harts = 1)
+        : machine(testSmallWithHarts(harts))
     {
         attack.superpages = true;
         attack.sprayBytes = 16ull << 20;
@@ -103,6 +112,38 @@ TEST_F(HammerEnvDeathTest, ZeroWarmupIsFatal)
     ImplicitHammer hammer(machine, noWarmup);
     EXPECT_EXIT(hammer.run(*pair, 1'000'000), testing::ExitedWithCode(1),
                 "hammerWarmupIterations is 0");
+}
+
+/** The spray maps its regions over userSharedFrames frames, so with
+ * none it must stop instead of dividing by zero. */
+TEST_F(HammerEnvDeathTest, ZeroUserSharedFramesIsFatal)
+{
+    AttackConfig noFrames = attack;
+    noFrames.userSharedFrames = 0;
+    SprayManager sprayer(machine, noFrames);
+    EXPECT_EXIT(sprayer.spray(), testing::ExitedWithCode(1),
+                "userSharedFrames is 0");
+}
+
+struct TwoHartHammerEnv : public HammerEnv
+{
+    TwoHartHammerEnv() : HammerEnv(2) {}
+};
+
+using TwoHartHammerEnvDeathTest = TwoHartHammerEnv;
+
+/** A victim hart draws its loads from victimTrafficPages pages, so a
+ * batch with a victim and no such pages must stop instead of dividing
+ * by zero. */
+TEST_F(TwoHartHammerEnvDeathTest, ZeroVictimTrafficPagesIsFatal)
+{
+    auto pair = pthammer->pairs().next();
+    ASSERT_TRUE(pair.has_value());
+    AttackConfig noTraffic = attack;
+    noTraffic.victimTrafficPages = 0;
+    ImplicitHammer hammer(machine, noTraffic);
+    EXPECT_EXIT(hammer.runBatch({&*pair, 1}, 1, 1'000'000),
+                testing::ExitedWithCode(1), "victimTrafficPages is 0");
 }
 
 TEST_F(HammerEnv, MeasureRoundsReturnsPlausibleTimings)

@@ -276,35 +276,6 @@ TEST_F(DramFixture, StateHashSeesFlipModelAccounting)
     EXPECT_EQ(dram->stateHash(), same.stateHash());
 }
 
-TEST_F(DramFixture, ResetClosesBanksAndClearsCounters)
-{
-    dram->access(addrOf(0, 5), 0);
-    dram->reset();
-    auto r = dram->access(addrOf(0, 5), 10);
-    EXPECT_EQ(r.latency, timing.rowClosed);
-}
-
-TEST_F(DramFixture, ResetClearsPendingFlipsAndCounters)
-{
-    // Regression: reset() used to leave pendingFlips and the lifetime
-    // counters intact, so flips from before a reset were drained into
-    // (and attributed to) the next experiment.
-    std::uint64_t victim = findRow(true);
-    dram->hammerBulk(0, {victim - 1, victim + 1},
-                     disturbance.thresholdMax + 1, 1);
-    dram->access(addrOf(0, 5), 0);
-    dram->access(addrOf(0, 5, 64), 10);
-    ASSERT_GT(dram->totalFlips(), 0u);
-    ASSERT_GT(dram->totalActivations(), 0u);
-    ASSERT_GT(dram->totalRowHits(), 0u);
-
-    dram->reset();
-    EXPECT_TRUE(dram->drainFlips().empty());
-    EXPECT_EQ(dram->totalFlips(), 0u);
-    EXPECT_EQ(dram->totalActivations(), 0u);
-    EXPECT_EQ(dram->totalRowHits(), 0u);
-}
-
 TEST_F(DramFixture, BulkHammerVictimsDeduped)
 {
     // Regression: a victim sandwiched between two aggressors was

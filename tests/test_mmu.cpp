@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/machine.hh"
+#include "kernel/kernel_module.hh"
 
 namespace pth
 {
@@ -29,11 +30,11 @@ struct MmuFixture : public ::testing::Test
 
 TEST_F(MmuFixture, ColdTranslationWalks)
 {
-    auto before = machine.mmu().counters().dtlbLoadMissesWalk;
+    auto before = machine.mmu().walker().walks();
     TranslateResult r = machine.mmu().translate(kVa, machine.clock().now());
     EXPECT_TRUE(r.ok);
     EXPECT_TRUE(r.causedWalk);
-    EXPECT_EQ(machine.mmu().counters().dtlbLoadMissesWalk, before + 1);
+    EXPECT_EQ(machine.mmu().walker().walks(), before + 1);
 }
 
 TEST_F(MmuFixture, WarmTranslationHitsTlb)
@@ -98,6 +99,43 @@ TEST_F(MmuFixture, TlbLookupCounterAdvances)
     machine.mmu().translate(kVa, 0);
     machine.mmu().translate(kVa, 1);
     EXPECT_EQ(machine.mmu().counters().tlbLookups, before + 2);
+}
+
+TEST_F(MmuFixture, WalkPmcCountsEachColdTranslationOnce)
+{
+    // dtlb_load_misses.miss_causes_a_walk: one per walk, however many
+    // entries the walk fetches.
+    KernelModule module(machine);
+    for (unsigned page = 0; page < 4; ++page) {
+        const std::uint64_t before =
+            module.readPmc(PmcEvent::DtlbLoadMissesWalk);
+        TranslateResult r =
+            machine.mmu().translate(kVa + page * kPageBytes, 10 * page);
+        ASSERT_TRUE(r.causedWalk);
+        EXPECT_EQ(module.readPmc(PmcEvent::DtlbLoadMissesWalk), before + 1)
+            << "page " << page;
+    }
+    const std::uint64_t before = module.readPmc(PmcEvent::DtlbLoadMissesWalk);
+    ASSERT_FALSE(machine.mmu().translate(kVa, 100).causedWalk);
+    EXPECT_EQ(module.readPmc(PmcEvent::DtlbLoadMissesWalk), before);
+}
+
+TEST_F(MmuFixture, LlcMissPmcCountsEachLlcMissOnce)
+{
+    // longest_lat_cache.miss: one per access the LLC sends to DRAM.
+    KernelModule module(machine);
+    const std::uint64_t before =
+        module.readPmc(PmcEvent::LongestLatCacheMiss);
+    std::uint64_t fromDram = 0;
+    for (unsigned i = 0; i < 24; ++i) {
+        const PhysAddr pa = 0x40000 + (i % 8) * 64;
+        if (i % 5 == 0)
+            machine.caches().clflush(pa);
+        fromDram += machine.caches().access(pa, i).fromDram();
+    }
+    ASSERT_GT(fromDram, 8u);
+    EXPECT_EQ(module.readPmc(PmcEvent::LongestLatCacheMiss),
+              before + fromDram);
 }
 
 TEST_F(MmuFixture, WalkerCountsPdeStarts)

@@ -208,12 +208,71 @@ TEST(PagingStructureCache, InsertUpdatesExisting)
     EXPECT_EQ(*psc.lookup(1), 11u);
 }
 
+/** Digest of a PSC of the given size after a scripted sequence: fill
+ * past capacity, hits and misses, a refresh of a present tag, LRU
+ * evictions, a flush and refills over the stale slots. */
+std::uint64_t
+scriptedPscDigest(unsigned entries)
+{
+    PagingStructureCache psc(entries);
+    auto tag = [](unsigned i) { return 0x7f00ull + 3 * i; };
+    for (unsigned i = 0; i < entries + 2; ++i)
+        psc.insert(tag(i), 0x100 + i);
+    for (unsigned i = 0; i < entries + 2; i += 3)
+        psc.lookup(tag(i));
+    psc.insert(tag(entries + 1), 0x999);
+    for (unsigned i = 0; i < entries / 2 + 1; ++i)
+        psc.insert(tag(100 + i), 0x200 + i);
+    psc.flushAll();
+    psc.insert(tag(7), 0x300);
+    psc.insert(tag(100), 0x301);
+    psc.lookup(tag(7));
+    psc.lookup(tag(1));
+    return psc.stateHash();
+}
+
+TEST(PagingStructureCache, StateHashPinnedAtEverySize)
+{
+    // 16 and 32 are the only sizes a preset uses (PDPTE/PML4E and PDE
+    // caches); 2 makes every step of the script evict.
+    EXPECT_EQ(scriptedPscDigest(2), 0x05f7a33e6f21eb5full);
+    EXPECT_EQ(scriptedPscDigest(16), 0x76009a195e77034dull);
+    EXPECT_EQ(scriptedPscDigest(32), 0x5f9554d90338e023ull);
+}
+
 TEST(PagingStructureCaches, TagsPerLevel)
 {
     VirtAddr va = 0x7fff'ffff'f000;
     EXPECT_EQ(PagingStructureCaches::tagFor(va, PtLevel::Pml4e), va >> 39);
     EXPECT_EQ(PagingStructureCaches::tagFor(va, PtLevel::Pdpte), va >> 30);
     EXPECT_EQ(PagingStructureCaches::tagFor(va, PtLevel::Pde), va >> 21);
+}
+
+TEST(PagingStructureCachesDeathTest, LevelOneHasNoCache)
+{
+    PagingStructureCaches pscs{PscConfig{}};
+    EXPECT_DEATH(PagingStructureCaches::tagFor(0x7000'0000'0000, PtLevel::Pte),
+                 "no paging-structure cache for level 1");
+    EXPECT_DEATH(pscs.level(PtLevel::Pte), "no paging-structure cache");
+}
+
+TEST_F(PagingFixture, CachesStateHashPinnedAfterWalks)
+{
+    // 40 L1PTs 2 MiB apart, across two PDPTs and two PML4 slots: the
+    // 32-entry PDE cache evicts, then a second pass re-walks them.
+    std::vector<VirtAddr> vas;
+    for (unsigned i = 0; i < 40; ++i)
+        vas.push_back((i < 20 ? 0x7000'0000'0000ull : 0x7080'4000'0000ull) +
+                      i * kSuperPageBytes + (i % 5) * kPageBytes);
+    for (VirtAddr va : vas)
+        tables->map4k(va, 0x100 + (va >> kPageShift) % 512);
+    tables->map2m(0x4000'0000'0000, 0x200);
+    Cycles now = 0;
+    for (int pass = 0; pass < 2; ++pass)
+        for (VirtAddr va : vas)
+            now += walker->walk(tables->root(), va, now).latency;
+    walker->walk(tables->root(), 0x4000'0000'0000, now);
+    EXPECT_EQ(pscs->stateHash(), 0x13f5e125b47c2ce7ull);
 }
 
 TEST_F(PagingFixture, ColdWalkFetchesFourLevels)

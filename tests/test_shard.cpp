@@ -523,6 +523,16 @@ TEST(ShardCliDeath, MalformedCountsExitTwo)
                 "missing value for '--workers'");
 }
 
+TEST(ShardCliDeath, MultiHartFlagsAreUnknownToTheSharedParser)
+{
+    // Only bench_multicore_hammer reads --harts and --interleave, and
+    // it parses them itself; to every other bench they are typos.
+    for (const char *flag : {"--harts=4", "--interleave=seeded:7"})
+        EXPECT_EXIT(parseArgs({gProgram, flag}),
+                    testing::ExitedWithCode(2), "unknown argument")
+            << flag;
+}
+
 } // namespace
 } // namespace shardtest
 } // namespace pth

@@ -205,7 +205,7 @@ TEST(MachineSnapshot, CountersRestoreToCapturedValues)
     const std::uint64_t llcMisses = m.caches().llcMisses();
     const std::uint64_t l1Hits = m.caches().l1d().hits();
     const std::uint64_t l1Misses = m.caches().l1d().misses();
-    const std::uint64_t walks = m.mmu().counters().pageWalks;
+    const std::uint64_t walks = m.mmu().walker().walks();
     const std::uint64_t tlbLookups = m.mmu().counters().tlbLookups;
     const std::uint64_t l1pts = m.kernel().l1ptCount();
     const Cycles now = m.clock().now();
@@ -221,7 +221,7 @@ TEST(MachineSnapshot, CountersRestoreToCapturedValues)
     EXPECT_EQ(restored->caches().llcMisses(), llcMisses);
     EXPECT_EQ(restored->caches().l1d().hits(), l1Hits);
     EXPECT_EQ(restored->caches().l1d().misses(), l1Misses);
-    EXPECT_EQ(restored->mmu().counters().pageWalks, walks);
+    EXPECT_EQ(restored->mmu().walker().walks(), walks);
     EXPECT_EQ(restored->mmu().counters().tlbLookups, tlbLookups);
     EXPECT_EQ(restored->kernel().l1ptCount(), l1pts);
     EXPECT_EQ(restored->clock().now(), now);

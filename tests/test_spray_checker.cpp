@@ -82,8 +82,8 @@ TEST_F(SprayFixture, CheckerFlushesCaches)
 TEST_F(SprayFixture, FlagBitFlipIsInvisible)
 {
     // A flip in an ignored PTE bit changes no translation: the checker
-    // must not report it (and counts it as invisible). Emulate by
-    // checking the content comparison directly.
+    // must not report it. Emulate by checking the content comparison
+    // directly.
     VirtAddr victim = sprayer->regionBase(5) + 2 * kPageBytes;
     auto pteAddr = proc->pageTables()->l1pteAddress(victim);
     ASSERT_TRUE(pteAddr.has_value());
