@@ -35,7 +35,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -100,19 +99,13 @@ main(int argc, char **argv)
         }
         if (const char *value =
                 BenchCli::flagValue(argc, argv, i, "--interleave")) {
-            std::string mode = value;
-            const std::size_t colon = mode.find(':');
-            if (colon != std::string::npos) {
-                interleaveSeed = std::strtoull(mode.c_str() + colon + 1,
-                                               nullptr, 10);
-                mode.resize(colon);
-            }
-            if (!parseInterleaveMode(mode.c_str(), interleave)) {
+            if (!parseInterleaveMode(value, interleave, interleaveSeed)) {
                 std::fprintf(stderr,
-                             "%s: unknown interleave mode '%s' (use"
+                             "%s: bad --interleave '%s' (use"
                              " round-robin/rr or seeded/random,"
-                             " optionally :SEED)\n",
-                             argv[0], mode.c_str());
+                             " optionally :SEED, a whole decimal"
+                             " below 2^64)\n",
+                             argv[0], value);
                 return 2;
             }
             passthrough.push_back(std::string("--interleave=") + value);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Attacker-side configuration: address-space layout, spray size,
- * profiling repeat counts and the hammer/check budgets.
+ * Attacker-side configuration: spray size, sampling and selection
+ * counts and the hammer budgets, plus the fixed address-space layout.
  */
 
 #ifndef PTH_ATTACK_ATTACK_CONFIG_HH
@@ -77,15 +77,6 @@ struct AttackConfig
     /** Bytes of Level-1 page tables to spray (paper: 2 GiB of 8 GiB). */
     std::uint64_t sprayBytes = 2ull * 1024 * 1024 * 1024;
 
-    /** Distinct user frames the spray maps over and over. */
-    unsigned userSharedFrames = 4;
-
-    /** Algorithm 1 profiling repetitions. */
-    unsigned tlbProfileCount = 64;
-
-    /** TLB pool over-provisioning factor (paper: eight times). */
-    unsigned tlbPoolFactor = 8;
-
     /** Algorithm 2 profiling repetitions (paper-scale accounting). */
     unsigned llcSelectCount = 32000;
 
@@ -100,15 +91,8 @@ struct AttackConfig
     unsigned regularSampleClasses = 1;
     unsigned regularSampleGroups = 4;
 
-    /** 'evicts' test repetitions during pool construction. */
-    unsigned llcBuildRepeats = 6;
-
     /** Pool-construction algorithm and extraction worker count. */
     PoolBuildOptions poolBuild;
-
-    /** Extra lines beyond LLC associativity in a working set
-     * (paper: one larger). */
-    unsigned llcSetSizeMargin = 1;
 
     /** Extra pages beyond the discovered minimal TLB set size. */
     unsigned tlbSetSizeMargin = 0;
@@ -120,22 +104,16 @@ struct AttackConfig
      * the analytic extrapolation takes over. */
     unsigned hammerWarmupIterations = 48;
 
-    /** Bank-conflict verification probes per candidate pair. */
-    unsigned bankProbeCount = 24;
-
     /** Give up after this many hammering attempts. */
     unsigned maxAttempts = 3000;
 
     /** Simulated-time budget for the hammering phase (seconds). */
     double hammerBudgetSeconds = 7200;
 
-    /** Measurement noise: probability / magnitude of a latency spike
-     * (interrupts etc.), the source of Algorithm 2's false positives. */
+    /** Measurement noise: probability of a kTimingNoiseCycles latency
+     * spike (interrupts etc.), the source of Algorithm 2's false
+     * positives. */
     double timingNoiseProbability = 0.015;
-    Cycles timingNoiseCycles = 400;
-
-    /** Per-sprayed-page cycles charged for a bit-flip content scan. */
-    Cycles checkCyclesPerPage = 42;
 
     /** CATT counter-measure: fraction of the kernel zone the attacker
      * exhausts before spraying so L1PTs land near the user boundary
@@ -150,21 +128,17 @@ struct AttackConfig
      * hart always hammers. */
     unsigned victimHarts = 0;
 
-    /** Pages in each victim hart's private working set. */
-    unsigned victimTrafficPages = 64;
-
-    /** Victim loads issued per interleaver slot. */
-    unsigned victimAccessesPerSlot = 8;
-
     std::uint64_t seed = 0xa77acc;
-
-    /** Attacker virtual address-space layout. */
-    VirtAddr userDataBase = 0x7f00'0000'0000ull;
-    VirtAddr sprayBase = 0x0100'0000'0000ull;
-    VirtAddr tlbPoolBase = 0x0200'0000'0000ull;
-    VirtAddr llcBufferBase = 0x0300'0000'0000ull;
-    VirtAddr scratchBase = 0x0400'0000'0000ull;
 };
+
+/** The attacker's virtual address-space layout: one region per use,
+ * 1 TiB apart, so no two ever overlap. */
+inline constexpr VirtAddr kSprayBase = 0x0100'0000'0000ull;
+inline constexpr VirtAddr kTlbPoolBase = 0x0200'0000'0000ull;
+inline constexpr VirtAddr kLlcBufferBase = 0x0300'0000'0000ull;
+inline constexpr VirtAddr kScratchBase = 0x0400'0000'0000ull;
+/** Victim harts' private working sets (each its own process). */
+inline constexpr VirtAddr kUserDataBase = 0x7f00'0000'0000ull;
 
 } // namespace pth
 

@@ -38,21 +38,21 @@ LlcEvictionPool::allocateBuffer()
     std::uint64_t bytes = bufferBytes;
     if (cfg.superpages) {
         bytes = (bytes + kSuperPageBytes - 1) & ~(kSuperPageBytes - 1);
-        m.kernel().mmapHuge(m.cpu().process(), cfg.llcBufferBase, bytes);
+        m.kernel().mmapHuge(m.cpu().process(), kLlcBufferBase, bytes);
     } else {
-        m.kernel().mmapAnon(m.cpu().process(), cfg.llcBufferBase, bytes);
+        m.kernel().mmapAnon(m.cpu().process(), kLlcBufferBase, bytes);
     }
     bufferLines.clear();
     bufferLines.reserve(bytes / kLineBytes);
     for (std::uint64_t off = 0; off < bytes; off += kLineBytes)
-        bufferLines.push_back(cfg.llcBufferBase + off);
+        bufferLines.push_back(kLlcBufferBase + off);
     return m.clock().now() - start;
 }
 
 unsigned
 LlcEvictionPool::workingSetSize() const
 {
-    return m.config().caches.llc.ways + cfg.llcSetSizeMargin;
+    return m.config().caches.llc.ways + kLlcSetSizeMargin;
 }
 
 bool
@@ -62,7 +62,7 @@ LlcEvictionPool::evicts(VirtAddr x, const std::vector<VirtAddr> &set)
     // serial (no MLP overlap): this is what makes pool construction
     // expensive, especially with regular pages.
     unsigned positive = 0;
-    for (unsigned r = 0; r < cfg.llcBuildRepeats; ++r) {
+    for (unsigned r = 0; r < kLlcBuildRepeats; ++r) {
         m.cpu().access(x);
         for (VirtAddr line : set)
             m.cpu().access(line);
@@ -70,9 +70,8 @@ LlcEvictionPool::evicts(VirtAddr x, const std::vector<VirtAddr> &set)
             ++positive;
     }
     ++machineConflictTests;
-    machineLineAccesses += static_cast<std::uint64_t>(cfg.llcBuildRepeats) *
-                           (2 + set.size());
-    return positive * 2 > cfg.llcBuildRepeats;
+    machineLineAccesses += kLlcBuildRepeats * (2 + set.size());
+    return positive * 2 > kLlcBuildRepeats;
 }
 
 std::vector<VirtAddr>
@@ -143,14 +142,15 @@ LlcEvictionPool::extractGroups(std::vector<VirtAddr> candidates,
     return extracted;
 }
 
-LlcEvictionPool::ExtractionStats
+std::vector<unsigned>
 LlcEvictionPool::extractClasses(
     const std::vector<std::vector<VirtAddr>> &buckets,
-    unsigned classesSampled, bool hintFromBucket,
+    PoolBuildReport &report, bool hintFromBucket,
     unsigned maxGroupsPerClass)
 {
-    ExtractionStats stats;
-    stats.groupsDone.reserve(classesSampled);
+    const unsigned classesSampled = report.classesSampled;
+    std::vector<unsigned> groupsDone;
+    groupsDone.reserve(classesSampled);
 
     if (cfg.poolBuild.algorithm ==
         PoolBuildAlgorithm::SingleElimination) {
@@ -158,13 +158,13 @@ LlcEvictionPool::extractClasses(
         const std::uint64_t tests0 = machineConflictTests;
         const std::uint64_t accesses0 = machineLineAccesses;
         for (unsigned cls = 0; cls < classesSampled; ++cls)
-            stats.groupsDone.push_back(
+            groupsDone.push_back(
                 extractGroups(buckets[cls], hintFromBucket ? cls : ~0ull,
                               maxGroupsPerClass));
-        stats.cycles = m.clock().now() - start;
-        stats.conflictTests = machineConflictTests - tests0;
-        stats.lineAccesses = machineLineAccesses - accesses0;
-        return stats;
+        report.sampledCycles = m.clock().now() - start;
+        report.conflictTests = machineConflictTests - tests0;
+        report.lineAccesses = machineLineAccesses - accesses0;
+        return groupsDone;
     }
 
     // Group-testing path: every class runs on a private conflict
@@ -203,19 +203,18 @@ LlcEvictionPool::extractClasses(
     }
 
     for (ClassExtraction &extraction : extractions) {
-        stats.groupsDone.push_back(
-            static_cast<unsigned>(extraction.sets.size()));
-        stats.cycles += extraction.cycles;
-        stats.conflictTests += extraction.counters.conflictTests;
-        stats.lineAccesses += extraction.counters.lineAccesses;
+        groupsDone.push_back(static_cast<unsigned>(extraction.sets.size()));
+        report.sampledCycles += extraction.cycles;
+        report.conflictTests += extraction.counters.conflictTests;
+        report.lineAccesses += extraction.counters.lineAccesses;
         for (EvictionSet &set : extraction.sets)
             pool.push_back(std::move(set));
     }
     // Pool construction is one serial attacker phase: its cost is the
     // sum of the per-class costs no matter how many host workers
     // simulated it. Charge the machine clock accordingly.
-    m.clock().advance(stats.cycles);
-    return stats;
+    m.clock().advance(report.sampledCycles);
+    return groupsDone;
 }
 
 void
@@ -261,89 +260,73 @@ LlcEvictionPool::linePhys(VirtAddr line) const
 PoolBuildReport
 LlcEvictionPool::buildSuperpage(unsigned sampleClasses)
 {
-    pth_assert(!bufferLines.empty(), "buffer not allocated");
-    PoolBuildReport report;
-    std::uint64_t mask = setIndexMask(m);
-    report.classesTotal = static_cast<unsigned>(mask + 1);
-    report.classesSampled = sampleClasses == 0
-                                ? report.classesTotal
-                                : std::min<unsigned>(sampleClasses,
-                                                     report.classesTotal);
-
-    report.algorithm = cfg.poolBuild.algorithm;
-    report.threads = cfg.poolBuild.threads;
-
-    // Bucket lines by their (known, bits 6-16) class in one pass.
-    std::vector<std::vector<VirtAddr>> buckets(mask + 1);
-    for (VirtAddr line : bufferLines)
-        buckets[(line >> kLineShift) & mask].push_back(line);
-
-    ExtractionStats stats = extractClasses(
-        buckets, report.classesSampled, /*hintFromBucket=*/true, 0);
-    report.sampledCycles = stats.cycles;
-    report.conflictTests = stats.conflictTests;
-    report.lineAccesses = stats.lineAccesses;
-    // Superpage classes all do the same work; scale linearly. The
-    // product is computed in double (and rounded like the
-    // regular-page path) — paper-scale cycle counts overflow a u64
-    // cycles * classes product.
-    report.extrapolatedCycles = extrapolateUniformClasses(
-        report.sampledCycles, report.classesTotal, report.classesSampled);
-
-    if (report.classesSampled < report.classesTotal)
-        oracleFill();
-    return report;
+    return build(/*superpage=*/true, sampleClasses, 0);
 }
 
 PoolBuildReport
 LlcEvictionPool::buildRegularSampled(unsigned sampleClasses,
                                      unsigned groupsPerClass)
 {
+    return build(/*superpage=*/false, sampleClasses, groupsPerClass);
+}
+
+PoolBuildReport
+LlcEvictionPool::build(bool superpage, unsigned sampleClasses,
+                       unsigned groupsPerClass)
+{
     pth_assert(!bufferLines.empty(), "buffer not allocated");
+    // Superpages expose the whole set index (bits 6-16); regular
+    // pages leak only the 4 KiB page offset: line-index bits 6-11,
+    // i.e. 64 classes with 32x more candidates each.
+    const std::uint64_t mask = superpage ? setIndexMask(m) : 0x3f;
     PoolBuildReport report;
-    // Regular pages leak only the 4 KiB page offset: line-index bits
-    // 6-11, i.e. 64 classes with 32x more candidates each.
-    const std::uint64_t mask = 0x3f;
-    report.classesTotal = 64;
-    // 0 means "all classes", exactly like the superpage path.
-    report.classesSampled =
-        sampleClasses == 0 ? report.classesTotal
-                           : std::min<unsigned>(sampleClasses, 64);
+    report.classesTotal = static_cast<unsigned>(mask + 1);
+    report.classesSampled = sampleClasses == 0
+                                ? report.classesTotal
+                                : std::min<unsigned>(sampleClasses,
+                                                     report.classesTotal);
     report.algorithm = cfg.poolBuild.algorithm;
     report.threads = cfg.poolBuild.threads;
 
-    std::vector<std::vector<VirtAddr>> buckets(64);
+    // Bucket lines by their known class bits in one pass.
+    std::vector<std::vector<VirtAddr>> buckets(mask + 1);
     for (VirtAddr line : bufferLines)
         buckets[(line >> kLineShift) & mask].push_back(line);
 
-    ExtractionStats stats =
-        extractClasses(buckets, report.classesSampled,
-                       /*hintFromBucket=*/false, groupsPerClass);
-    report.sampledCycles = stats.cycles;
-    report.conflictTests = stats.conflictTests;
-    report.lineAccesses = stats.lineAccesses;
-
-    // Extrapolate the measured prefix over every group of every
-    // class, each class weighted by its own bucket size — buffers
-    // whose line count is not a multiple of 64 leave the tail
-    // classes one line short. Single elimination scans ~(N -
-    // 2*ways*g) candidates per test for group g, so its cost falls
-    // off quadratically; the group-testing reduction traverses
-    // trial-plus-churn ~= the whole class per test, so its per-group
-    // cost decays only linearly with the remainder.
-    std::vector<std::size_t> classCandidates(buckets.size());
-    for (std::size_t c = 0; c < buckets.size(); ++c)
-        classCandidates[c] = buckets[c].size();
-    report.extrapolatedCycles =
-        cfg.poolBuild.algorithm == PoolBuildAlgorithm::SingleElimination
-            ? extrapolateQuadratic(report.sampledCycles,
-                                   classCandidates, stats.groupsDone,
-                                   m.config().caches.llc.ways)
-            : extrapolateLinear(report.sampledCycles, classCandidates,
-                                stats.groupsDone,
-                                m.config().caches.llc.ways);
-
-    oracleFill();
+    const std::vector<unsigned> groupsDone =
+        extractClasses(buckets, report, superpage, groupsPerClass);
+    if (superpage) {
+        // Superpage classes all do the same work; scale linearly. The
+        // product is computed in double (and rounded like the
+        // regular-page path) — paper-scale cycle counts overflow a
+        // u64 cycles * classes product.
+        report.extrapolatedCycles = extrapolateUniformClasses(
+            report.sampledCycles, report.classesTotal,
+            report.classesSampled);
+    } else {
+        // Extrapolate the measured prefix over every group of every
+        // class, each class weighted by its own bucket size — buffers
+        // whose line count is not a multiple of 64 leave the tail
+        // classes one line short. Single elimination scans ~(N -
+        // 2*ways*g) candidates per test for group g, so its cost
+        // falls off quadratically; the group-testing reduction
+        // traverses trial-plus-churn ~= the whole class per test, so
+        // its per-group cost decays only linearly with the remainder.
+        std::vector<std::size_t> classCandidates;
+        for (const std::vector<VirtAddr> &bucket : buckets)
+            classCandidates.push_back(bucket.size());
+        const unsigned ways = m.config().caches.llc.ways;
+        report.extrapolatedCycles =
+            cfg.poolBuild.algorithm == PoolBuildAlgorithm::SingleElimination
+                ? extrapolateQuadratic(report.sampledCycles,
+                                       classCandidates, groupsDone, ways)
+                : extrapolateLinear(report.sampledCycles,
+                                    classCandidates, groupsDone, ways);
+    }
+    // Regular builds always fill: the per-class group cap samples
+    // every class.
+    if (!superpage || report.classesSampled < report.classesTotal)
+        oracleFill();
     return report;
 }
 

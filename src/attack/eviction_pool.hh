@@ -32,6 +32,13 @@ namespace pth
 
 class Machine;
 
+/** Timed repeats majority-voted in one pool-build conflict test. */
+inline constexpr unsigned kLlcBuildRepeats = 6;
+
+/** Extra lines beyond the LLC associativity in a working eviction set
+ * (paper: one larger). */
+inline constexpr unsigned kLlcSetSizeMargin = 1;
+
 /** One eviction set: lines congruent in (set index, slice). */
 struct EvictionSet
 {
@@ -129,26 +136,29 @@ class LlcEvictionPool
                                unsigned trials);
 
   private:
-    /** What extracting the sampled classes cost. */
-    struct ExtractionStats
-    {
-        Cycles cycles = 0;
-        std::uint64_t conflictTests = 0;
-        std::uint64_t lineAccesses = 0;
-        std::vector<unsigned> groupsDone;  //!< per sampled class
-    };
+    /**
+     * The one body of both builds: bucket the buffer by its known
+     * class bits, extract the sampled classes, extrapolate the cost
+     * (uniform per class for superpages, the scan-work model for
+     * regular pages) and oracle-fill the rest.
+     * @param groupsPerClass Per-class group cap (0 = no limit).
+     */
+    PoolBuildReport build(bool superpage, unsigned sampleClasses,
+                          unsigned groupsPerClass);
 
     /**
-     * Extract groups from the first classesSampled buckets with the
-     * configured algorithm (cfg.poolBuild), appending sets to the
-     * pool in class-index order regardless of worker count.
+     * Extract groups from the first report.classesSampled buckets with
+     * the configured algorithm (cfg.poolBuild), appending sets to the
+     * pool in class-index order regardless of worker count, and record
+     * their cycles and work counters in report.
      * @param hintFromBucket True: record the bucket index as each
      *        set's classIndex (superpage path); false: derive the
      *        set-index bits from each set's base line (regular path).
+     * @return Groups extracted per sampled class.
      */
-    ExtractionStats extractClasses(
+    std::vector<unsigned> extractClasses(
         const std::vector<std::vector<VirtAddr>> &buckets,
-        unsigned classesSampled, bool hintFromBucket,
+        PoolBuildReport &report, bool hintFromBucket,
         unsigned maxGroupsPerClass);
 
     /** All buffer line VAs whose class matches under the given mask. */

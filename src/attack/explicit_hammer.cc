@@ -15,9 +15,8 @@ ExplicitHammer::ExplicitHammer(Machine &machine, const AttackConfig &config)
 void
 ExplicitHammer::setup(std::uint64_t bytes)
 {
-    bufferBase = cfg.scratchBase;
     bufferBytes = bytes;
-    m.kernel().mmapAnon(m.cpu().process(), bufferBase, bytes);
+    m.kernel().mmapAnon(m.cpu().process(), kScratchBase, bytes);
 }
 
 std::optional<ExplicitHammer::BufferPair>
@@ -33,7 +32,7 @@ ExplicitHammer::pickPair(std::uint64_t salt) const
     auto pt = m.cpu().process().pageTables();
 
     for (unsigned attempt = 0; attempt < 64; ++attempt) {
-        VirtAddr a1 = bufferBase +
+        VirtAddr a1 = kScratchBase +
                       (rng.below((bufferBytes - stride) / kPageBytes)
                        << kPageShift);
         VirtAddr a2 = a1 + stride;

@@ -84,8 +84,7 @@ class ExplicitHammer
 
     Machine &m;
     const AttackConfig &cfg;
-    VirtAddr bufferBase = 0;
-    std::uint64_t bufferBytes = 0;
+    std::uint64_t bufferBytes = 0;  //!< mapped at kScratchBase
 };
 
 } // namespace pth

@@ -5,9 +5,9 @@
 namespace pth
 {
 
-FlipChecker::FlipChecker(Machine &machine, const AttackConfig &config,
+FlipChecker::FlipChecker(Machine &machine, const AttackConfig &,
                          SprayManager &sprayer_)
-    : m(machine), cfg(config), sprayer(sprayer_)
+    : m(machine), sprayer(sprayer_)
 {
 }
 
@@ -15,7 +15,7 @@ std::vector<FlipFinding>
 FlipChecker::check()
 {
     // Charge the full scan: one marker read per sprayed page.
-    m.clock().advance(sprayer.sprayedPages() * cfg.checkCyclesPerPage);
+    m.clock().advance(sprayer.sprayedPages() * kCheckCyclesPerPage);
 
     std::vector<FlipFinding> findings;
     for (const FlipEvent &flip : m.dram().drainFlips()) {

@@ -26,6 +26,9 @@ namespace pth
 
 class Machine;
 
+/** Cycles charged per sprayed page for the bit-flip content scan. */
+inline constexpr Cycles kCheckCyclesPerPage = 42;
+
 /** One detected corruption. */
 struct FlipFinding
 {
@@ -37,7 +40,7 @@ struct FlipFinding
 class FlipChecker
 {
   public:
-    FlipChecker(Machine &machine, const AttackConfig &config,
+    FlipChecker(Machine &machine, const AttackConfig &,
                 SprayManager &sprayer);
 
     /**
@@ -48,7 +51,6 @@ class FlipChecker
 
   private:
     Machine &m;
-    const AttackConfig &cfg;
     SprayManager &sprayer;
 };
 

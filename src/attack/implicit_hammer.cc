@@ -76,10 +76,6 @@ ImplicitHammer::runBatch(std::span<const HammerPair> pairs,
         fatal("hammerWarmupIterations is 0: no measured iteration cost"
               " to extrapolate %llu hammer iterations from",
               static_cast<unsigned long long>(iterationsPerHart));
-    if (victims > 0 && cfg.victimTrafficPages == 0)
-        fatal("victimTrafficPages is 0: %u victim hart(s) have no"
-              " pages to draw their accesses from",
-              victims);
 
     HammerRunResult res;
     res.aggressors = aggressors;
@@ -100,8 +96,8 @@ ImplicitHammer::runBatch(std::span<const HammerPair> pairs,
     for (unsigned v = 0; v < victims; ++v) {
         unsigned hart = aggressors + v;
         Process &proc = m.kernel().createProcess(3000 + v);
-        m.kernel().mmapAnon(proc, cfg.userDataBase,
-                            cfg.victimTrafficPages * kPageBytes);
+        m.kernel().mmapAnon(proc, kUserDataBase,
+                            kVictimTrafficPages * kPageBytes);
         m.cpu(hart).setProcess(proc);
         victimRngs.emplace_back(hashCombine(cfg.seed, 0x71c71a, hart));
     }
@@ -126,12 +122,12 @@ ImplicitHammer::runBatch(std::span<const HammerPair> pairs,
         unsigned hart = schedule.next();
         if (hart >= aggressors) {
             Rng &rng = victimRngs[hart - aggressors];
-            for (unsigned a = 0; a < cfg.victimAccessesPerSlot; ++a) {
-                VirtAddr va = cfg.userDataBase +
-                              rng.below(cfg.victimTrafficPages) *
-                                  kPageBytes +
-                              rng.below(kPageBytes / 64) * 64;
-                AccessOutcome out = m.cpu(hart).access(va);
+            for (unsigned a = 0; a < kVictimAccessesPerSlot; ++a) {
+                // Two statements fix the draw order (line, then page).
+                const std::uint64_t line = rng.below(kPageBytes / kLineBytes);
+                const std::uint64_t page = rng.below(kVictimTrafficPages);
+                AccessOutcome out = m.cpu(hart).access(
+                    kUserDataBase + page * kPageBytes + line * kLineBytes);
                 victimLatency += out.latency;
                 ++victimAccesses;
             }

@@ -35,6 +35,12 @@ namespace pth
 
 class Machine;
 
+/** Pages in each victim hart's private working set. */
+inline constexpr unsigned kVictimTrafficPages = 64;
+
+/** Victim loads issued per interleaver slot. */
+inline constexpr unsigned kVictimAccessesPerSlot = 8;
+
 /** What one hammering batch produced. */
 struct HammerRunResult
 {

@@ -9,7 +9,7 @@ namespace pth
 PairFinder::PairFinder(Machine &machine, const AttackConfig &config,
                        SprayManager &sprayer_, TlbEvictionTool &tlbTool_,
                        EvictionSetSelector &selector_)
-    : m(machine), cfg(config), sprayer(sprayer_), tlbTool(tlbTool_),
+    : m(machine), sprayer(sprayer_), tlbTool(tlbTool_),
       selector(selector_), probe(machine.cpu(), machine.config(), config)
 {
 }
@@ -45,7 +45,7 @@ PairFinder::provision(VirtAddr va1, VirtAddr va2)
         return std::nullopt;
     unsigned size = std::min<unsigned>(
         static_cast<unsigned>(sel1.set->lines.size()),
-        m.config().caches.llc.ways + cfg.llcSetSizeMargin);
+        m.config().caches.llc.ways + kLlcSetSizeMargin);
     sel1.set->firstLines(size, pair.llcSet1);
     sel2.set->firstLines(size, pair.llcSet2);
     pair.llcSelectCycles = sel1.elapsed + sel2.elapsed;
@@ -58,7 +58,7 @@ PairFinder::verifySameBank(const HammerPair &pair)
     // Row-buffer-conflict probing: force both L1PTE fetches to DRAM;
     // when they share a bank, the second fetch pays a row conflict.
     unsigned conflicts = 0;
-    for (unsigned i = 0; i < cfg.bankProbeCount; ++i) {
+    for (unsigned i = 0; i < kBankProbeCount; ++i) {
         m.cpu().accessBatch(pair.tlbSet1);
         m.cpu().accessBatch(pair.tlbSet2);
         m.cpu().accessBatch(pair.llcSet1);
@@ -67,7 +67,7 @@ PairFinder::verifySameBank(const HammerPair &pair)
         if (probe.timeAccess(pair.va2) > probe.bankConflictThreshold())
             ++conflicts;
     }
-    return conflicts * 2 > cfg.bankProbeCount;
+    return conflicts * 2 > kBankProbeCount;
 }
 
 std::optional<HammerPair>

@@ -28,6 +28,10 @@ namespace pth
 
 class Machine;
 
+/** Row-conflict probes majority-voted to accept a pair as same-bank
+ * (Section IV-D). */
+inline constexpr unsigned kBankProbeCount = 24;
+
 /** A fully-provisioned double-sided hammer pair. */
 struct HammerPair
 {
@@ -73,7 +77,6 @@ class PairFinder
 
   private:
     Machine &m;
-    const AttackConfig &cfg;
     SprayManager &sprayer;
     TlbEvictionTool &tlbTool;
     EvictionSetSelector &selector;

@@ -52,7 +52,7 @@ ClassConflictTester::ClassConflictTester(const MachineConfig &machine,
 {
 }
 
-void
+Cycles
 ClassConflictTester::touch(std::uint32_t idx)
 {
     Cycles latency = hitPathLatency;
@@ -62,22 +62,16 @@ ClassConflictTester::touch(std::uint32_t idx)
     }
     clock_ += latency;
     ++counters_.lineAccesses;
+    return latency;
 }
 
 Cycles
 ClassConflictTester::timedTouch(std::uint32_t idx)
 {
-    Cycles latency = hitPathLatency;
-    if (!llc.access(phys[idx])) {
-        latency += dram.access(phys[idx], clock_).latency;
-        llc.fill(phys[idx]);
-    }
-    clock_ += latency;
-    ++counters_.lineAccesses;
-    Cycles measured = latency;
+    Cycles measured = touch(idx);
     if (acfg.timingNoiseProbability > 0 &&
         noise.chance(acfg.timingNoiseProbability))
-        measured += acfg.timingNoiseCycles;
+        measured += kTimingNoiseCycles;
     return measured;
 }
 
@@ -87,7 +81,7 @@ ClassConflictTester::evicts(std::uint32_t x,
                             const std::vector<std::uint32_t> *churn)
 {
     unsigned positive = 0;
-    for (unsigned r = 0; r < acfg.llcBuildRepeats; ++r) {
+    for (unsigned r = 0; r < kLlcBuildRepeats; ++r) {
         if (churn)
             for (std::uint32_t idx : *churn)
                 touch(idx);
@@ -106,7 +100,7 @@ ClassConflictTester::evicts(std::uint32_t x,
             ++positive;
     }
     ++counters_.conflictTests;
-    return positive * 2 > acfg.llcBuildRepeats;
+    return positive * 2 > kLlcBuildRepeats;
 }
 
 std::vector<char>
@@ -127,7 +121,7 @@ ClassConflictTester::classify(const std::vector<std::uint32_t> &rest,
         const std::size_t end =
             std::min(rest.size(), base + batchMax);
         std::vector<unsigned> votes(end - base, 0);
-        for (unsigned r = 0; r < acfg.llcBuildRepeats; ++r) {
+        for (unsigned r = 0; r < kLlcBuildRepeats; ++r) {
             for (std::size_t k = base; k < end; ++k)
                 touch(rest[k]);
             for (std::uint32_t idx : survivors)
@@ -138,7 +132,7 @@ ClassConflictTester::classify(const std::vector<std::uint32_t> &rest,
         }
         ++counters_.conflictTests;
         for (std::size_t k = base; k < end; ++k)
-            member[k] = votes[k - base] * 2 > acfg.llcBuildRepeats;
+            member[k] = votes[k - base] * 2 > kLlcBuildRepeats;
     }
 
     // Phase 2 — confirm each suspect with the standard per-candidate

@@ -135,10 +135,12 @@ class ClassConflictTester
     const PoolBuildCounters &counters() const { return counters_; }
 
   private:
-    /** Access one candidate line, advancing the local clock. */
-    void touch(std::uint32_t idx);
+    /** Access one candidate line, advancing the local clock.
+     * @return The access latency. */
+    Cycles touch(std::uint32_t idx);
 
-    /** Access and return the measured latency (with noise). */
+    /** touch() plus measurement noise: the latency the attacker
+     * reads. */
     Cycles timedTouch(std::uint32_t idx);
 
     const AttackConfig &acfg;

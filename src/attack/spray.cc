@@ -15,13 +15,13 @@ SprayManager::SprayManager(Machine &machine, const AttackConfig &config)
 VirtAddr
 SprayManager::regionBase(std::uint64_t i) const
 {
-    return cfg.sprayBase + i * kSuperPageBytes;
+    return kSprayBase + i * kSuperPageBytes;
 }
 
 std::uint64_t
 SprayManager::regionOf(VirtAddr va) const
 {
-    return (va - cfg.sprayBase) / kSuperPageBytes;
+    return (va - kSprayBase) / kSuperPageBytes;
 }
 
 std::uint64_t
@@ -40,16 +40,13 @@ SprayManager::regionOfPtFrame(PhysFrame frame) const
 Cycles
 SprayManager::spray()
 {
-    if (cfg.userSharedFrames == 0)
-        fatal("userSharedFrames is 0: the spray has no user frame to"
-              " map its regions over");
     Cycles start = m.clock().now();
     Process &proc = m.cpu().process();
 
     // A handful of shared user pages, each with a distinctive marker.
     userFrames.clear();
     markers.clear();
-    for (unsigned i = 0; i < cfg.userSharedFrames; ++i) {
+    for (unsigned i = 0; i < kUserSharedFrames; ++i) {
         PhysFrame f = m.kernel().allocUserFrame(proc);
         std::uint64_t marker = mix64(cfg.seed ^ (0xa5a5 + i)) | 1;
         m.memory().fillFramePattern(f, marker);

@@ -24,6 +24,9 @@ namespace pth
 
 class Machine;
 
+/** Distinct user frames the spray maps over and over. */
+inline constexpr unsigned kUserSharedFrames = 4;
+
 /** The spraying tool. */
 class SprayManager
 {

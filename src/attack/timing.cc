@@ -2,6 +2,7 @@
 
 #include "cpu/cpu.hh"
 #include "cpu/machine_config.hh"
+#include "tlb/two_level_tlb.hh"
 
 namespace pth
 {
@@ -21,7 +22,7 @@ LatencyProbe::timeAccess(VirtAddr va)
         noise.chance(acfg.timingNoiseProbability)) {
         // An interrupt or sibling-core burst landed inside the timed
         // window.
-        measured += acfg.timingNoiseCycles;
+        measured += kTimingNoiseCycles;
     }
     return measured;
 }
@@ -40,7 +41,7 @@ LatencyProbe::dramThresholdFor(const MachineConfig &machine)
     Cycles cacheHit = machine.caches.l1d.latency +
                       machine.caches.l2.latency +
                       machine.caches.llc.latency;
-    return cacheHit + machine.tlb.l2HitLatency + 60;
+    return cacheHit + kL2TlbHitLatency + 60;
 }
 
 Cycles
@@ -50,7 +51,7 @@ LatencyProbe::bankConflictThreshold() const
     // pays rowConflict; a different bank pays at most rowClosed. Split
     // the difference, on top of the cache+walk overhead.
     Cycles overhead = mcfg.caches.l1d.latency + mcfg.caches.l2.latency +
-                      mcfg.caches.llc.latency + mcfg.tlb.l2HitLatency + 10;
+                      mcfg.caches.llc.latency + kL2TlbHitLatency + 10;
     return overhead +
            (mcfg.dramTiming.rowClosed + mcfg.dramTiming.rowConflict) / 2;
 }

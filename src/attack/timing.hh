@@ -19,6 +19,9 @@ namespace pth
 class Cpu;
 class MachineConfig;
 
+/** Cycles a measurement-noise spike adds to one timed access. */
+inline constexpr Cycles kTimingNoiseCycles = 400;
+
 /** Latency measurement helper. */
 class LatencyProbe
 {

@@ -7,15 +7,15 @@
 namespace pth
 {
 
-TlbEvictionTool::TlbEvictionTool(Machine &machine, const AttackConfig &config)
-    : m(machine), cfg(config)
+TlbEvictionTool::TlbEvictionTool(Machine &machine, const AttackConfig &)
+    : m(machine)
 {
     const TlbConfig &tlb = m.config().tlb;
     l2Sets = tlb.l2s.sets;
     std::uint64_t totalEntries =
         tlb.l1d.sets * tlb.l1d.ways + tlb.l2s.sets * tlb.l2s.ways;
     pagesPerSet = static_cast<unsigned>(
-        cfg.tlbPoolFactor * totalEntries / l2Sets);
+        kTlbPoolFactor * totalEntries / l2Sets);
 }
 
 Cycles
@@ -25,12 +25,12 @@ TlbEvictionTool::prepare()
     std::uint64_t pages = l2Sets * pagesPerSet;
 
     // One anonymous mapping; the kernel charges population per page.
-    m.kernel().mmapAnon(m.cpu().process(), cfg.tlbPoolBase,
+    m.kernel().mmapAnon(m.cpu().process(), kTlbPoolBase,
                         pages * kPageBytes);
 
     poolPages.resize(pages);
     for (std::uint64_t k = 0; k < pages; ++k)
-        poolPages[k] = cfg.tlbPoolBase + k * kPageBytes;
+        poolPages[k] = kTlbPoolBase + k * kPageBytes;
 
     // Touch every page so its translation exists (Algorithm 1 notes
     // populating is essential to make the TLB cache the mappings).
@@ -55,7 +55,7 @@ TlbEvictionTool::collectEvictionSet(VirtAddr target, unsigned size,
 {
     pth_assert(!poolPages.empty(), "TLB pool not prepared");
     VirtPage targetVpn = target >> kPageShift;
-    VirtPage baseVpn = cfg.tlbPoolBase >> kPageShift;
+    VirtPage baseVpn = kTlbPoolBase >> kPageShift;
     std::uint64_t firstIndex =
         (targetVpn - baseVpn) & (l2Sets - 1);  // k with vpn = target (mod)
 
@@ -117,15 +117,13 @@ TlbEvictionTool::findMinimalSetSize(VirtAddr target, KernelModule &pmc)
     initial = std::min<unsigned>(initial, pagesPerSet);
 
     std::vector<VirtAddr> set = evictionSetFor(target, initial);
-    double threshold =
-        profileMissRate(target, set, cfg.tlbProfileCount, pmc);
+    double threshold = profileMissRate(target, set, kTlbProfileCount, pmc);
 
     // Trim while effectiveness holds (Algorithm 1, lines 22-28).
     while (set.size() > 1) {
         VirtAddr removed = set.back();
         set.pop_back();
-        double rate =
-            profileMissRate(target, set, cfg.tlbProfileCount, pmc);
+        double rate = profileMissRate(target, set, kTlbProfileCount, pmc);
         if (rate < threshold * 0.9) {
             set.push_back(removed);
             break;

@@ -25,11 +25,17 @@ namespace pth
 class Machine;
 class KernelModule;
 
+/** Algorithm 1 profiling repetitions. */
+inline constexpr unsigned kTlbProfileCount = 64;
+
+/** TLB pool over-provisioning factor (paper: eight times). */
+inline constexpr unsigned kTlbPoolFactor = 8;
+
 /** Builder and provider of TLB eviction sets. */
 class TlbEvictionTool
 {
   public:
-    TlbEvictionTool(Machine &machine, const AttackConfig &config);
+    TlbEvictionTool(Machine &machine, const AttackConfig &);
 
     /**
      * Allocate and populate the page pool (one mmap + touch per page,
@@ -80,7 +86,6 @@ class TlbEvictionTool
                             std::vector<VirtAddr> &set) const;
 
     Machine &m;
-    const AttackConfig &cfg;
     std::uint64_t l2Sets;
     unsigned pagesPerSet;
     std::vector<VirtAddr> poolPages;  //!< indexed [set * pagesPerSet + i]

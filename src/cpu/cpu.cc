@@ -23,7 +23,7 @@ Cpu::setProcess(Process &proc)
     mmuRef.setRoot(proc.pageTables()->root());
     // A context switch also costs time and trashes some cache state;
     // the TLB/PSC flush above is the architecturally required part.
-    clk.advance(cfg.kernel.syscallCycles);
+    clk.advance(kSyscallCycles);
 }
 
 Process &
@@ -103,13 +103,13 @@ Cpu::clflush(VirtAddr va)
 void
 Cpu::nops(std::uint64_t n)
 {
-    clk.advance(n * cfg.nopCycles);
+    clk.advance(n * kNopCycles);
 }
 
 Cycles
 Cpu::rdtsc()
 {
-    clk.advance(cfg.rdtscCycles);
+    clk.advance(kRdtscCycles);
     return clk.now();
 }
 

@@ -23,6 +23,12 @@ class Mmu;
 class CacheHierarchy;
 class PhysicalMemory;
 
+/** Cost of one NOP. */
+inline constexpr Cycles kNopCycles = 1;
+
+/** Cost of a timing read (rdtsc). */
+inline constexpr Cycles kRdtscCycles = 30;
+
 /** Outcome of one timed access. */
 struct AccessOutcome
 {

@@ -1,6 +1,9 @@
 #include "cpu/interleaver.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -14,17 +17,26 @@ interleaveModeName(InterleaveMode mode)
 }
 
 bool
-parseInterleaveMode(const char *text, InterleaveMode &out)
+parseInterleaveMode(const char *text, InterleaveMode &mode,
+                    std::uint64_t &seed)
 {
-    if (!std::strcmp(text, "round-robin") || !std::strcmp(text, "rr")) {
-        out = InterleaveMode::RoundRobin;
-        return true;
+    const char *end = text + std::strlen(text);
+    const char *colon = std::find(text, end, ':');
+    const std::string_view name(text, colon - text);
+    InterleaveMode parsed = InterleaveMode::RoundRobin;
+    if (name == "seeded" || name == "random")
+        parsed = InterleaveMode::Seeded;
+    else if (name != "round-robin" && name != "rr")
+        return false;
+    std::uint64_t value = 0;
+    if (colon != end) {
+        const auto [last, ec] = std::from_chars(colon + 1, end, value);
+        if (ec != std::errc() || last != end)
+            return false;
     }
-    if (!std::strcmp(text, "seeded") || !std::strcmp(text, "random")) {
-        out = InterleaveMode::Seeded;
-        return true;
-    }
-    return false;
+    mode = parsed;
+    seed = value;
+    return true;
 }
 
 Interleaver::Interleaver(InterleaveMode mode_, std::uint64_t seed,

@@ -29,9 +29,12 @@ enum class InterleaveMode
 /** Canonical CLI/report name ("round-robin" or "seeded"). */
 const char *interleaveModeName(InterleaveMode mode);
 
-/** Parse a mode name ("round-robin"/"rr" or "seeded"/"random").
- * @return false without touching out on an unknown name. */
-bool parseInterleaveMode(const char *text, InterleaveMode &out);
+/** Parse MODE[:SEED]: a mode name ("round-robin"/"rr" or
+ * "seeded"/"random"), optionally followed by a whole decimal seed
+ * below 2^64 (default 0).
+ * @return false without touching mode or seed on bad input. */
+bool parseInterleaveMode(const char *text, InterleaveMode &mode,
+                         std::uint64_t &seed);
 
 /** The schedule generator. */
 class Interleaver

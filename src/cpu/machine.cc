@@ -17,8 +17,8 @@ Machine::Machine(const MachineConfig &config)
     mmus.reserve(cfg.harts);
     cpus.reserve(cfg.harts);
     for (unsigned h = 0; h < cfg.harts; ++h) {
-        mmus.push_back(std::make_unique<Mmu>(cfg.tlb, cfg.psc, pmem,
-                                             hierarchy, h));
+        mmus.push_back(
+            std::make_unique<Mmu>(cfg.tlb, pmem, hierarchy, h));
         cpus.push_back(std::make_unique<Cpu>(cfg, clk, *mmus[h],
                                              hierarchy, pmem, h));
     }

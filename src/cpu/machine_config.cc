@@ -30,7 +30,6 @@ paperTlb(std::uint64_t seed)
     // associativity (Figure 3).
     t.l1d = {16, 4, ReplacementKind::Aging, mix64(seed ^ 0x11d)};
     t.l2s = {128, 4, ReplacementKind::Aging, mix64(seed ^ 0x125)};
-    t.l2HitLatency = 7;
     return t;
 }
 

@@ -14,7 +14,6 @@
 #include "dram/dram_config.hh"
 #include "kernel/defense.hh"
 #include "kernel/kernel.hh"
-#include "paging/paging_structure_cache.hh"
 #include "tlb/tlb_config.hh"
 
 namespace pth
@@ -34,7 +33,6 @@ struct MachineConfig
     DisturbanceConfig disturbance;
     CacheHierarchyConfig caches;
     TlbConfig tlb;
-    PscConfig psc;
     KernelConfig kernel;
     DefenseKind defense = DefenseKind::None;
 
@@ -53,9 +51,6 @@ struct MachineConfig
      * additive model would be several times too slow).
      */
     double batchOverlap = 6.0;
-
-    Cycles nopCycles = 1;             //!< cost of one NOP
-    Cycles rdtscCycles = 30;          //!< cost of a timing read
 
     /** Convert simulated cycles to seconds at this machine's clock. */
     double seconds(Cycles cycles) const

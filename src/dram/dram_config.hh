@@ -82,9 +82,6 @@ struct DisturbanceConfig
     /** Probability that a row contains at least one weak cell. */
     double weakRowProbability = 0.012;
 
-    /** Weak cells within a weak row (1..maxWeakCellsPerRow). */
-    unsigned maxWeakCellsPerRow = 3;
-
     /** Minimum per-window disturbance needed by the weakest cells. */
     std::uint64_t thresholdMin = 222'000;
 
@@ -99,19 +96,6 @@ struct DisturbanceConfig
 
     /** Flip model the DRAM instantiates. */
     FlipModelKind flipModel = FlipModelKind::Ddr3Seeded;
-
-    /** Trr: sampler entries per bank (aggressors trackable at once). */
-    unsigned trrTrackerEntries = 4;
-
-    /**
-     * Trr: tracked-row activations before its neighbours get a
-     * targeted refresh. 0 = auto (thresholdMin / 8), which suppresses
-     * any pattern the sampler can see regardless of cell thresholds.
-     */
-    std::uint64_t trrRefreshThreshold = 0;
-
-    /** Distance2: attenuation divisor for aggressors two rows away. */
-    std::uint64_t distance2Divisor = 4;
 
     /** Ecc: codeword size; one flipped cell per word is corrected. */
     std::uint64_t eccCodewordBytes = 8;

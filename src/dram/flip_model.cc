@@ -65,14 +65,11 @@ FlipModel::FlipModel(const DisturbanceConfig &config,
 {
     switch (kind()) {
     case FlipModelKind::Ddr3Seeded:
+    case FlipModelKind::Distance2:
         break;
     case FlipModelKind::Trr:
-        pth_assert(cfg().trrTrackerEntries >= 1, "TRR tracker needs entries");
         trackers.resize(geometry.banks);
         refreshed.resize(geometry.banks);
-        break;
-    case FlipModelKind::Distance2:
-        pth_assert(cfg().distance2Divisor >= 1, "bad distance-2 divisor");
         break;
     case FlipModelKind::Ecc:
         pth_assert(cfg().eccCodewordBytes >= 1 &&
@@ -125,7 +122,7 @@ FlipModel::disturbance(unsigned bank, std::uint64_t victim,
         std::uint64_t far =
             actsInWindow(bank, victim - 2, epoch) +
             (victim + 2 < rows ? actsInWindow(bank, victim + 2, epoch) : 0);
-        return sum + far / cfg().distance2Divisor;
+        return sum + far / kDistance2Divisor;
     }
     case FlipModelKind::Ddr3Seeded:
     case FlipModelKind::Ecc:
@@ -199,7 +196,7 @@ FlipModel::bulkVictims(unsigned /* bank */,
         }
         std::uint64_t sum = near * actsPerWindow;
         if (kind() == FlipModelKind::Distance2)
-            sum += far * actsPerWindow / cfg().distance2Divisor;
+            sum += far * actsPerWindow / kDistance2Divisor;
         victims.push_back({victim, sum});
     }
     if (kind() != FlipModelKind::Trr)
@@ -218,7 +215,7 @@ FlipModel::bulkVictims(unsigned /* bank */,
     // at most adjacency * threshold. More aggressors than entries keep
     // every count near zero — no refresh fires and the full
     // disturbance lands, which is why many-sided patterns are needed.
-    if (distinct.size() > cfg().trrTrackerEntries)
+    if (distinct.size() > kTrrTrackerEntries)
         return;
     std::uint64_t cap = refreshThreshold();
     for (std::size_t i = first; i < victims.size(); ++i) {
@@ -261,8 +258,6 @@ FlipModel::onCellTripped(unsigned bank, std::uint64_t row,
 std::uint64_t
 FlipModel::refreshThreshold() const
 {
-    if (cfg().trrRefreshThreshold != 0)
-        return cfg().trrRefreshThreshold;
     return std::max<std::uint64_t>(1, cfg().thresholdMin / 8);
 }
 
@@ -285,7 +280,7 @@ FlipModel::sample(unsigned bank, std::uint64_t row, std::uint64_t epoch)
         }
         return false;
     }
-    if (tracker.entries.size() < cfg().trrTrackerEntries) {
+    if (tracker.entries.size() < kTrrTrackerEntries) {
         tracker.entries.push_back({row, 1});
         return false;
     }

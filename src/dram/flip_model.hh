@@ -19,7 +19,7 @@
  *    many-sided patterns (more aggressors than tracker entries) still
  *    land.
  *  - Distance2  : far aggressors contribute attenuated disturbance two
- *    rows away (1/distance2Divisor per activation).
+ *    rows away (1/kDistance2Divisor per activation).
  *  - Ecc        : DDR3 accounting behind a single-error-correcting
  *    code; a flip surfaces only when a second cell of the same
  *    codeword trips.
@@ -37,6 +37,12 @@
 
 namespace pth
 {
+
+/** Trr: sampler entries per bank (aggressors trackable at once). */
+inline constexpr unsigned kTrrTrackerEntries = 4;
+
+/** Distance2: attenuation divisor for aggressors two rows away. */
+inline constexpr std::uint64_t kDistance2Divisor = 4;
 
 /** Canonical CLI/report name of a model kind ("ddr3", "trr", ...). */
 const char *flipModelKindName(FlipModelKind kind);
@@ -184,8 +190,9 @@ class FlipModel
      * earned a targeted refresh of its neighbours. */
     bool sample(unsigned bank, std::uint64_t row, std::uint64_t epoch);
 
-    /** TRR's effective refresh threshold (resolves the 0 = auto
-     * default). */
+    /** TRR's tracked-row activations before its neighbours get a
+     * targeted refresh: thresholdMin / 8, which suppresses any
+     * pattern the sampler can see regardless of cell thresholds. */
     std::uint64_t refreshThreshold() const;
 
     VulnerabilityModel vuln;

@@ -5,6 +5,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "attack/eviction_pool.hh"
+#include "attack/flip_checker.hh"
+#include "attack/pair_finder.hh"
+#include "attack/spray.hh"
+#include "attack/timing.hh"
+#include "attack/tlb_eviction.hh"
 #include "common/json.hh"
 #include "common/table.hh"
 #include "harness/campaign.hh"
@@ -166,39 +172,37 @@ specKey(const RunSpec &spec)
                         static_cast<std::uint64_t>(spec.interleave),
                         spec.interleaveSeed);
 
+    // The attack constants (kUserSharedFrames, ...) are folded too:
+    // every journal key written so far includes them, and resume
+    // matches runs by key.
     const AttackConfig &a = spec.attack;
-    h = hashCombine(h, a.superpages, a.sprayBytes, a.userSharedFrames);
-    h = hashCombine(h, a.tlbProfileCount, a.tlbPoolFactor,
+    h = hashCombine(h, a.superpages, a.sprayBytes, kUserSharedFrames);
+    h = hashCombine(h, kTlbProfileCount, kTlbPoolFactor,
                     a.llcSelectCount);
     h = hashCombine(h, a.llcSelectDetailedCount,
                     a.superpageSampleClasses, a.regularSampleClasses);
-    h = hashCombine(h, a.regularSampleGroups, a.llcBuildRepeats,
-                    a.llcSetSizeMargin);
+    h = hashCombine(h, a.regularSampleGroups, kLlcBuildRepeats,
+                    kLlcSetSizeMargin);
     h = hashCombine(h, a.tlbSetSizeMargin, a.hammerIterations,
                     a.hammerWarmupIterations);
-    h = hashCombine(h, a.bankProbeCount, a.maxAttempts,
-                    a.timingNoiseCycles);
+    h = hashCombine(h, kBankProbeCount, a.maxAttempts,
+                    kTimingNoiseCycles);
     h = mixDouble(h, a.hammerBudgetSeconds);
     h = mixDouble(h, a.timingNoiseProbability);
     h = mixDouble(h, a.exhaustKernelFraction);
-    h = hashCombine(h, a.checkCyclesPerPage, a.credSprayProcesses,
+    h = hashCombine(h, kCheckCyclesPerPage, a.credSprayProcesses,
                     a.seed);
-    h = hashCombine(h, a.userDataBase, a.sprayBase, a.tlbPoolBase);
-    h = hashCombine(h, a.llcBufferBase, a.scratchBase);
+    h = hashCombine(h, kUserDataBase, kSprayBase, kTlbPoolBase);
+    h = hashCombine(h, kLlcBufferBase, kScratchBase);
     // poolBuild.threads is deliberately excluded: the pool is
     // byte-identical at any worker count, so a journal survives a
     // --pool-threads change.
     h = hashCombine(h,
                     static_cast<std::uint64_t>(a.poolBuild.algorithm));
-    // Victim-traffic knobs only matter to the multi-hart strategy;
-    // each keyed only when non-default so pre-existing journals keep
-    // their keys.
+    // Victim harts only matter to the multi-hart strategy; keyed only
+    // when non-default so pre-existing journals keep their keys.
     if (a.victimHarts != 0)
         h = hashCombine(h, 0x71c711, a.victimHarts);
-    if (a.victimTrafficPages != 64)
-        h = hashCombine(h, 0x71c712, a.victimTrafficPages);
-    if (a.victimAccessesPerSlot != 8)
-        h = hashCombine(h, 0x71c713, a.victimAccessesPerSlot);
     // Keyed only when non-default, like dramModel: attack-scoped
     // seeding changes what a nonzero seed means for the run.
     if (spec.seedScope != SeedScope::AllStreams)

@@ -9,8 +9,12 @@ namespace pth
 namespace
 {
 
-/** Bytes per struct cred slot in the cred slab. */
-constexpr std::uint64_t kCredSlotBytes = 64;
+/** Cost of creating one page-table page. */
+constexpr Cycles kPtPageAllocCycles = 2600;
+
+/** Other kernel frames (task_struct, stacks, ...) a process costs;
+ * this sets the cred-page density the CTA exploit relies on. */
+constexpr unsigned kProcessKernelFootprintFrames = 6;
 
 } // namespace
 
@@ -43,7 +47,6 @@ Kernel::Kernel(const Kernel &other, PhysicalMemory &memory, Clock &clock)
     : cfg(other.cfg), mem(memory), clk(clock), policy(other.policy),
       rng(other.rng), nextPid(other.nextPid), l1ptFrames(other.l1ptFrames),
       credFrames(other.credFrames), credPage(other.credPage),
-      credSlot(other.credSlot),
       burnedKernelFrames(other.burnedKernelFrames)
 {
     // determinism: copy into a fresh map — visit order does not
@@ -103,7 +106,7 @@ Kernel::frameSourceFor(std::uint64_t pid)
         PhysFrame f = allocFrame(intent, pid);
         if (level == PtLevel::Pte)
             l1ptFrames.emplace(f, 0);
-        clk.advance(cfg.ptPageAllocCycles);
+        clk.advance(kPtPageAllocCycles);
         return f;
     };
 }
@@ -116,13 +119,13 @@ Kernel::createProcess(std::uint32_t uid, bool lightweight)
     proc->credAddr = allocCred(pid, uid);
     // Every process also costs the kernel task_struct, stack and
     // housekeeping pages.
-    for (unsigned i = 0; i < cfg.processKernelFootprintFrames; ++i)
+    for (unsigned i = 0; i < kProcessKernelFootprintFrames; ++i)
         burnedKernelFrames.push_back(
             allocFrame(AllocIntent::KernelData, 0));
     if (!lightweight)
         proc->tables =
             std::make_unique<PageTables>(mem, frameSourceFor(pid));
-    clk.advance(cfg.syscallCycles);
+    clk.advance(kSyscallCycles);
     Process &ref = *proc;
     processes.emplace(pid, std::move(proc));
     return ref;
@@ -140,17 +143,12 @@ Kernel::process(std::uint64_t pid)
 PhysAddr
 Kernel::allocCred(std::uint64_t pid, std::uint32_t uid)
 {
-    std::uint64_t slotsPerPage = std::min<std::uint64_t>(
-        cfg.credSlotsPerPage, kPageBytes / kCredSlotBytes);
-    if (credPage == kInvalidFrame || credSlot >= slotsPerPage) {
-        credPage = allocFrame(AllocIntent::KernelData, 0);
-        credFrames.emplace(credPage, 0);
-        credSlot = 0;
-    }
-    PhysAddr base = (credPage << kPageShift) + credSlot * kCredSlotBytes;
-    ++credSlot;
+    // One struct cred per slab page, at its start.
+    credPage = allocFrame(AllocIntent::KernelData, 0);
+    credFrames.emplace(credPage, 0);
+    PhysAddr base = credPage << kPageShift;
 
-    mem.write64(base + 0, cfg.credMagic);
+    mem.write64(base + 0, kCredMagic);
     mem.write64(base + 8,
                 (static_cast<std::uint64_t>(uid) << 32) | uid);
     mem.write64(base + 16, pid);
@@ -179,8 +177,7 @@ Kernel::mmapSharedSameFrame(Process &proc, VirtAddr va,
     std::uint64_t l1ptsCreated = l1ptFrames.size() - l1ptsBefore;
     // Population cost: one fault-ish charge per page-table page built
     // (the per-PTE work is batched by the kernel's fault-around).
-    clk.advance(cfg.syscallCycles +
-                l1ptsCreated * cfg.pageFaultCycles);
+    clk.advance(kSyscallCycles + l1ptsCreated * cfg.pageFaultCycles);
 }
 
 void
@@ -196,7 +193,7 @@ Kernel::mmapAnon(Process &proc, VirtAddr va, std::uint64_t bytes)
         proc.pageTables()->map4k(va + i * kPageBytes, f);
         clk.advance(cfg.pageFaultCycles);
     }
-    clk.advance(cfg.syscallCycles);
+    clk.advance(kSyscallCycles);
 }
 
 void
@@ -244,7 +241,7 @@ Kernel::mmapHuge(Process &proc, VirtAddr va, std::uint64_t bytes)
         proc.pageTables()->map2m(va + i * kSuperPageBytes, f);
         clk.advance(cfg.pageFaultCycles);
     }
-    clk.advance(cfg.syscallCycles);
+    clk.advance(kSyscallCycles);
 }
 
 PhysFrame
@@ -259,7 +256,9 @@ std::uint64_t
 Kernel::stateHash() const
 {
     std::uint64_t h = hashCombine(0x6e1, nextPid, credPage);
-    h = hashCombine(h, credSlot, policy.stateHash(), rng.stateHash());
+    // 1 once a cred exists, 0 before: pinned digests fold it here.
+    h = hashCombine(h, credPage != kInvalidFrame, policy.stateHash(),
+                    rng.stateHash());
     for (PhysFrame frame : burnedKernelFrames)
         h = hashCombine(h, frame);
     // determinism: commutative folds — iteration order of the

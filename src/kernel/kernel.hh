@@ -42,28 +42,24 @@ class Clock
     Cycles tick = 0;
 };
 
+/** Fixed syscall entry/exit cost, also charged per context switch. */
+inline constexpr Cycles kSyscallCycles = 1500;
+
+/** Magic value ("cred_mag") opening every struct cred. */
+inline constexpr std::uint64_t kCredMagic = 0x637265645f6d6167ull;
+
 /** Kernel cost/behaviour knobs. */
 struct KernelConfig
 {
-    Cycles syscallCycles = 1500;     //!< fixed syscall entry/exit cost
     Cycles pageFaultCycles = 6200;   //!< per-page population cost
-    Cycles ptPageAllocCycles = 2600; //!< per page-table page created
     double bootNoiseFraction = 0.04; //!< frames burned at boot (fragmentation)
     std::uint64_t seed = 0xb007;
-    std::uint64_t credMagic = 0x637265645f6d6167ull;  //!< "cred_mag"
-
-    /** struct cred slots packed per slab page. */
-    unsigned credSlotsPerPage = 1;
-
-    /** Other kernel frames (task_struct, stacks, ...) a process costs;
-     * this sets the cred-page density the CTA exploit relies on. */
-    unsigned processKernelFootprintFrames = 6;
 
     /** Field-wise equality (campaign snapshot-sharing detection). */
     bool operator==(const KernelConfig &) const = default;
 };
 
-/** Magic value marking struct cred slots in kernel pages. */
+/** Layout of a struct cred in kernel memory. */
 struct Cred
 {
     std::uint64_t magic;
@@ -180,7 +176,7 @@ class Kernel
     /** Configuration in force. */
     const KernelConfig &config() const { return cfg; }
 
-    /** Digest of kernel bookkeeping — pids, cred slab cursor, L1PT and
+    /** Digest of kernel bookkeeping — pids, last cred page, L1PT and
      * cred frame sets, per-process state (snapshot audits). */
     std::uint64_t stateHash() const;
 
@@ -208,8 +204,7 @@ class Kernel
 
     std::unordered_map<PhysFrame, char> l1ptFrames;
     std::unordered_map<PhysFrame, char> credFrames;
-    PhysFrame credPage = kInvalidFrame;
-    std::uint64_t credSlot = 0;
+    PhysFrame credPage = kInvalidFrame;  //!< the newest struct cred's
     std::vector<PhysFrame> burnedKernelFrames;
 };
 

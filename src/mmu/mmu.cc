@@ -8,10 +8,9 @@
 namespace pth
 {
 
-Mmu::Mmu(const TlbConfig &tlbConfig, const PscConfig &pscConfig,
-         PhysicalMemory &memory, CacheHierarchy &caches, unsigned hart)
-    : tlbs(tlbConfig), pscs(pscConfig),
-      ptWalker(memory, caches, pscs, hart)
+Mmu::Mmu(const TlbConfig &tlbConfig, PhysicalMemory &memory,
+         CacheHierarchy &caches, unsigned hart)
+    : tlbs(tlbConfig), ptWalker(memory, caches, pscs, hart)
 {
 }
 

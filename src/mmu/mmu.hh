@@ -42,9 +42,8 @@ class Mmu
   public:
     /** @param hart Hart this MMU serves; its page-table walker fetches
      * PTEs through that hart's private L1. */
-    Mmu(const TlbConfig &tlbConfig, const PscConfig &pscConfig,
-        PhysicalMemory &memory, CacheHierarchy &caches,
-        unsigned hart = 0);
+    Mmu(const TlbConfig &tlbConfig, PhysicalMemory &memory,
+        CacheHierarchy &caches, unsigned hart = 0);
 
     /** Deep copy rewired to the new machine's memory and caches
      * (Machine snapshot/fork): TLBs, PSCs, walker counters, the

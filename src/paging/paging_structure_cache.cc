@@ -22,10 +22,10 @@ PagingStructureCache::stateHash() const
     return h;
 }
 
-PagingStructureCaches::PagingStructureCaches(const PscConfig &config)
-    : caches{PagingStructureCache(config.pdeEntries),
-             PagingStructureCache(config.pdpteEntries),
-             PagingStructureCache(config.pml4Entries)}
+PagingStructureCaches::PagingStructureCaches()
+    : caches{PagingStructureCache(kPdeCacheEntries),
+             PagingStructureCache(kPdpteCacheEntries),
+             PagingStructureCache(kPml4eCacheEntries)}
 {
 }
 

@@ -30,16 +30,10 @@
 namespace pth
 {
 
-/** Sizes of the three paging-structure caches. */
-struct PscConfig
-{
-    unsigned pml4Entries = 16;
-    unsigned pdpteEntries = 16;
-    unsigned pdeEntries = 32;
-
-    /** Field-wise equality (campaign snapshot-sharing detection). */
-    bool operator==(const PscConfig &) const = default;
-};
+/** Entries of the PML4E, PDPTE and PDE caches. */
+inline constexpr unsigned kPml4eCacheEntries = 16;
+inline constexpr unsigned kPdpteCacheEntries = 16;
+inline constexpr unsigned kPdeCacheEntries = 32;
 
 /** One fully-associative LRU partial-translation cache. */
 class PagingStructureCache
@@ -87,7 +81,7 @@ class PagingStructureCache
 class PagingStructureCaches
 {
   public:
-    explicit PagingStructureCaches(const PscConfig &config);
+    PagingStructureCaches();
 
     /** Tag for a va at the cache of the given upper level. */
     static std::uint64_t tagFor(VirtAddr va, PtLevel level);

@@ -33,7 +33,6 @@ struct TlbConfig
 {
     TlbLevelConfig l1d{16, 4, ReplacementKind::TreePlru};
     TlbLevelConfig l2s{128, 4, ReplacementKind::TreePlru};
-    Cycles l2HitLatency = 7;   //!< extra cycles for an sTLB hit
 
     bool operator==(const TlbConfig &) const = default;
 };

@@ -6,7 +6,7 @@ namespace pth
 {
 
 TwoLevelTlb::TwoLevelTlb(const TlbConfig &config)
-    : l1Tlb(config.l1d), l2Tlb(config.l2s), l2HitLatency(config.l2HitLatency)
+    : l1Tlb(config.l1d), l2Tlb(config.l2s)
 {
 }
 
@@ -21,13 +21,13 @@ TwoLevelTlb::lookup(VirtPage vpn, bool huge)
     }
     if (auto entry = l2Tlb.lookup(vpn, huge)) {
         result.hit = true;
-        result.latency = l2HitLatency;
+        result.latency = kL2TlbHitLatency;
         result.entry = *entry;
         // Promote into the L1, which has just missed it.
         l1Tlb.fill(*entry);
         return result;
     }
-    result.latency = l2HitLatency;
+    result.latency = kL2TlbHitLatency;
     return result;
 }
 

@@ -19,6 +19,9 @@
 namespace pth
 {
 
+/** Extra cycles for a lookup that reaches the sTLB. */
+inline constexpr Cycles kL2TlbHitLatency = 7;
+
 /** Result of a two-level TLB lookup. */
 struct TlbLookupResult
 {
@@ -64,7 +67,6 @@ class TwoLevelTlb
   private:
     Tlb l1Tlb;
     Tlb l2Tlb;
-    Cycles l2HitLatency;
 };
 
 } // namespace pth

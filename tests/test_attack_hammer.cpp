@@ -19,18 +19,9 @@ namespace pth
 namespace
 {
 
-MachineConfig
-testSmallWithHarts(unsigned harts)
-{
-    MachineConfig config = MachineConfig::testSmall();
-    config.harts = harts;
-    return config;
-}
-
 struct HammerEnv : public ::testing::Test
 {
-    explicit HammerEnv(unsigned harts = 1)
-        : machine(testSmallWithHarts(harts))
+    HammerEnv() : machine(MachineConfig::testSmall())
     {
         attack.superpages = true;
         attack.sprayBytes = 16ull << 20;
@@ -53,7 +44,7 @@ TEST_F(HammerEnv, PairFinderProducesProvisionedPairs)
     EXPECT_FALSE(pair->tlbSet1.empty());
     EXPECT_FALSE(pair->llcSet1.empty());
     EXPECT_EQ(pair->llcSet1.size(),
-              machine.config().caches.llc.ways + attack.llcSetSizeMargin);
+              machine.config().caches.llc.ways + kLlcSetSizeMargin);
     EXPECT_GT(pair->llcSelectCycles, 0u);
 }
 
@@ -114,38 +105,6 @@ TEST_F(HammerEnvDeathTest, ZeroWarmupIsFatal)
                 "hammerWarmupIterations is 0");
 }
 
-/** The spray maps its regions over userSharedFrames frames, so with
- * none it must stop instead of dividing by zero. */
-TEST_F(HammerEnvDeathTest, ZeroUserSharedFramesIsFatal)
-{
-    AttackConfig noFrames = attack;
-    noFrames.userSharedFrames = 0;
-    SprayManager sprayer(machine, noFrames);
-    EXPECT_EXIT(sprayer.spray(), testing::ExitedWithCode(1),
-                "userSharedFrames is 0");
-}
-
-struct TwoHartHammerEnv : public HammerEnv
-{
-    TwoHartHammerEnv() : HammerEnv(2) {}
-};
-
-using TwoHartHammerEnvDeathTest = TwoHartHammerEnv;
-
-/** A victim hart draws its loads from victimTrafficPages pages, so a
- * batch with a victim and no such pages must stop instead of dividing
- * by zero. */
-TEST_F(TwoHartHammerEnvDeathTest, ZeroVictimTrafficPagesIsFatal)
-{
-    auto pair = pthammer->pairs().next();
-    ASSERT_TRUE(pair.has_value());
-    AttackConfig noTraffic = attack;
-    noTraffic.victimTrafficPages = 0;
-    ImplicitHammer hammer(machine, noTraffic);
-    EXPECT_EXIT(hammer.runBatch({&*pair, 1}, 1, 1'000'000),
-                testing::ExitedWithCode(1), "victimTrafficPages is 0");
-}
-
 TEST_F(HammerEnv, MeasureRoundsReturnsPlausibleTimings)
 {
     auto pair = pthammer->pairs().next();
@@ -179,7 +138,7 @@ TEST_F(HammerEnv, CheckerChargesFullScan)
     pthammer->checker().check();
     Cycles elapsed = machine.clock().now() - before;
     EXPECT_GE(elapsed, pthammer->sprayer().sprayedPages() *
-                           attack.checkCyclesPerPage);
+                           kCheckCyclesPerPage);
 }
 
 TEST_F(HammerEnv, CheckerSeesInjectedPfnFlip)

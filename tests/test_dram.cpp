@@ -518,7 +518,7 @@ TEST_F(FlipModelFixture, Distance2FlipsTwoRowsAway)
     std::uint64_t victim = findAntiRow(60);
     ASSERT_GT(victim, 2u);
     std::uint64_t needed =
-        disturbance.thresholdMax * disturbance.distance2Divisor + 2;
+        disturbance.thresholdMax * kDistance2Divisor + 2;
     auto flips =
         dram->hammerBulk(0, {victim - 2, victim + 2}, needed / 2, 1);
     bool farVictim = false;
@@ -554,7 +554,7 @@ TEST_F(FlipModelFixture, Distance2DetailedPathReachesRowPlusTwo)
     PhysAddr a = addrOf(0, victim - 2);
     PhysAddr b = addrOf(0, victim + 2);
     std::uint64_t iterations =
-        disturbance.thresholdMax * disturbance.distance2Divisor;
+        disturbance.thresholdMax * kDistance2Divisor;
     for (std::uint64_t i = 0; i <= iterations / 2 + 2; ++i) {
         dram->access(a, i * 2);
         dram->access(b, i * 2 + 1);

@@ -37,8 +37,7 @@ TEST_F(KernelFixture, CredsWrittenToKernelMemory)
 {
     Process &p = machine.kernel().createProcess(1234);
     PhysAddr cred = machine.kernel().credAddress(p);
-    EXPECT_EQ(machine.memory().read64(cred),
-              machine.kernel().config().credMagic);
+    EXPECT_EQ(machine.memory().read64(cred), kCredMagic);
     std::uint64_t uidWord = machine.memory().read64(cred + 8);
     EXPECT_EQ(static_cast<std::uint32_t>(uidWord), 1234u);
     EXPECT_EQ(machine.memory().read64(cred + 16), p.pid());

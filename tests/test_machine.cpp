@@ -115,8 +115,7 @@ TEST_F(CpuFixture, NopsCostConfiguredCycles)
 {
     Cycles before = machine.clock().now();
     machine.cpu().nops(100);
-    EXPECT_EQ(machine.clock().now(), before + 100 *
-              machine.config().nopCycles);
+    EXPECT_EQ(machine.clock().now(), before + 100 * kNopCycles);
 }
 
 TEST_F(CpuFixture, RdtscChargesAndReturnsTime)

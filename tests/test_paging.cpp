@@ -56,7 +56,7 @@ struct PagingFixture : public ::testing::Test
                                       *mem);
         CacheHierarchyConfig cc;
         caches = std::make_unique<CacheHierarchy>(cc, *dram);
-        pscs = std::make_unique<PagingStructureCaches>(PscConfig{});
+        pscs = std::make_unique<PagingStructureCaches>();
         walker = std::make_unique<PageTableWalker>(*mem, *caches, *pscs);
     }
 
@@ -250,7 +250,7 @@ TEST(PagingStructureCaches, TagsPerLevel)
 
 TEST(PagingStructureCachesDeathTest, LevelOneHasNoCache)
 {
-    PagingStructureCaches pscs{PscConfig{}};
+    PagingStructureCaches pscs;
     EXPECT_DEATH(PagingStructureCaches::tagFor(0x7000'0000'0000, PtLevel::Pte),
                  "no paging-structure cache for level 1");
     EXPECT_DEATH(pscs.level(PtLevel::Pte), "no paging-structure cache");

@@ -179,7 +179,7 @@ TEST_P(PaperMachine, BankConflictThresholdSeparatesTimings)
               overhead + machine.config().dramTiming.rowClosed);
     EXPECT_LT(probe.bankConflictThreshold(),
               overhead + machine.config().dramTiming.rowConflict +
-                  machine.config().tlb.l2HitLatency + 20);
+                  kL2TlbHitLatency + 20);
     EXPECT_GT(probe.dramThreshold(), overhead);
     EXPECT_LT(probe.dramThreshold(),
               overhead + machine.config().dramTiming.rowHit + 100);

@@ -50,13 +50,13 @@ TEST_F(SprayFixture, MarkersRotateAcrossSharedFrames)
     std::uint64_t m0 = sprayer->expectedMarker(0);
     std::uint64_t m1 = sprayer->expectedMarker(1);
     EXPECT_NE(m0, m1);
-    EXPECT_EQ(sprayer->expectedMarker(attack.userSharedFrames),
+    EXPECT_EQ(sprayer->expectedMarker(kUserSharedFrames),
               m0);  // rotation period
 }
 
 TEST_F(SprayFixture, AllMarkersNonZero)
 {
-    for (unsigned i = 0; i < attack.userSharedFrames; ++i)
+    for (unsigned i = 0; i < kUserSharedFrames; ++i)
         EXPECT_NE(sprayer->expectedMarker(i), 0u)
             << "a zero marker cannot be told apart from empty memory";
 }
@@ -67,7 +67,7 @@ TEST_F(SprayFixture, CheckerCostScalesWithSpraySize)
     Cycles before = machine.clock().now();
     checker.check();
     Cycles cost = machine.clock().now() - before;
-    EXPECT_EQ(cost, sprayer->sprayedPages() * attack.checkCyclesPerPage);
+    EXPECT_EQ(cost, sprayer->sprayedPages() * kCheckCyclesPerPage);
 }
 
 TEST_F(SprayFixture, CheckerFlushesCaches)

@@ -17,7 +17,11 @@ the classic ways C++ code silently breaks that:
   * time()/localtime()/gmtime()/clock() feeding values into results —
     wall-clock state makes reports differ between runs;
   * formatting pointer values (%p, streaming a void*) — ASLR makes
-    pointer text differ between runs.
+    pointer text differ between runs;
+  * two draws from one pth::Rng in one statement — C++ leaves the
+    order of `rng.below(a) * x + rng.below(b)`'s operands unspecified,
+    so which draw lands where is the compiler's choice. A name counts
+    as an Rng when any scanned file declares it `Rng` or `Rng &`.
 
 Annotations: the flagged line, or one of the 3 lines above it, must
 contain `determinism:` followed by a non-empty justification.
@@ -42,6 +46,10 @@ UNORDERED_DECL = re.compile(
 DECL_NAME = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\s*<(?:[^<>]|<(?:[^<>]|"
     r"<[^<>]*>)*>)*>\s*&?\s*([A-Za-z_]\w*)\s*[;={(,)]")
+RNG_DECL = re.compile(r"\bRng\s*&?\s*([A-Za-z_]\w*)\s*[;={(,)]")
+RNG_DRAW = re.compile(
+    r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*(?:below|next|chance|range)\s*\(")
+STATEMENT = re.compile(r"[^;{}]+")
 RANGE_FOR = re.compile(
     r"\bfor\s*\(\s*[^;()]*?:\s*([A-Za-z_][\w.\->\[\]]*)\s*\)")
 ANNOTATION = re.compile(r"determinism:\s*\S")
@@ -165,6 +173,7 @@ def main() -> int:
     # another file still needs an annotation, which is cheap and keeps
     # the lint single-pass.
     unordered_names = set()
+    rng_names = set()
     texts = {}
     for path in files:
         raw = path.read_text()
@@ -172,6 +181,8 @@ def main() -> int:
         stripped = cpp_model.strip_comments(raw)
         for m in DECL_NAME.finditer(stripped):
             unordered_names.add(m.group(1))
+        for m in RNG_DECL.finditer(stripped):
+            rng_names.add(m.group(1))
 
     errors = []
     for path in files:
@@ -200,6 +211,22 @@ def main() -> int:
                 if pattern.search(haystack) and \
                         not annotated(raw_lines, lineno - 1):
                     errors.append(f"{rel}:{lineno}: {why}")
+        for m in STATEMENT.finditer(stripped):
+            draws = [d.group(1) for d in RNG_DRAW.finditer(m.group(0))
+                     if d.group(1) in rng_names]
+            twice = sorted({n for n in draws if draws.count(n) > 1})
+            if not twice:
+                continue
+            start = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
+            lineno = stripped.count("\n", 0, start) + 1
+            if annotated(raw_lines, lineno - 1):
+                continue
+            errors.append(
+                f"{path.relative_to(root)}:{lineno}: two draws from Rng "
+                f"'{twice[0]}' in one statement — C++ leaves their "
+                f"order unspecified, so the values depend on the "
+                f"compiler. Draw in separate statements, or annotate "
+                f"with '// determinism: <why order cannot matter>'.")
 
     if errors:
         print(f"determinism_lint: {len(errors)} finding(s):")

@@ -31,3 +31,14 @@ stamp()
     std::printf("%s %p\n", ctime(&now), static_cast<void *>(&table));
     std::cout << static_cast<const void *>(&table) << "\n";
 }
+
+struct Rng
+{
+    unsigned long long below(unsigned long long bound);
+};
+
+unsigned long long
+victimLine(Rng &rng)
+{
+    return rng.below(64) * 4096 + rng.below(64) * 64;
+}

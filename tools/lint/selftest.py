@@ -52,7 +52,7 @@ CASES = [
     ]),
     ("speckey_audit.py", "speckey_good", 0, ["speckey_audit: OK"]),
     ("determinism_lint.py", "det_bad", 1, [
-        "7 finding(s)",
+        "8 finding(s)",
         "iteration over unordered container 'table'",
         "random_device",
         "rand()/srand()",
@@ -60,6 +60,7 @@ CASES = [
         "calendar time",
         "%p formats a pointer",
         "streaming a pointer",
+        "two draws from Rng 'rng' in one statement",
     ]),
     ("determinism_lint.py", "det_good", 0, ["determinism_lint: OK"]),
     ("lock_audit.py", "lock_bad", 1, [
