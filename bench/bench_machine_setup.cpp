@@ -63,8 +63,8 @@ driveBody(Machine &machine, const AttackConfig &attack, RunResult &res)
     Rng rng(attack.seed);
     std::uint64_t latency = 0;
     for (int i = 0; i < 400; ++i) {
-        VirtAddr va = kVa + rng.below(64) * kPageBytes +
-                      rng.below(8) * 64;
+        const std::uint64_t page = rng.below(64);
+        VirtAddr va = kVa + page * kPageBytes + rng.below(8) * 64;
         latency += machine.cpu().access(va).latency;
         if (i % 23 == 0)
             machine.cpu().clflush(va);

@@ -1,14 +1,13 @@
 #include "attack/eviction_pool.hh"
 
 #include <algorithm>
-#include <future>
 #include <map>
 #include <set>
 
 #include "attack/pool_build.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "cpu/machine.hh"
-#include "common/thread_pool.hh"
 
 namespace pth
 {
@@ -180,27 +179,14 @@ LlcEvictionPool::extractClasses(
             phys[cls].push_back(linePhys(line));
     }
 
-    auto runClass = [&](unsigned cls) {
+    auto runClass = [&](std::size_t cls) {
         return extractClassGroupTesting(
             m.config(), cfg, buckets[cls], phys[cls],
             hintFromBucket ? cls : ~0ull, mask, maxGroupsPerClass,
             hashCombine(cfg.seed, 0x9001, cls));
     };
-
-    std::vector<ClassExtraction> extractions(classesSampled);
-    if (cfg.poolBuild.threads == 1) {
-        for (unsigned cls = 0; cls < classesSampled; ++cls)
-            extractions[cls] = runClass(cls);
-    } else {
-        ThreadPool workers(cfg.poolBuild.threads);
-        std::vector<std::future<ClassExtraction>> futures;
-        futures.reserve(classesSampled);
-        for (unsigned cls = 0; cls < classesSampled; ++cls)
-            futures.push_back(
-                workers.submit([&runClass, cls] { return runClass(cls); }));
-        for (unsigned cls = 0; cls < classesSampled; ++cls)
-            extractions[cls] = futures[cls].get();
-    }
+    std::vector<ClassExtraction> extractions =
+        parallelMap(classesSampled, cfg.poolBuild.threads, runClass);
 
     for (ClassExtraction &extraction : extractions) {
         groupsDone.push_back(static_cast<unsigned>(extraction.sets.size()));

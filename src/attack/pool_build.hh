@@ -15,11 +15,10 @@
  * Each class runs on its own ClassConflictTester — a private cache
  * hierarchy + DRAM replica addressed with the buffer's real physical
  * addresses, with a per-class noise stream and cycle counter — so
- * classes share no mutable state and extraction parallelizes across
- * the shared ThreadPool (common/) with a deterministic index-ordered
- * merge:
- * the built pool is byte-identical serial vs. multi-threaded, the
- * same contract the campaign runner guarantees for whole runs.
+ * classes share no mutable state and extraction is one parallelMap
+ * (common/parallel.hh) over the classes, merged in class order: the
+ * built pool is byte-identical serial vs. multi-threaded, the same
+ * contract the campaign runner guarantees for whole runs.
  */
 
 #ifndef PTH_ATTACK_POOL_BUILD_HH

@@ -2,34 +2,24 @@
  * @file
  * Capability-annotated synchronization primitives.
  *
- * Thin zero-cost wrappers over std::mutex / std::condition_variable
- * carrying the Clang Thread Safety attributes libstdc++'s own types
- * lack (see common/thread_annotations.hh). Every mutex in the tree
- * must be a pth::Mutex and every scoped lock a pth::MutexLock —
+ * Thin zero-cost wrappers over std::mutex carrying the Clang Thread
+ * Safety attributes libstdc++'s own types lack (see
+ * common/thread_annotations.hh). Every mutex in the tree must be a
+ * pth::Mutex and every scoped lock a pth::MutexLock —
  * tools/lint/lock_audit.py rejects raw std primitives — so that
  * -DPTH_THREAD_SAFETY=ON can prove, at compile time and on every
  * path, that no guarded member is ever touched unlocked.
- *
- * CondVar deliberately offers only the un-predicated wait(Mutex&):
- * a predicate lambda would be analyzed as a separate unannotated
- * function and every guarded member it reads would warn. Callers
- * write the standard `while (!cond) cv.wait(mtx);` loop instead,
- * which the analysis sees through (the loop body runs with the lock
- * held), and which is wakeup-spurious-safe by construction.
  */
 
 #ifndef PTH_COMMON_SYNC_HH
 #define PTH_COMMON_SYNC_HH
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.hh"
 
 namespace pth
 {
-
-class CondVar;
 
 /** A std::mutex the thread-safety analysis understands. */
 class PTH_CAPABILITY("mutex") Mutex
@@ -41,10 +31,8 @@ class PTH_CAPABILITY("mutex") Mutex
 
     void lock() PTH_ACQUIRE() { m_.lock(); }
     void unlock() PTH_RELEASE() { m_.unlock(); }
-    bool tryLock() PTH_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
   private:
-    friend class CondVar;
     std::mutex m_;
 };
 
@@ -63,37 +51,6 @@ class PTH_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &mutex_;
-};
-
-/**
- * Condition variable waiting on a pth::Mutex the caller already
- * holds. Backed by std::condition_variable (not the heavier
- * condition_variable_any): wait() adopts the held mutex into a
- * unique_lock for the duration of the wait and releases the adoption
- * before returning, so ownership stays with the caller's scoped lock
- * exactly as the analysis believes it does.
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    /** Block until notified (or spuriously woken); the mutex is
-     * released while blocked and re-held on return. */
-    void wait(Mutex &mutex) PTH_REQUIRES(mutex)
-    {
-        std::unique_lock<std::mutex> lock(mutex.m_, std::adopt_lock);
-        cv_.wait(lock);
-        lock.release();
-    }
-
-    void notifyOne() noexcept { cv_.notify_one(); }
-    void notifyAll() noexcept { cv_.notify_all(); }
-
-  private:
-    std::condition_variable cv_;
 };
 
 } // namespace pth

@@ -14,8 +14,8 @@
  * attributes. libstdc++'s std::mutex / std::lock_guard carry none, so
  * annotating members with a raw std::mutex as the capability is a
  * no-op at best and an attribute error at worst — use the annotated
- * wrappers in common/sync.hh (pth::Mutex, pth::MutexLock,
- * pth::CondVar) instead; tools/lint/lock_audit.py enforces this.
+ * wrappers in common/sync.hh (pth::Mutex, pth::MutexLock) instead;
+ * tools/lint/lock_audit.py enforces this.
  *
  * Build gate: -DPTH_THREAD_SAFETY=ON (clang only) compiles with
  * -Werror=thread-safety -Wthread-safety-beta; the CI `thread-safety`

@@ -1,5 +1,6 @@
 #include "harness/bench_cli.hh"
 
+#include "common/parallel.hh"
 #include "common/table.hh"
 #include "dram/flip_model.hh"
 #include "harness/campaign_ctl.hh"
@@ -12,7 +13,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <thread>
 
 namespace pth
 {
@@ -283,13 +283,8 @@ BenchCli::runCampaign(const Campaign &campaign)
         std::exit(0);
     }
 
-    unsigned workerCount = workers;
-    if (workerCount == 0) {
-        workerCount = std::thread::hardware_concurrency();
-        if (workerCount == 0)
-            workerCount = 1;
-    }
-    if (workerCount <= 1)
+    const unsigned workerCount = resolveWorkers(workers);
+    if (workerCount == 1)
         return campaign.run(options);
 
     // Parent mode (--workers N): run the campaign as N shards of

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -13,9 +14,8 @@
 #include "attack/pthammer.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/sync.hh"
+#include "common/parallel.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "cpu/machine.hh"
 #include "dram/flip_model.hh"
 #include "harness/result_store.hh"
@@ -388,46 +388,10 @@ std::vector<RunResult>
 Campaign::run(const CampaignOptions &options) const
 {
     const std::size_t n = specs_.size();
-    std::vector<RunResult> results(n);
-    std::vector<char> cached(n, 0);
-
-    // Snapshot sharing: runs resolving to the same MachineConfig fork
-    // one warm machine, built under the slot mutex by whichever run
-    // of the group executes first. A mutex-guarded lazy init rather
-    // than std::call_once: the thread-safety analysis cannot see
-    // through once_flag (snap would be read unprovably-unlocked), and
-    // the semantics are identical — racing workers serialize, a build
-    // that throws leaves snap empty so the next group member retries.
-    // Once built, the snapshot is immutable; handing the raw pointer
-    // out of the lock is safe because run() outlives the pool.
+    std::vector<std::optional<RunResult>> journaled(n);
     std::vector<MachineConfig> derivedConfigs;
     const std::vector<int> groups =
         sharePlan(options.reuseMachines, &derivedConfigs);
-    struct SnapshotSlot
-    {
-        Mutex mtx;
-        std::unique_ptr<MachineSnapshot> snap PTH_GUARDED_BY(mtx);
-    };
-    int nGroups = 0;
-    for (int g : groups)
-        nGroups = std::max(nGroups, g + 1);
-    std::vector<std::unique_ptr<SnapshotSlot>> slots;
-    slots.reserve(static_cast<std::size_t>(nGroups));
-    for (int g = 0; g < nGroups; ++g)
-        slots.push_back(std::make_unique<SnapshotSlot>());
-    auto snapshotFor = [&groups, &slots,
-                        &derivedConfigs](std::size_t i)
-        -> const MachineSnapshot * {
-        const int group = groups[i];
-        if (group < 0)
-            return nullptr;
-        SnapshotSlot &slot = *slots[static_cast<std::size_t>(group)];
-        MutexLock lock(slot.mtx);
-        if (!slot.snap)
-            slot.snap = std::make_unique<MachineSnapshot>(
-                std::make_unique<Machine>(derivedConfigs[i]));
-        return slot.snap.get();
-    };
 
     // Shard slicing: this process owns only its residue class; other
     // runs are journal-served or marked "not executed".
@@ -465,8 +429,7 @@ Campaign::run(const CampaignOptions &options) const
                 ResultStore::Entry &entry = item.second;
                 if (index < n && entry.key == keys[index] &&
                     entry.result.ok) {
-                    results[index] = std::move(entry.result);
-                    cached[index] = 1;
+                    journaled[index] = std::move(entry.result);
                 }
             }
         }
@@ -475,52 +438,52 @@ Campaign::run(const CampaignOptions &options) const
                                               !options.resume);
     }
 
-    // A run outside this shard's slice that the journal cannot serve:
-    // visibly unfinished rather than silently zero-valued.
-    auto notExecuted = [this, shardCount](std::size_t i) {
-        RunResult res = specResultShell(specs_[i], i);
-        res.ok = false;
-        res.error = strfmt(
-            "not executed: run %zu belongs to shard %zu of %u",
-            i, i % shardCount, shardCount);
-        return res;
-    };
+    // Snapshot sharing: runs resolving to the same MachineConfig fork
+    // one warm machine. Each group with a run this process executes
+    // builds its snapshot here, before the fan-out; a group served
+    // wholly by the journal or by other shards builds none. Runs only
+    // read the snapshots, and a build that throws leaves run().
+    std::size_t nGroups = 0;
+    for (int g : groups)
+        nGroups = std::max(nGroups, static_cast<std::size_t>(g + 1));
+    std::vector<std::size_t> builder(nGroups, n);  // n: builds none
+    for (std::size_t i = 0; i < n; ++i)
+        if (groups[i] >= 0 && !journaled[i] && owned(i))
+            builder[static_cast<std::size_t>(groups[i])] = i;
+    const std::vector<std::unique_ptr<MachineSnapshot>> snapshots =
+        parallelMap(nGroups, options.threads, [&](std::size_t g) {
+            std::unique_ptr<MachineSnapshot> snap;
+            if (builder[g] < n)
+                snap = std::make_unique<MachineSnapshot>(
+                    std::make_unique<Machine>(
+                        derivedConfigs[builder[g]]));
+            return snap;
+        });
 
     // Workers journal their own results the moment a run finishes,
-    // so the checkpoint granularity is one run even under a pool.
-    auto executeOne = [this, &store, &keys,
-                       &snapshotFor](std::size_t i) {
-        RunResult result = runOne(specs_[i], i, snapshotFor(i));
+    // so the checkpoint granularity is one run.
+    return parallelMap(n, options.threads, [&](std::size_t i) {
+        if (journaled[i])
+            return std::move(*journaled[i]);
+        if (!owned(i)) {
+            // Outside this shard's slice and not in the journal:
+            // visibly unfinished rather than silently zero-valued.
+            RunResult res = specResultShell(specs_[i], i);
+            res.ok = false;
+            res.error = strfmt(
+                "not executed: run %zu belongs to shard %zu of %u",
+                i, i % shardCount, shardCount);
+            return res;
+        }
+        const int group = groups[i];
+        RunResult result = runOne(
+            specs_[i], i,
+            group < 0 ? nullptr
+                      : snapshots[static_cast<std::size_t>(group)].get());
         if (store)
             store->record(result, keys[i]);
         return result;
-    };
-
-    if (options.threads == 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!cached[i])
-                results[i] = owned(i) ? executeOne(i) : notExecuted(i);
-            if (options.rethrow && owned(i) && !results[i].ok)
-                throw std::runtime_error(results[i].error);
-        }
-        return results;
-    }
-
-    ThreadPool pool(options.threads);
-    std::vector<std::future<RunResult>> futures(n);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!cached[i] && owned(i))
-            futures[i] =
-                pool.submit([&executeOne, i] { return executeOne(i); });
-    // Joining in submission order makes completion order irrelevant.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!cached[i])
-            results[i] =
-                owned(i) ? futures[i].get() : notExecuted(i);
-        if (options.rethrow && owned(i) && !results[i].ok)
-            throw std::runtime_error(results[i].error);
-    }
-    return results;
+    });
 }
 
 CampaignAggregate

@@ -2,7 +2,7 @@
  * @file
  * The experiment campaign runner: build a sweep of independent
  * simulations (machine preset x defense x hammer strategy x seed),
- * fan them out across a worker pool, and fold the results into a
+ * fan them out across host threads, and fold the results into a
  * deterministic aggregate, a JSON report and a summary table.
  *
  * Every run constructs its own Machine and seeds every stochastic
@@ -173,13 +173,6 @@ struct CampaignOptions
     unsigned threads = 1;
 
     /**
-     * When set, a run that throws aborts the whole campaign by
-     * rethrowing; otherwise the exception is recorded in that run's
-     * RunResult (ok = false) and the sweep continues.
-     */
-    bool rethrow = false;
-
-    /**
      * When non-empty, checkpoint the campaign to the JSONL journal
      * at this path: every completed run is appended (and flushed) as
      * it finishes, so an interruption loses at most the runs still
@@ -217,9 +210,9 @@ struct CampaignOptions
 
     /**
      * Machine snapshot/fork: runs that resolve to the same derived
-     * MachineConfig share one warm machine, built lazily by the first
-     * such run to execute and forked (deep-copied) by every run of
-     * the group — instead of each run replaying boot. The fork is
+     * MachineConfig share one warm machine, built once before the
+     * runs fan out and forked (deep-copied) by every run of the
+     * group — instead of each run replaying boot. The fork is
      * byte-identical to cold construction (the Machine copy
      * contract), so reports do not change; only setup cost does.
      * Sharing needs a group of at least two runs, and eligibility is
@@ -265,11 +258,13 @@ class Campaign
     const std::vector<RunSpec> &specs() const { return specs_; }
 
     /**
-     * Execute every queued run and return results in index order.
-     * threads == 1 runs inline; otherwise runs are submitted to a
-     * ThreadPool and joined in order. With options.journalPath the
-     * campaign checkpoints each completed run and, when resuming,
-     * only executes runs the journal does not already hold.
+     * Execute every queued run and return results in index order:
+     * one parallelMap (common/parallel.hh) over the runs, inline on
+     * the caller at threads == 1. A run that throws is recorded in
+     * its RunResult (ok = false) and the sweep continues. With
+     * options.journalPath the campaign checkpoints each completed
+     * run and, when resuming, only executes runs the journal does
+     * not already hold.
      */
     std::vector<RunResult> run(const CampaignOptions &options = {}) const;
 

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -18,6 +17,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/table.hh"
 
 namespace pth
@@ -572,12 +572,7 @@ CampaignCtl::finishCampaign(std::size_t campaignIdx)
 unsigned
 CampaignCtl::run()
 {
-    unsigned poolWidth = options_.workers;
-    if (poolWidth == 0) {
-        poolWidth = std::thread::hardware_concurrency();
-        if (poolWidth == 0)
-            poolWidth = 1;
-    }
+    const unsigned poolWidth = resolveWorkers(options_.workers);
 
     outcomes_.clear();
     tasks_.clear();

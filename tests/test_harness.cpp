@@ -1,9 +1,10 @@
 /**
  * @file
- * Campaign runner and thread-pool tests: parallel campaigns must be
+ * Campaign runner and parallel-map tests: parallel campaigns must be
  * bit-identical to serial ones (same seeds, same aggregate flip
- * counts, same JSON), and the pool must drain on shutdown and deliver
- * worker exceptions through its futures.
+ * counts, same JSON), and parallelMap must return results in index
+ * order, run inline at one thread, and surface the lowest throwing
+ * index's exception only after every index ran.
  */
 
 #include <gtest/gtest.h>
@@ -11,15 +12,18 @@
 #include <atomic>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/parallel.hh"
 #include "common/stats.hh"
 #include "harness/campaign.hh"
 #include "harness/scratch_dir.hh"
 #include "harness/self_exe.hh"
-#include "common/thread_pool.hh"
 
 namespace pth
 {
@@ -45,53 +49,51 @@ smallCampaign(unsigned seeds)
     return campaign;
 }
 
-TEST(ThreadPool, RunsSubmittedTasks)
+TEST(ParallelMap, ReturnsResultsInIndexOrder)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 32; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedTasks)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&ran] { ++ran; });
-        pool.shutdown();
-        EXPECT_EQ(ran.load(), 64);
-        pool.shutdown();  // idempotent
+    for (unsigned threads : {0u, 1u, 3u, 64u}) {
+        std::vector<std::size_t> squares =
+            parallelMap(32, threads, [](std::size_t i) { return i * i; });
+        ASSERT_EQ(squares.size(), 32u) << "threads " << threads;
+        for (std::size_t i = 0; i < squares.size(); ++i)
+            EXPECT_EQ(squares[i], i * i) << "threads " << threads;
     }
-    EXPECT_EQ(ran.load(), 64);
+    std::atomic<int> calls{0};
+    EXPECT_TRUE(parallelMap(0, 4, [&calls](std::size_t) {
+                    return ++calls;
+                }).empty());
+    EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ThreadPool, SubmitAfterShutdownThrows)
+TEST(ParallelMap, OneThreadRunsOnTheCaller)
 {
-    ThreadPool pool(1);
-    pool.shutdown();
-    EXPECT_THROW(pool.submit([] { return 1; }), std::runtime_error);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran =
+        parallelMap(8, 1, [](std::size_t) {
+            return std::this_thread::get_id();
+        });
+    for (const std::thread::id &id : ran)
+        EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPool, ExceptionsPropagateThroughFutures)
+TEST(ParallelMap, EveryIndexRunsThenLowestThrowSurfaces)
 {
-    ThreadPool pool(2);
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("worker boom"); });
-    auto good = pool.submit([] { return 7; });
-    EXPECT_EQ(good.get(), 7);
-    try {
-        bad.get();
-        FAIL() << "expected the worker exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "worker boom");
+    for (unsigned threads : {1u, 4u}) {
+        std::vector<int> ran(16, 0);
+        try {
+            parallelMap(ran.size(), threads, [&ran](std::size_t i) {
+                ++ran[i];
+                if (i == 5 || i == 11)
+                    throw std::runtime_error("boom " + std::to_string(i));
+                return i;
+            });
+            FAIL() << "expected a rethrown worker exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "boom 5") << "threads " << threads;
+        }
+        for (int count : ran)
+            EXPECT_EQ(count, 1) << "threads " << threads;
     }
-    // The pool survives a throwing task.
-    EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
 }
 
 TEST(RunningStat, MergeMatchesCombinedSampling)
@@ -200,10 +202,6 @@ TEST(Campaign, RunFailuresAreRecordedNotFatal)
 
     CampaignAggregate agg = Campaign::aggregate(results);
     EXPECT_EQ(agg.failedRuns, 1u);
-
-    CampaignOptions strict;
-    strict.rethrow = true;
-    EXPECT_THROW(campaign.run(strict), std::runtime_error);
 }
 
 TEST(Campaign, JsonReportsRunsAndAggregate)

@@ -70,8 +70,8 @@ referenceWorkload(Machine &machine)
     machine.kernel().mmapAnon(proc, kVa, 64 * kPageBytes);
     Rng rng(0xfeed);
     for (int i = 0; i < 400; ++i) {
-        VirtAddr va =
-            kVa + rng.below(64) * kPageBytes + rng.below(8) * 64;
+        const std::uint64_t page = rng.below(64);
+        VirtAddr va = kVa + page * kPageBytes + rng.below(8) * 64;
         machine.cpu().access(va);
         if (i % 23 == 0)
             machine.cpu().clflush(va);
@@ -91,9 +91,11 @@ hartTraffic(Machine &machine, unsigned hart, std::uint64_t salt)
     machine.kernel().mmapAnon(proc, kVa, 32 * kPageBytes);
     machine.cpu(hart).setProcess(proc);
     Rng rng(0x4a27 + salt);
-    for (int i = 0; i < 200; ++i)
-        machine.cpu(hart).access(
-            kVa + rng.below(32) * kPageBytes + rng.below(8) * 64);
+    for (int i = 0; i < 200; ++i) {
+        const std::uint64_t page = rng.below(32);
+        machine.cpu(hart).access(kVa + page * kPageBytes +
+                                 rng.below(8) * 64);
+    }
 }
 
 } // namespace
@@ -372,8 +374,8 @@ TEST(MultiHartTopology, AccessBatchSingleMatchesAccess)
     }
     Rng rng(0xba7c4);
     for (int i = 0; i < 150; ++i) {
-        VirtAddr va =
-            kVa + rng.below(32) * kPageBytes + rng.below(8) * 64;
+        const std::uint64_t page = rng.below(32);
+        VirtAddr va = kVa + page * kPageBytes + rng.below(8) * 64;
         viaAccess.cpu(1).access(va);
         viaBatch.cpu(1).accessBatch({va});
     }

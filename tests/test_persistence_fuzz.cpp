@@ -105,6 +105,7 @@ randomDouble(Rng &rng)
         -4.9406564584124654e-324,
         1.0000000000000002,
     };
+    // determinism: the condition's draw is sequenced before the body's.
     if (rng.next() % 4 == 0)
         return curated[rng.next() %
                        (sizeof(curated) / sizeof(curated[0]))];

@@ -38,8 +38,8 @@ drive(Machine &m, std::uint64_t salt)
     m.kernel().mmapAnon(proc, kVa, 32 * kPageBytes);
     Rng rng(0xd21fe + salt);
     for (int i = 0; i < 300; ++i) {
-        VirtAddr va = kVa + rng.below(32) * kPageBytes +
-                      rng.below(8) * 64;
+        const std::uint64_t page = rng.below(32);
+        VirtAddr va = kVa + page * kPageBytes + rng.below(8) * 64;
         m.cpu().access(va);
         if (i % 17 == 0)
             m.cpu().clflush(va);
@@ -109,8 +109,10 @@ defenseWorkload(Machine &m, std::uint32_t salt)
     Process &b = kernel.createProcess(2000 + salt);
     kernel.mmapAnon(b, kVa, 16 * kPageBytes);
     Rng rng(0xdef + salt);
-    for (int i = 0; i < 100; ++i)
-        m.cpu().access(kVa + rng.below(16) * kPageBytes + rng.below(64) * 64);
+    for (int i = 0; i < 100; ++i) {
+        const std::uint64_t page = rng.below(16);
+        m.cpu().access(kVa + page * kPageBytes + rng.below(64) * 64);
+    }
 }
 
 TEST(MachineSnapshot, DefenseStatePinnedThroughFork)

@@ -9,30 +9,21 @@
  * sanitizer-clean.
  *
  * Findings pinned here:
- *  1. ThreadPool::threadCount() used to read workers.size() with no
- *     lock, racing shutdown()'s workers.clear() — fixed by making the
- *     count an immutable member set at construction.
- *  2. Campaign's shared-snapshot lazy init used std::once_flag, which
- *     Clang Thread Safety Analysis cannot see through — refactored to
- *     a Mutex-guarded slot with identical semantics (racing workers
- *     serialize; a throw leaves the slot empty so the next run
- *     retries). The threaded-vs-serial byte-identity test exercises
- *     exactly that contended first-touch path.
- *  3. ResultStore::record() is the one mutation every worker performs
+ *  1. ResultStore::record() is the one mutation every worker performs
  *     concurrently; its Mutex (PTH_GUARDED_BY(mtx_) on the stream)
  *     must serialize whole journal lines.
+ *  2. Eight workers fork one prebuilt snapshot, and the report stays
+ *     byte-identical to the serial run.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "harness/campaign.hh"
 #include "harness/result_store.hh"
 #include "harness/scratch_dir.hh"
@@ -43,38 +34,7 @@ namespace
 {
 
 /**
- * Finding 1: threadCount() concurrent with shutdown(). Before the
- * fix this was a read of workers.size() racing workers.clear();
- * TSan flagged it and the value could transiently read 0. Now the
- * count is a const member: always the constructed value, no lock,
- * no race — and shutdown() stays an owner-thread call while other
- * threads only query the count.
- */
-TEST(ThreadSafety, ThreadCountStableAcrossShutdown)
-{
-    for (int round = 0; round < 8; ++round) {
-        ThreadPool pool(3);
-        std::atomic<bool> go{false};
-        std::atomic<unsigned> bad{0};
-        std::thread reader([&] {
-            while (!go.load())
-                ;
-            for (int i = 0; i < 10000; ++i)
-                if (pool.threadCount() != 3u)
-                    ++bad;
-        });
-        for (int i = 0; i < 16; ++i)
-            pool.submit([] { return 0; });
-        go.store(true);
-        pool.shutdown();
-        reader.join();
-        EXPECT_EQ(bad.load(), 0u);
-        EXPECT_EQ(pool.threadCount(), 3u);
-    }
-}
-
-/**
- * Finding 3: concurrent record() from as many threads as the
+ * Finding 1: concurrent record() from as many threads as the
  * campaign would use. Every journal line must parse and every
  * (index, key) pair must survive — interleaved writes would corrupt
  * lines, which load() counts.
@@ -115,14 +75,14 @@ TEST(ThreadSafety, ResultStoreConcurrentRecord)
 }
 
 /**
- * Finding 2: the shared-snapshot slot's lazy init under maximum
- * contention. An attack-scoped seed sweep makes every run share one
- * derived machine config, so with reuseMachines all eight workers
- * race to first-touch the same SnapshotSlot. The Mutex-guarded init
- * must both serialize construction (TSan-clean) and preserve the
- * byte-identity contract against the serial run.
+ * Finding 2: one shared snapshot under maximum contention. An
+ * attack-scoped seed sweep makes every run share one derived machine
+ * config, so with reuseMachines all eight workers fork the same
+ * prebuilt snapshot at once. Those concurrent reads must be
+ * TSan-clean and keep the byte-identity contract against the serial
+ * run.
  */
-TEST(ThreadSafety, SharedSnapshotInitRaceKeepsReportsIdentical)
+TEST(ThreadSafety, SharedSnapshotKeepsReportsIdentical)
 {
     RunSpec base;
     base.label = "snapshot-race";

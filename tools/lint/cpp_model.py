@@ -30,11 +30,20 @@ class ClassModel:
     nested: list = field(default_factory=list)  # nested class/struct names
 
 
-def strip_comments(text: str) -> str:
-    """Replace comments and string/char literals with spaces.
+# A preprocessing number: a digit that does not continue an
+# identifier (u8'x' is a char literal), then digits, letters, '.' and
+# digit separators.
+_PP_NUMBER = re.compile(r"(?<!\w)\d(?:'?[\w.])*")
 
-    Newlines are preserved so line numbers survive, which the lints use
-    for reporting.
+
+def strip_comments(text: str, keep_strings: bool = False) -> str:
+    """Replace comments, and string/char literals unless keep_strings,
+    with spaces.
+
+    Numbers are copied whole, so the ' of a C++14 digit separator
+    (222'000) is not read as a char-literal quote. Newlines are
+    preserved so line numbers survive, which the lints use for
+    reporting.
     """
     out = []
     i = 0
@@ -56,20 +65,18 @@ def strip_comments(text: str) -> str:
             if i < n:
                 out.append("  ")
                 i += 2
+        elif c.isdigit() and (number := _PP_NUMBER.match(text, i)):
+            out.append(number.group(0))
+            i = number.end()
         elif c in "\"'":
-            quote = c
-            out.append(" ")
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\":
-                    out.append("  ")
-                    i += 2
-                    continue
-                out.append("\n" if text[i] == "\n" else " ")
-                i += 1
-            if i < n:
-                out.append(" ")
-                i += 1
+            j = i + 1
+            while j < n and text[j] != c:
+                j += 2 if text[j] == "\\" else 1
+            j = min(j + 1, n)
+            literal = text[i:j]
+            out.append(literal if keep_strings else
+                       re.sub(r"[^\n]", " ", literal))
+            i = j
         else:
             out.append(c)
             i += 1

@@ -87,47 +87,6 @@ def last_component(expr: str) -> str:
     return expr.strip()
 
 
-def strip_comments_keep_strings(text: str) -> str:
-    """Blank out // and /* */ comments only, leaving string literals
-    intact, so rules matching inside format strings (%p) still see
-    them while commentary about them stays exempt."""
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            while i < n and text[i] != "\n":
-                out.append(" ")
-                i += 1
-        elif c == "/" and nxt == "*":
-            while i < n and not (text[i] == "*" and i + 1 < n and
-                                 text[i + 1] == "/"):
-                out.append("\n" if text[i] == "\n" else " ")
-                i += 1
-            if i < n:
-                out.append("  ")
-                i += 2
-        elif c in "\"'":
-            quote = c
-            out.append(c)
-            i += 1
-            while i < n and text[i] != quote:
-                out.append(text[i])
-                if text[i] == "\\" and i + 1 < n:
-                    out.append(text[i + 1])
-                    i += 1
-                i += 1
-            if i < n:
-                out.append(quote)
-                i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
 def annotated(lines: list, idx: int) -> bool:
     for back in range(0, 4):
         if idx - back < 0:
@@ -188,7 +147,7 @@ def main() -> int:
     for path in files:
         raw = texts[path]
         stripped = cpp_model.strip_comments(raw)
-        with_strings = strip_comments_keep_strings(raw)
+        with_strings = cpp_model.strip_comments(raw, keep_strings=True)
         raw_lines = raw.splitlines()
         for lineno, (stripped_line, strings_line) in enumerate(
                 zip(stripped.splitlines(), with_strings.splitlines()),

@@ -1,4 +1,5 @@
-// Seeded violations for determinism_lint: one per rule.
+// Seeded violations for determinism_lint: one per rule, plus a
+// two-draw statement after a digit-separated constant.
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -41,4 +42,12 @@ unsigned long long
 victimLine(Rng &rng)
 {
     return rng.below(64) * 4096 + rng.below(64) * 64;
+}
+
+constexpr unsigned long long kVictimBase = 0x2400'0000;
+
+unsigned long long
+victimPage(Rng &rng)
+{
+    return kVictimBase + rng.below(64) * 4096 + rng.below(8) * 64;
 }

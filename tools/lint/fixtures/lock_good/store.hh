@@ -1,5 +1,5 @@
 // Sanctioned patterns for lock_audit.py (never compiled): the
-// annotated pth-style wrappers own the synchronization, every mutable
+// annotated pth-style wrapper owns the synchronization, every mutable
 // sibling is PTH_GUARDED_BY-annotated, atomic, const, or carries a
 // reasoned allowlist entry in the fixture config.
 #ifndef LOCK_GOOD_STORE_HH
@@ -13,12 +13,10 @@ class GoodStore
 {
   public:
     void put(const std::string &line);
-    void wake();
 
   private:
     const std::string path_;
     Mutex mtx_;
-    CondVar cv_;
     std::vector<std::string> lines_ PTH_GUARDED_BY(mtx_);
     std::atomic<unsigned> hits_{0};
     std::vector<int> scratch_;

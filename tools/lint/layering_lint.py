@@ -123,7 +123,7 @@ def main() -> int:
                 f"{rel}:{lineno}: upward include \"{inc}\" — "
                 f"'{sub}' (layer {src_rank}) must not include "
                 f"'{target}' (layer {rank[target]}). Move the shared "
-                f"code down (like ThreadPool moved to common/), "
+                f"code down (as parallelMap lives in common/), "
                 f"invert the dependency, or allowlist with a reason.")
 
     # Top-level dirs may include anything from src/, but their quoted

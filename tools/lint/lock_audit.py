@@ -10,14 +10,13 @@ exact gap this audit closes, compiler-free, on every CI run.
 For every class or struct (in any scanned .hh/.cc) that owns a
 synchronization member, the audit demands:
 
-  * the sync primitive itself is one of the annotated wrappers from
-    common/sync.hh (pth::Mutex / pth::CondVar). Raw std::mutex,
-    std::condition_variable, std::once_flag and friends carry no
-    capability attributes under libstdc++, so the analysis cannot
-    check anything about them;
+  * the sync primitive itself is the annotated pth::Mutex from
+    common/sync.hh. Raw std::mutex, std::condition_variable,
+    std::once_flag and friends carry no capability attributes under
+    libstdc++, so the analysis cannot check anything about them;
   * every sibling data member is PTH_GUARDED_BY / PTH_PT_GUARDED_BY
     annotated (the macro must textually follow the declarator name:
-    `std::deque<Task> queue PTH_GUARDED_BY(mtx);`), or std::atomic,
+    `std::vector<Line> lines PTH_GUARDED_BY(mtx);`), or std::atomic,
     or const (immutable after construction), or carries a reasoned
     allowlist entry in lock_audit.json keyed "Class.member".
 
@@ -42,10 +41,9 @@ import cpp_model  # noqa: E402
 
 SUFFIXES = {".cc", ".cpp", ".hh", ".hpp"}
 
-# The annotated wrappers (sanctioned) and the raw std primitives
+# The annotated wrapper (sanctioned) and the raw std primitives
 # (findings when owned as members). MutexLock is RAII, not state.
-WRAPPED_SYNC = re.compile(
-    r"^\s*(?:mutable\s+)?(?:pth::)?(?:Mutex|CondVar)\s")
+WRAPPED_SYNC = re.compile(r"^\s*(?:mutable\s+)?(?:pth::)?Mutex\s")
 RAW_SYNC = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex"
     r"|shared_mutex|shared_timed_mutex|condition_variable"
@@ -116,7 +114,7 @@ def class_spans(stripped: str):
 def audit_file(root: Path, path: Path, allow: dict, used_allow: set,
                errors: list) -> int:
     raw = path.read_text()
-    if not re.search(r"mutex|once_flag|condvar|condition_variable",
+    if not re.search(r"mutex|once_flag|condition_variable",
                      raw, re.IGNORECASE):
         return 0
     rel = path.relative_to(root)
@@ -129,8 +127,7 @@ def audit_file(root: Path, path: Path, allow: dict, used_allow: set,
         # Cheap pre-filter; extract_members is only paid for classes
         # that plausibly own a sync member.
         if not (RAW_SYNC.search(body) or
-                re.search(r"\b(?:pth::)?(?:Mutex|CondVar)\s+\w+\s*;",
-                          body)):
+                re.search(r"\b(?:pth::)?Mutex\s+\w+\s*;", body)):
             continue
         try:
             model = cpp_model.extract_members(erased, name)
@@ -159,7 +156,7 @@ def audit_file(root: Path, path: Path, allow: dict, used_allow: set,
                     f"{rel}:{member.line}: {key} is a raw "
                     f"std::{raw_sync.group(1)} — the thread-safety "
                     f"analysis cannot see it; use the annotated "
-                    f"pth::Mutex / pth::CondVar from common/sync.hh "
+                    f"pth::Mutex from common/sync.hh "
                     f"(or allowlist with a reason).")
                 continue
             if WRAPPED_SYNC.search(member.text):

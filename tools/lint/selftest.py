@@ -36,10 +36,11 @@ CASES = [
     # (script, fixture subdir, expected exit, substrings that must all
     #  appear in the output)
     ("state_audit.py", "state_bad", 1, [
-        "3 finding(s)",
+        "4 finding(s)",
         "Widget.gauge",
         "copy implementation",
         "hash implementation",
+        "Widget.spare",
         "Widget.label",
     ]),
     ("state_audit.py", "state_good", 0, ["state_audit: OK"]),
@@ -52,7 +53,7 @@ CASES = [
     ]),
     ("speckey_audit.py", "speckey_good", 0, ["speckey_audit: OK"]),
     ("determinism_lint.py", "det_bad", 1, [
-        "8 finding(s)",
+        "9 finding(s)",
         "iteration over unordered container 'table'",
         "random_device",
         "rand()/srand()",
