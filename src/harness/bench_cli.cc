@@ -66,20 +66,19 @@ usage(const char *prog, const char *summary)
         static_cast<int>(std::strlen(prog)), "");
 }
 
-/** A whole non-negative decimal that fits an unsigned. */
+} // namespace
+
 bool
-parseCount(const char *text, unsigned &out)
+BenchCli::parseCount(std::string_view text, unsigned &out)
 {
-    const char *end = text + std::strlen(text);
+    const char *end = text.data() + text.size();
     unsigned count = 0;
-    const auto [last, ec] = std::from_chars(text, end, count);
+    const auto [last, ec] = std::from_chars(text.data(), end, count);
     if (ec != std::errc() || last != end)
         return false;
     out = count;
     return true;
 }
-
-} // namespace
 
 const char *
 BenchCli::flagValue(int argc, char **argv, int &i, const char *flag)
@@ -168,12 +167,13 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--shard")) {
+            const char *slash = std::strchr(value, '/');
             unsigned index = 0;
             unsigned count = 0;
-            char excess = 0;
-            if (std::sscanf(value, "%u/%u%c", &index, &count,
-                            &excess) != 2 ||
-                count == 0 || index >= count) {
+            if (!slash ||
+                !parseCount(std::string_view(value, slash - value),
+                            index) ||
+                !parseCount(slash + 1, count) || index >= count) {
                 std::fprintf(stderr,
                              "%s: bad --shard '%s' (use I/N with"
                              " 0 <= I < N)\n",

@@ -36,12 +36,13 @@
  *
  * Defaults: threads from PTH_THREADS (all cores when unset or empty),
  * no journal, no JSON, no sharding. Counts (--threads, --workers,
- * --pool-threads, PTH_THREADS) must be whole decimals that fit an
- * unsigned. parse() exits the process on --help (status 0) and on
- * unknown or invalid arguments (status 2), so benches stay
- * one-liners. A flag only one bench reads is that bench's own: it
- * parses it before parse() and hands it back through passthrough
- * (bench_multicore_hammer's --tiny, --harts and --interleave).
+ * --pool-threads, PTH_THREADS and both halves of --shard I/N) must be
+ * whole decimals that fit an unsigned. parse() exits the process on
+ * --help (status 0) and on unknown or invalid arguments (status 2),
+ * so benches stay one-liners. A flag only one bench reads is that
+ * bench's own: it parses it before parse() and hands it back through
+ * passthrough (bench_multicore_hammer's --tiny, --harts and
+ * --interleave).
  *
  * Sharded dispatch runs through runCampaign(), which every bench
  * calls in place of Campaign::run:
@@ -51,8 +52,8 @@
  *    from the merged journal;
  *  - --workers N (parent mode): runs N shards of this very binary
  *    as a one-campaign manifest through CampaignCtl (crash detection,
- *    respawn/resume, straggler re-issue), which merges their
- *    journals, and returns results served from the merged journal —
+ *    respawn/resume of a dead shard), which merges their journals,
+ *    and returns results served from the merged journal —
  *    byte-identical to a single-process serial run. A shard that
  *    dies for good surfaces as failed runs carrying its death reason
  *    and captured output, and in workerDeaths, so the bench exits
@@ -63,6 +64,7 @@
 #define PTH_HARNESS_BENCH_CLI_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/campaign.hh"
@@ -129,8 +131,12 @@ struct BenchCli
                                  const char *flag);
 
     /** Parse a count: a whole non-negative decimal that fits an
-     * unsigned, nothing else ("4x", "-1", "" are rejected). Exits the
-     * process with status 2 and a message naming `what` otherwise. */
+     * unsigned, nothing else ("4x", "-1", "+3", " 1", "" are
+     * rejected). Returns false, leaving out untouched, otherwise. */
+    static bool parseCount(std::string_view text, unsigned &out);
+
+    /** parseCount, or exit the process with status 2 and a message
+     * naming `what`. */
     static unsigned countOrExit(const std::string &prog,
                                 const char *what, const char *text);
 

@@ -507,8 +507,11 @@ Campaign::toJson(const std::vector<RunResult> &results)
             << ", \"label\": \"" << jsonEscape(r.label) << '"'
             << ", \"machine\": \"" << jsonEscape(r.machine) << '"'
             << ", \"defense\": \"" << jsonEscape(r.defense) << '"'
-            << ", \"strategy\": \"" << jsonEscape(r.strategy) << '"'
-            << ", \"seed\": " << r.seed
+            << ", \"strategy\": \"" << jsonEscape(r.strategy) << '"';
+        if (!r.dramModel.empty())
+            out << ", \"dram_model\": \"" << jsonEscape(r.dramModel)
+                << '"';
+        out << ", \"seed\": " << r.seed
             << ", \"ok\": " << (r.ok ? "true" : "false");
         if (!r.ok)
             out << ", \"error\": \"" << jsonEscape(r.error) << '"';

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -105,6 +106,7 @@ parseCampaign(const JsonValue &obj, std::size_t position,
 
     if (const JsonValue *shards = obj.find("shards")) {
         if (!shards->isNumber() || shards->asU64() == 0 ||
+            shards->asU64() > std::numeric_limits<unsigned>::max() ||
             shards->asDouble() !=
                 static_cast<double>(shards->asU64())) {
             error = where + " (" + out.name +
@@ -198,27 +200,18 @@ struct CampaignCtl::Task
 {
     enum class Kind { Shard, Render };
 
-    /** One subprocess lineage of the task: the primary, or a
-     * speculative backup. Respawns stay within the instance (same
-     * journal, resumed); re-issue adds an instance. */
-    struct Instance
-    {
-        std::string journal;
-        std::string log;
-        unsigned spawns = 0;
-        bool live = false;
-        std::string error;       //!< last death reason
-    };
-
     Kind kind = Kind::Shard;
     std::size_t campaign = 0;
     unsigned shard = 0;
     std::string label; //!< "name/shard" or "name/render" (logs)
 
-    std::vector<Instance> instances;
-    bool done = false;
+    /** The task's one subprocess lineage: every respawn resumes this
+     * journal and appends to this log. */
+    std::string journal;
+    std::string log;
+    unsigned spawns = 0;
     bool ok = false;
-    std::string winnerJournal;
+    std::string error; //!< death reason when the task failed
 };
 
 namespace
@@ -303,8 +296,8 @@ seedShardJournals(const std::string &journal, unsigned shards)
 }
 
 /** fork/exec one worker, stdout+stderr captured to logPath
- * (truncated on an instance's first attempt, appended on respawns so
- * the log shows every attempt). Returns the pid or -1. */
+ * (truncated on a task's first attempt, appended on respawns so the
+ * log shows every attempt). Returns the pid or -1. */
 long
 spawnWorker(const std::vector<std::string> &args,
             const std::string &logPath, bool firstAttempt)
@@ -339,22 +332,6 @@ spawnWorker(const std::vector<std::string> &args,
     ::_exit(127);
 }
 
-/** Copy a journal snapshot for a backup instance. The source may be
- * mid-append; a torn final line is exactly what ResultStore::load
- * tolerates, so the backup resumes from the straggler's last complete
- * checkpoint. A missing source yields an empty (fresh) journal. */
-bool
-copyJournalSnapshot(const std::string &from, const std::string &to)
-{
-    std::ofstream out(to, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    std::ifstream in(from, std::ios::binary);
-    if (in)
-        out << in.rdbuf();
-    return true;
-}
-
 } // namespace
 
 CampaignCtl::CampaignCtl(Manifest manifest, CampaignCtlOptions options)
@@ -374,11 +351,9 @@ CampaignCtl::logLine(const std::string &line) const
 }
 
 long
-CampaignCtl::launch(std::size_t taskId, unsigned instanceIdx,
-                    bool fresh)
+CampaignCtl::launch(std::size_t taskId, bool fresh)
 {
     Task &task = tasks_[taskId];
-    Task::Instance &instance = task.instances[instanceIdx];
     const ManifestCampaign &campaign =
         manifest_.campaigns[task.campaign];
 
@@ -391,20 +366,19 @@ CampaignCtl::launch(std::size_t taskId, unsigned instanceIdx,
     if (task.kind == Task::Kind::Shard)
         args.push_back(
             strfmt("--shard=%u/%u", task.shard, campaign.shards));
-    args.push_back("--journal=" + instance.journal);
+    args.push_back("--journal=" + task.journal);
     if (task.kind == Task::Kind::Render)
         args.push_back("--json=" + campaign.report);
     if (fresh)
         args.push_back("--fresh");
 
-    const long pid = spawnWorker(args, instance.log,
-                                 /*firstAttempt=*/instance.spawns == 0);
+    const long pid = spawnWorker(args, task.log,
+                                 /*firstAttempt=*/task.spawns == 0);
     if (pid < 0)
         return -1;
-    ++instance.spawns;
-    instance.live = true;
+    ++task.spawns;
     ++outcomes_[task.campaign].spawns;
-    live_.push_back({pid, {taskId, instanceIdx}});
+    live_.push_back({pid, taskId});
     return pid;
 }
 
@@ -415,27 +389,23 @@ CampaignCtl::startTask(std::size_t taskId)
     const ManifestCampaign &campaign =
         manifest_.campaigns[task.campaign];
 
-    Task::Instance instance;
     if (task.kind == Task::Kind::Shard) {
-        instance.journal =
-            shardJournalPath(campaign.journal, task.shard);
-        instance.log = instance.journal + ".log";
+        task.journal = shardJournalPath(campaign.journal, task.shard);
+        task.log = task.journal + ".log";
         // A fresh suite must not resume stale shard journals even if
         // the worker dies before its own --fresh truncation runs.
         if (options_.fresh)
-            std::remove(instance.journal.c_str());
+            std::remove(task.journal.c_str());
     } else {
-        instance.journal = campaign.journal;
-        instance.log = instance.journal + ".render.log";
+        task.journal = campaign.journal;
+        task.log = task.journal + ".render.log";
     }
-    task.instances.push_back(std::move(instance));
 
-    const long pid = launch(taskId, 0,
-                            options_.fresh &&
-                                task.kind == Task::Kind::Shard);
+    const long pid =
+        launch(taskId, options_.fresh && task.kind == Task::Kind::Shard);
     if (pid < 0) {
         // The orchestrator is single-threaded (fork-based fan-out).
-        task.instances[0].error = strfmt(
+        task.error = strfmt(
             "fork failed: %s",
             std::strerror(errno)); // NOLINT(concurrency-mt-unsafe)
         return false;
@@ -456,47 +426,6 @@ CampaignCtl::startTask(std::size_t taskId)
     return true;
 }
 
-bool
-CampaignCtl::reissueStraggler()
-{
-    // Lowest task id first: deterministic given the same set of
-    // stragglers, and the longest-queued shard is the most likely to
-    // actually be stuck.
-    for (std::size_t taskId = 0; taskId < tasks_.size(); ++taskId) {
-        Task &task = tasks_[taskId];
-        if (task.kind != Task::Kind::Shard || task.done ||
-            task.instances.empty())
-            continue;
-        if (task.instances.size() > options_.maxReissues)
-            continue;
-        bool anyLive = false;
-        for (const Task::Instance &instance : task.instances)
-            anyLive |= instance.live;
-        if (!anyLive)
-            continue;
-
-        const unsigned index =
-            static_cast<unsigned>(task.instances.size());
-        Task::Instance backup;
-        backup.journal =
-            task.instances[0].journal + strfmt(".r%u", index);
-        backup.log = backup.journal + ".log";
-        if (!copyJournalSnapshot(task.instances[0].journal,
-                                 backup.journal))
-            continue;
-        task.instances.push_back(std::move(backup));
-        if (launch(taskId, index, /*fresh=*/false) < 0) {
-            task.instances.pop_back();
-            continue;
-        }
-        ++outcomes_[task.campaign].reissues;
-        logLine(strfmt("reissue %s instance %u", task.label.c_str(),
-                       index));
-        return true;
-    }
-    return false;
-}
-
 void
 CampaignCtl::finishCampaign(std::size_t campaignIdx)
 {
@@ -504,10 +433,10 @@ CampaignCtl::finishCampaign(std::size_t campaignIdx)
         manifest_.campaigns[campaignIdx];
     CampaignOutcome &outcome = outcomes_[campaignIdx];
 
-    // Old campaign journal first (resume), then the winning shard
-    // journals — last wins, so fresher shard results supersede. A
-    // shard that died for good contributes every journal its
-    // instances wrote, so the runs they checkpointed survive.
+    // Old campaign journal first (resume), then the shard journals —
+    // last wins, so fresher shard results supersede. A shard that
+    // died for good still contributes its journal, so the runs it
+    // checkpointed survive.
     std::vector<std::string> inputs;
     if (!options_.fresh)
         inputs.push_back(campaign.journal);
@@ -515,13 +444,8 @@ CampaignCtl::finishCampaign(std::size_t campaignIdx)
         if (task.campaign != campaignIdx ||
             task.kind != Task::Kind::Shard)
             continue;
-        if (task.ok) {
-            inputs.push_back(task.winnerJournal);
-            continue;
-        }
-        ++outcome.deadShards;
-        for (const Task::Instance &instance : task.instances)
-            inputs.push_back(instance.journal);
+        inputs.push_back(task.journal);
+        outcome.deadShards += !task.ok;
     }
 
     std::string mergeError;
@@ -616,26 +540,16 @@ CampaignCtl::run()
             const std::size_t taskId = pending_[nextPending_++];
             if (!startTask(taskId)) {
                 // Could not even fork: the task fails permanently.
-                Task &task = tasks_[taskId];
-                task.done = true;
-                task.ok = false;
+                const Task &task = tasks_[taskId];
                 CampaignOutcome &outcome = outcomes_[task.campaign];
                 if (outcome.error.empty())
-                    outcome.error =
-                        task.label + ": " +
-                        task.instances.back().error;
-                logLine("dead " + task.label + ": " +
-                        task.instances.back().error);
+                    outcome.error = task.label + ": " + task.error;
+                logLine("dead " + task.label + ": " + task.error);
                 if (task.kind == Task::Kind::Shard &&
                     --shardsLeft_[task.campaign] == 0)
                     finishCampaign(task.campaign);
             }
         }
-        // Queue drained with slots to spare: speculatively back up
-        // stragglers instead of idling.
-        if (nextPending_ >= pending_.size())
-            while (live_.size() < poolWidth && reissueStraggler()) {
-            }
         if (live_.empty())
             break;
 
@@ -652,41 +566,17 @@ CampaignCtl::run()
                 break;
         if (it == live_.end())
             continue;
-        const std::size_t taskId = it->second.first;
-        const unsigned instanceIdx = it->second.second;
+        const std::size_t taskId = it->second;
         live_.erase(it);
 
         Task &task = tasks_[taskId];
-        Task::Instance &instance = task.instances[instanceIdx];
-        instance.live = false;
         const ManifestCampaign &campaign =
             manifest_.campaigns[task.campaign];
         CampaignOutcome &outcome = outcomes_[task.campaign];
 
-        if (task.done) {
-            // A sibling already won and this instance was killed for
-            // it; nothing to account.
-            continue;
-        }
-
         if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            task.done = true;
             task.ok = true;
-            task.winnerJournal = instance.journal;
-            if (instanceIdx == 0)
-                logLine("exit " + task.label + " ok");
-            else
-                logLine(strfmt("exit %s ok (backup instance %u won)",
-                               task.label.c_str(), instanceIdx));
-            // Losing instances are moot now; reap them via the
-            // task.done early-out above.
-            for (auto &entry : live_)
-                if (entry.second.first == taskId) {
-                    ::kill(static_cast<pid_t>(entry.first), SIGKILL);
-                    logLine(strfmt("supersede %s instance %u",
-                                   task.label.c_str(),
-                                   entry.second.second));
-                }
+            logLine("exit " + task.label + " ok");
             if (task.kind == Task::Kind::Shard) {
                 if (--shardsLeft_[task.campaign] == 0)
                     finishCampaign(task.campaign);
@@ -702,44 +592,33 @@ CampaignCtl::run()
         // found failing runs (or could not write the report) — a
         // deterministic verdict a respawn would only repeat.
         if (task.kind == Task::Kind::Render && WIFEXITED(status)) {
-            task.done = true;
-            task.ok = false;
             if (outcome.error.empty())
                 outcome.error = strfmt(
                     "report render exited with status %d (log: %s)",
-                    WEXITSTATUS(status), instance.log.c_str());
+                    WEXITSTATUS(status), task.log.c_str());
             logLine("campaign " + campaign.name +
                     " FAILED: " + outcome.error);
             continue;
         }
 
-        // Respawn the same instance without --fresh: the replacement
-        // resumes the instance's journal and repeats only the runs
-        // the dead attempt had not checkpointed.
-        if (instance.spawns <= options_.maxRespawns &&
-            launch(taskId, instanceIdx, /*fresh=*/false) >= 0) {
+        // Respawn without --fresh: the replacement resumes the task's
+        // journal and repeats only the runs the dead attempt had not
+        // checkpointed.
+        if (task.spawns <= kMaxRespawns &&
+            launch(taskId, /*fresh=*/false) >= 0) {
             logLine(strfmt("respawn %s attempt %u", task.label.c_str(),
-                           instance.spawns));
+                           task.spawns));
             continue;
         }
 
-        // This instance is out of lives.
-        instance.error = describeWaitStatus(status);
-        logLine(strfmt("dead %s instance %u: %s", task.label.c_str(),
-                       instanceIdx, instance.error.c_str()));
-        bool anyHope = false;
-        for (const Task::Instance &other : task.instances)
-            anyHope |= other.live;
-        if (anyHope)
-            continue;
-
-        task.done = true;
-        task.ok = false;
+        // The task is out of lives.
+        task.error = describeWaitStatus(status);
+        logLine("dead " + task.label + ": " + task.error);
         if (outcome.error.empty()) {
             outcome.error = task.label + " died after " +
-                            strfmt("%u attempt(s): ", instance.spawns) +
-                            instance.error;
-            const std::string tail = fileTail(instance.log);
+                            strfmt("%u attempt(s): ", task.spawns) +
+                            task.error;
+            const std::string tail = fileTail(task.log);
             if (!tail.empty())
                 outcome.error += "; log tail: " + tail;
         }

@@ -15,27 +15,21 @@
  * bench with the merged journal — so the orchestrated report is
  * byte-identical to a serial `program args --json=...` run.
  *
- * Fault handling, per shard task:
+ * Fault handling: each shard or render task is one subprocess
+ * lineage.
  *  - a dead worker (nonzero exit, signal, failed exec) is respawned
- *    with the same journal up to maxRespawns times; the replacement
- *    resumes from the dead attempt's checkpoint;
- *  - once the queue drains, idle pool slots speculatively re-issue
- *    still-running shard tasks (classic straggler mitigation): a
- *    backup instance starts from a snapshot copy of the primary's
- *    journal (`<journal>.shard<i>.r1`), the first instance to finish
- *    wins and its siblings are killed — safe because instances never
- *    share a journal file and the merged result is index-keyed, not
- *    instance-keyed;
- *  - a task whose every instance died permanently fails its campaign:
- *    the journals its instances wrote are still merged, so their
- *    checkpointed runs survive, but no report is rendered and the
- *    failure is surfaced (nonzero exit) instead of quietly shrinking
- *    the suite.
+ *    with the same journal up to kMaxRespawns times; the replacement
+ *    resumes from the dead attempt's checkpoint. A hung worker is
+ *    recovered by killing it: the respawn resumes it the same way;
+ *  - a shard task that is still dying after that fails its campaign:
+ *    its journal is still merged, so its checkpointed runs survive,
+ *    but no report is rendered and the failure is surfaced (nonzero
+ *    exit) instead of quietly shrinking the suite.
  *
  * The scheduler is deterministic where determinism is visible: tasks
  * are dispatched in manifest order, so the sequence of first-attempt
- * spawn log lines is the same for any pool width; only respawn /
- * re-issue lines depend on timing.
+ * spawn log lines is the same for any pool width; only respawn lines
+ * depend on timing.
  */
 
 #ifndef PTH_HARNESS_CAMPAIGN_CTL_HH
@@ -96,18 +90,15 @@ struct Manifest
                      std::string &error);
 };
 
+/** Extra attempts a task's worker gets after it dies before the task
+ * is given up. */
+constexpr unsigned kMaxRespawns = 2;
+
 /** Orchestrator knobs. */
 struct CampaignCtlOptions
 {
     /** Pool width: live worker subprocesses (0 = one per core). */
     unsigned workers = 2;
-
-    /** Extra attempts after an instance dies before giving it up. */
-    unsigned maxRespawns = 2;
-
-    /** Speculative backup instances a straggling shard task may get
-     * once the queue is empty (0 disables re-issue). */
-    unsigned maxReissues = 1;
 
     /** Discard existing journals; rerun everything. */
     bool fresh = false;
@@ -131,7 +122,6 @@ struct CampaignOutcome
     bool ok = false;            //!< shards + merge + render all good
     std::string error;          //!< first failure reason when !ok
     unsigned spawns = 0;        //!< worker attempts across shards
-    unsigned reissues = 0;      //!< backup instances spawned
     unsigned deadShards = 0;    //!< shard tasks that died for good
     ResultStore::MergeStats mergeStats;
 };
@@ -162,9 +152,8 @@ class CampaignCtl
     struct Task;
 
     void logLine(const std::string &line) const;
-    long launch(std::size_t taskId, unsigned instanceIdx, bool fresh);
+    long launch(std::size_t taskId, bool fresh);
     bool startTask(std::size_t taskId);
-    bool reissueStraggler();
     void finishCampaign(std::size_t campaignIdx);
 
     Manifest manifest_;
@@ -174,8 +163,7 @@ class CampaignCtl
     std::vector<Task> tasks_;
     std::vector<std::size_t> pending_;  //!< task ids awaiting a slot
     std::size_t nextPending_ = 0;
-    std::vector<std::pair<long, std::pair<std::size_t, unsigned>>>
-        live_;                          //!< pid -> (task, instance)
+    std::vector<std::pair<long, std::size_t>> live_; //!< pid -> task
     std::vector<unsigned> shardsLeft_;  //!< per campaign, incl. render
 };
 

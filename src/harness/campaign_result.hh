@@ -40,11 +40,11 @@ struct RunResult
     std::string strategy;       //!< hammer strategy name
 
     /**
-     * DRAM flip-model name ("ddr3", "trr", ...), the journal-visible
-     * trace of RunSpec::dramModel that journal_index filters and
-     * groups on. Empty when the result came from a journal written
-     * before the field existed ("unrecorded"); reports (toJson) do
-     * not carry it, so adding it changed no report bytes.
+     * DRAM flip-model name ("ddr3", "trr", ...), the trace of
+     * RunSpec::dramModel that journal_index filters and groups on.
+     * Journals and reports (toJson) write it right after the
+     * strategy. Empty, and then written by neither, when the result
+     * came from an artifact that predates the field ("unrecorded").
      */
     std::string dramModel;
 

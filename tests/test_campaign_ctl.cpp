@@ -3,23 +3,17 @@
  * Campaign-orchestrator tests. The headline contract mirrors
  * test_shard's, one level up: a manifest of campaigns dispatched by
  * CampaignCtl over a bounded worker pool — including with a worker
- * SIGKILLed mid-campaign, or a worker hung and speculatively
- * re-issued — renders final reports byte-identical to serial
- * single-process runs.
+ * SIGKILLed mid-campaign — renders final reports byte-identical to
+ * serial single-process runs.
  *
  * The test binary is its own bench: invoked with `--pth-worker
- * [--die-at=K] [--die-marker=PATH] [--hang-at=K --hang-marker=PATH]
- * [--fail-at=K]` among its bench flags it behaves like a bench binary
- * over a fixed 9-run campaign whose every result field derives from
- * the seed.
+ * [--die-at=K] [--die-marker=PATH] [--fail-at=K]` among its bench
+ * flags it behaves like a bench binary over a fixed 9-run campaign
+ * whose every result field derives from the seed.
  *
  *  - --die-at=K: SIGKILL self when executing run K; with
  *    --die-marker, only while the marker file does not exist
  *    (created just before dying) — so the respawn survives.
- *  - --hang-at=K + --hang-marker: the first process to execute run K
- *    creates the marker (O_EXCL) and hangs forever; any later
- *    instance sails past — a deterministic straggler for the
- *    re-issue path, whichever instance reaches K first.
  *  - --fail-at=K: run K fails inside the simulation (ok = false) —
  *    journaled, worker still exits 0, the render pass re-executes it
  *    and exits nonzero.
@@ -27,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -35,9 +30,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <fcntl.h>
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -46,6 +42,7 @@
 #include "harness/campaign.hh"
 #include "harness/campaign_ctl.hh"
 #include "harness/result_store.hh"
+#include "harness/scratch_dir.hh"
 
 namespace pth
 {
@@ -62,8 +59,6 @@ constexpr unsigned kNone = ~0u;
 Campaign
 makeCampaign(unsigned dieAt = kNone,
              const std::string &dieMarker = std::string(),
-             unsigned hangAt = kNone,
-             const std::string &hangMarker = std::string(),
              unsigned failAt = kNone)
 {
     Campaign campaign;
@@ -72,9 +67,9 @@ makeCampaign(unsigned dieAt = kNone,
         spec.label = strfmt("point%u", i);
         spec.preset = MachinePreset::TestSmall;
         spec.seed = 90 + i;
-        spec.body = [dieAt, dieMarker, hangAt, hangMarker,
-                     failAt](Machine &, const AttackConfig &,
-                             RunResult &res) {
+        spec.body = [dieAt, dieMarker, failAt](Machine &,
+                                               const AttackConfig &,
+                                               RunResult &res) {
             if (res.index == dieAt) {
                 bool die = true;
                 if (!dieMarker.empty()) {
@@ -86,19 +81,6 @@ makeCampaign(unsigned dieAt = kNone,
                 }
                 if (die)
                     std::raise(SIGKILL);
-            }
-            if (res.index == hangAt && !hangMarker.empty()) {
-                const int fd =
-                    ::open(hangMarker.c_str(),
-                           O_CREAT | O_EXCL | O_WRONLY, 0644);
-                if (fd >= 0) {
-                    // We claimed the straggler role: hang until the
-                    // orchestrator supersedes (SIGKILLs) us.
-                    ::close(fd);
-                    for (;;)
-                        ::usleep(100000);
-                }
-                // Marker exists: a sibling is the straggler; proceed.
             }
             if (res.index == failAt)
                 throw std::runtime_error("injected run failure");
@@ -125,10 +107,8 @@ int
 workerMain(int argc, char **argv)
 {
     unsigned dieAt = kNone;
-    unsigned hangAt = kNone;
     unsigned failAt = kNone;
     std::string dieMarker;
-    std::string hangMarker;
     std::vector<char *> args;
     args.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -139,11 +119,6 @@ workerMain(int argc, char **argv)
                 std::strtoul(argv[i] + 9, nullptr, 10));
         else if (!std::strncmp(argv[i], "--die-marker=", 13))
             dieMarker = argv[i] + 13;
-        else if (!std::strncmp(argv[i], "--hang-at=", 10))
-            hangAt = static_cast<unsigned>(
-                std::strtoul(argv[i] + 10, nullptr, 10));
-        else if (!std::strncmp(argv[i], "--hang-marker=", 14))
-            hangMarker = argv[i] + 14;
         else if (!std::strncmp(argv[i], "--fail-at=", 10))
             failAt = static_cast<unsigned>(
                 std::strtoul(argv[i] + 10, nullptr, 10));
@@ -153,8 +128,7 @@ workerMain(int argc, char **argv)
     BenchCli cli =
         BenchCli::parse(static_cast<int>(args.size()), args.data(),
                         "test_campaign_ctl worker");
-    Campaign campaign =
-        makeCampaign(dieAt, dieMarker, hangAt, hangMarker, failAt);
+    Campaign campaign = makeCampaign(dieAt, dieMarker, failAt);
     std::vector<RunResult> results = cli.runCampaign(campaign);
     if (!cli.emitJson(results))
         return 1;
@@ -184,6 +158,22 @@ readFile(const std::string &path)
     std::stringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();
+}
+
+/** The names in dir, sorted, without "." and "..". */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (const dirent *entry = ::readdir(d))
+            if (std::strcmp(entry->d_name, ".") != 0 &&
+                std::strcmp(entry->d_name, "..") != 0)
+                names.emplace_back(entry->d_name);
+        ::closedir(d);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 std::string
@@ -234,10 +224,6 @@ makeOptions(std::ostream *log = nullptr)
     options.workers = 3;
     options.fresh = true;
     options.log = log;
-    // Speculative re-issue is timing-dependent; the tests that pin
-    // exact spawn counts turn it off and the straggler test turns it
-    // back on.
-    options.maxReissues = 0;
     return options;
 }
 
@@ -282,6 +268,9 @@ TEST(CtlManifest, RejectsMalformedManifests)
          "positive integer"},
         {R"({"campaigns": [{"name": "a", "program": "x",
                             "shards": 1.5}]})",
+         "positive integer"},
+        {R"({"campaigns": [{"name": "a", "program": "x",
+                            "shards": 4294967297}]})",
          "positive integer"},
         {R"({"campaigns": [{"name": "a", "program": "x",
                             "args": [1]}]})",
@@ -333,24 +322,48 @@ TEST(CtlManifestDeathTest, InvalidManifestFileExitsLikeTheTool)
 
 TEST(CampaignCtl, DispatchOrderIsManifestOrderForAnyPoolWidth)
 {
-    const std::string outDir = tempDir("order");
-
     // First-attempt shard spawns must appear in manifest order in
     // the dispatch log whatever the pool width — the queue is built
-    // up front and drained in order; only respawn/re-issue/render
-    // lines may interleave on timing.
+    // up front and drained in order; only respawn and render lines
+    // may interleave on timing.
     std::vector<std::string> expected;
     for (unsigned s = 0; s < 3; ++s)
         expected.push_back(strfmt("[ctl] spawn alpha/%u", s));
     for (unsigned s = 0; s < 2; ++s)
         expected.push_back(strfmt("[ctl] spawn beta/%u", s));
 
+    // Each task is one subprocess: a journal and a log per shard, the
+    // merged journal, the render log and the report, and nothing
+    // else.
+    std::vector<std::string> artifacts;
+    for (const auto &[name, shards] :
+         {std::pair<std::string, unsigned>{"alpha", 3},
+          std::pair<std::string, unsigned>{"beta", 2}}) {
+        artifacts.push_back(name + ".json");
+        artifacts.push_back(name + ".jsonl");
+        artifacts.push_back(name + ".jsonl.render.log");
+        for (unsigned s = 0; s < shards; ++s) {
+            artifacts.push_back(name + strfmt(".jsonl.shard%u", s));
+            artifacts.push_back(name + strfmt(".jsonl.shard%u.log", s));
+        }
+    }
+    std::sort(artifacts.begin(), artifacts.end());
+
     for (unsigned poolWidth : {1u, 2u, 8u}) {
+        ScratchDirGuard outDir = ScratchDirGuard::create(
+            testing::TempDir() + "pth_ctl_orderXXXXXX");
         std::ostringstream log;
         CampaignCtlOptions options = makeOptions(&log);
         options.workers = poolWidth;
-        CampaignCtl ctl(makeManifest(outDir), options);
+        CampaignCtl ctl(makeManifest(outDir.path()), options);
         ASSERT_EQ(ctl.run(), 0u) << "pool width " << poolWidth;
+        // 3 shards + render, 2 shards + render: one spawn each.
+        EXPECT_EQ(ctl.outcomes()[0].spawns, 4u) << "pool width "
+                                                << poolWidth;
+        EXPECT_EQ(ctl.outcomes()[1].spawns, 3u) << "pool width "
+                                                << poolWidth;
+        EXPECT_EQ(listDir(outDir.path()), artifacts)
+            << "pool width " << poolWidth;
 
         std::vector<std::string> spawns;
         std::istringstream lines(log.str());
@@ -442,82 +455,14 @@ TEST(CampaignCtl, PermanentlyDeadShardFailsItsCampaignOnly)
     // The dead shard's journal is still merged: runs 0 and 2 were
     // checkpointed before it died at run 4, and shard 1 has 1,3,5,7.
     EXPECT_EQ(beta.mergeStats.entries, 6u);
-    // Death after exhausting 1 + maxRespawns attempts.
+    // Death after exhausting 1 + kMaxRespawns attempts; shard 1 spawns
+    // once, and no render runs.
+    EXPECT_EQ(beta.spawns, kMaxRespawns + 2);
     EXPECT_NE(log.str().find("dead beta/0"), std::string::npos);
     // No report was rendered for the failed campaign.
     EXPECT_NE(log.str().find("campaign beta FAILED"),
               std::string::npos);
     EXPECT_TRUE(readFile(beta.report).empty());
-}
-
-TEST(CampaignCtl, HungWorkerIsReissuedAndBackupWins)
-{
-    const std::string outDir = tempDir("hang");
-    const std::string marker = outDir + "/hang.marker";
-    std::remove(marker.c_str());
-
-    // One 2-shard campaign; whichever instance first executes run 4
-    // claims the marker and hangs forever. With the queue drained
-    // the orchestrator re-issues the straggling shard; the backup
-    // (or the primary, if the backup claimed the marker first) sails
-    // past and wins, the loser is superseded and killed.
-    Manifest manifest;
-    ManifestCampaign alpha;
-    alpha.name = "alpha";
-    alpha.program = gProgram;
-    alpha.args = {"--pth-worker", "--hang-at=4",
-                  "--hang-marker=" + marker};
-    alpha.shards = 2;
-    alpha.journal = outDir + "/alpha.jsonl";
-    alpha.report = outDir + "/alpha.json";
-    manifest.campaigns = {alpha};
-
-    std::ostringstream log;
-    CampaignCtlOptions options = makeOptions(&log);
-    options.workers = 2;
-    options.maxReissues = 1;
-    CampaignCtl ctl(manifest, options);
-    ASSERT_EQ(ctl.run(), 0u);
-
-    const CampaignOutcome &outcome = ctl.outcomes()[0];
-    EXPECT_TRUE(outcome.ok) << outcome.error;
-    EXPECT_EQ(outcome.reissues, 1u);
-    EXPECT_EQ(readFile(outcome.report), serialReport());
-    EXPECT_NE(log.str().find("reissue alpha/0 instance 1"),
-              std::string::npos);
-    EXPECT_NE(log.str().find("supersede alpha/0"),
-              std::string::npos);
-    std::remove(marker.c_str());
-}
-
-TEST(CampaignCtl, WorkersFlagReissuesAHungShard)
-{
-    const std::string outDir = tempDir("workers_hang");
-    const std::string journal = outDir + "/alpha.jsonl";
-    const std::string marker = outDir + "/hang.marker";
-    std::remove(marker.c_str());
-
-    // A bench's --workers runs through the same pool: the instance of
-    // shard 0 that first executes run 4 hangs, the parent re-issues
-    // shard 0 from a snapshot of its journal, the other instance
-    // finishes and wins, and the hung one is killed.
-    std::vector<std::string> args = {gProgram, "--workers=2",
-                                     "--journal=" + journal, "--fresh"};
-    std::vector<char *> argv;
-    for (std::string &arg : args)
-        argv.push_back(arg.data());
-    BenchCli cli = BenchCli::parse(
-        static_cast<int>(argv.size()), argv.data(), "test parent",
-        {"--pth-worker", "--hang-at=4", "--hang-marker=" + marker});
-    const std::vector<RunResult> results =
-        cli.runCampaign(makeCampaign());
-
-    EXPECT_EQ(cli.workerDeaths, 0u);
-    EXPECT_EQ(Campaign::toJson(results), serialReport());
-    EXPECT_TRUE(std::ifstream(marker).good()) << "nothing hung";
-    EXPECT_TRUE(std::ifstream(journal + ".shard0.r1").good())
-        << "shard 0 was not re-issued";
-    std::remove(marker.c_str());
 }
 
 TEST(CampaignCtl, SimulationFailureSurfacesThroughTheRenderPass)

@@ -399,9 +399,9 @@ TEST(JournalIndexTest, ArtifactSniffingReadsReportsAndJournals)
             sameReportValue(a[i]->report.timeToFirstFlipMinutes,
                             b[i]->report.timeToFirstFlipMinutes));
     }
-    // Reports carry no spec keys or dram model.
+    // Reports carry no spec keys, but both carry the dram model.
     EXPECT_EQ(fromReport.entries().at(0).key, 0u);
-    EXPECT_EQ(runAxisValue(*a[0], RunAxis::DramModel), "unrecorded");
+    EXPECT_EQ(runAxisValue(*a[0], RunAxis::DramModel), "ddr3");
     EXPECT_EQ(runAxisValue(*b[0], RunAxis::DramModel), "ddr3");
 
     // A JSON object without "runs" is neither artifact kind.

@@ -142,16 +142,14 @@ removeFile(const std::string &path)
     std::remove(path.c_str());
 }
 
-/** Remove a --workers journal with its shard journals, re-issued
- * backups and logs. */
+/** Remove a --workers journal with its shard journals and logs. */
 void
 removeWorkerArtifacts(const std::string &journal, unsigned shards)
 {
     for (unsigned s = 0; s < shards; ++s) {
         const std::string shard = journal + strfmt(".shard%u", s);
-        for (const std::string &path :
-             {shard, shard + ".log", shard + ".r1", shard + ".r1.log"})
-            removeFile(path);
+        removeFile(shard);
+        removeFile(shard + ".log");
     }
     removeFile(journal);
 }
@@ -375,7 +373,7 @@ TEST(Shard, KilledWorkerRespawnsResumesAndReportMatchesSerial)
     removeWorkerArtifacts(journal, 3);
     removeFile(marker);
 
-    // Shard 1 owns run 4 (4 % 3 == 1): the first instance to reach it
+    // Shard 1 owns run 4 (4 % 3 == 1): the first attempt to reach it
     // SIGKILLs itself there, after checkpointing run 1. The respawn
     // finds the marker and resumes from the dead attempt's journal.
     BenchCli cli = parseArgs(
@@ -493,9 +491,13 @@ TEST(ShardCliDeath, ShardRequiresJournalAndValidFormat)
 {
     EXPECT_EXIT(parseArgs({gProgram, "--shard=0/3"}),
                 testing::ExitedWithCode(2), "requires --journal");
-    EXPECT_EXIT(parseArgs({gProgram, "--shard=3/3",
-                           "--journal=x.jsonl"}),
-                testing::ExitedWithCode(2), "bad --shard");
+    // I and N are counts, split at the one '/', with 0 <= I < N.
+    for (const char *bad : {"3/3", "0/4294967299", "0/+3", " 1/3",
+                            "-1/3", "1/3x", "/3", "0/"})
+        EXPECT_EXIT(parseArgs({gProgram, std::string("--shard=") + bad,
+                               "--journal=x.jsonl"}),
+                    testing::ExitedWithCode(2), "bad --shard")
+            << bad;
     EXPECT_EXIT(parseArgs({gProgram, "--shard=0/3",
                            "--journal=x.jsonl", "--workers=2"}),
                 testing::ExitedWithCode(2), "mutually exclusive");

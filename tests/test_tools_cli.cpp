@@ -452,14 +452,16 @@ TEST(CampaignCtlCli, UsageAndManifestErrorsExitTwo)
     EXPECT_NE(inject.err.find("names no shard"), std::string::npos)
         << inject.err;
 
-    // Counts are whole non-negative decimals, and a flag is never
+    // Counts, an --inject-kill SHARD among them, are whole
+    // non-negative decimals that fit an unsigned, and a flag is never
     // another flag's value.
     const std::vector<std::pair<std::vector<std::string>, const char *>>
         badArgs = {
             {{"ctl", ok, "--workers", "x"}, "bad --workers 'x'"},
-            {{"ctl", ok, "--max-respawns", "-1"},
-             "bad --max-respawns '-1'"},
-            {{"ctl", ok, "--max-reissues=1x"}, "bad --max-reissues '1x'"},
+            {{"ctl", ok, "--inject-kill", "a/4294967296"},
+             "bad --inject-kill 'a/4294967296'"},
+            {{"ctl", ok, "--inject-kill=a/+0"},
+             "bad --inject-kill 'a/+0'"},
             {{"ctl", ok, "--out", "--fresh"},
              "missing value for '--out'"},
         };

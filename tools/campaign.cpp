@@ -362,9 +362,8 @@ compareMain(int argc, char **argv)
 
 const char *const kCtlUsage =
     "usage: campaign ctl MANIFEST [--workers N] [--out DIR]\n"
-    "                    [--fresh] [--max-respawns N]\n"
-    "                    [--max-reissues N]\n"
-    "                    [--inject-kill NAME/SHARD] [--quiet]\n"
+    "                    [--fresh] [--inject-kill NAME/SHARD]"
+    " [--quiet]\n"
     "  MANIFEST        JSON manifest: {\"campaigns\": [{\"name\","
     " \"program\", \"args\", \"shards\", ...}]}\n"
     "  --workers N     worker pool width (default 2; 0 = one per"
@@ -373,10 +372,6 @@ const char *const kCtlUsage =
     " (default .)\n"
     "  --fresh         discard existing journals; rerun"
     " everything\n"
-    "  --max-respawns N  extra attempts for a dead worker"
-    " (default 2)\n"
-    "  --max-reissues N  speculative backups per straggling shard"
-    " once the queue drains (default 1; 0 disables)\n"
     "  --inject-kill NAME/SHARD  SIGKILL that shard's first"
     " attempt right after spawn (fault-injection hook;"
     " repeatable)\n"
@@ -384,10 +379,10 @@ const char *const kCtlUsage =
 
 /**
  * campaign ctl: orchestrate a manifest of sharded campaigns through
- * one CampaignCtl worker pool — respawn of dead workers from their
- * journal checkpoints, speculative re-issue of stragglers, per-
- * campaign merge and a final report byte-identical to a serial run.
- * Exit status: the number of failed campaigns.
+ * one CampaignCtl worker pool — respawn of dead workers (up to twice)
+ * from their journal checkpoints, per-campaign merge and a final
+ * report byte-identical to a serial run. Exit status: the number of
+ * failed campaigns.
  */
 int
 ctlMain(int argc, char **argv)
@@ -401,28 +396,20 @@ ctlMain(int argc, char **argv)
         auto value = [&](const char *flag) {
             return BenchCli::flagValue(argc, argv, i, flag);
         };
-        auto count = [&](const char *flag, const char *text) {
-            return BenchCli::countOrExit(argv[0], flag, text);
-        };
         if (!std::strcmp(arg, "--fresh")) {
             options.fresh = true;
         } else if (!std::strcmp(arg, "--quiet")) {
             options.log = nullptr;
         } else if (const char *workersArg = value("--workers")) {
-            options.workers = count("--workers", workersArg);
+            options.workers =
+                BenchCli::countOrExit(argv[0], "--workers", workersArg);
         } else if (const char *outArg = value("--out")) {
             outDir = outArg;
-        } else if (const char *respawnsArg = value("--max-respawns")) {
-            options.maxRespawns = count("--max-respawns", respawnsArg);
-        } else if (const char *reissuesArg = value("--max-reissues")) {
-            options.maxReissues = count("--max-reissues", reissuesArg);
         } else if (const char *v = value("--inject-kill")) {
             const char *slash = std::strrchr(v, '/');
-            char excess = 0;
             unsigned shard = 0;
             if (!slash || slash == v ||
-                std::sscanf(slash + 1, "%u%c", &shard, &excess) !=
-                    1) {
+                !BenchCli::parseCount(slash + 1, shard)) {
                 std::fprintf(stderr,
                              "bad --inject-kill '%s' (use"
                              " NAME/SHARD)\n",
@@ -476,8 +463,7 @@ ctlMain(int argc, char **argv)
     CampaignCtl ctl(std::move(manifest), std::move(options));
     const unsigned failures = ctl.run();
 
-    Table table({"Campaign", "Status", "Spawns", "Reissues", "Runs",
-                 "Report"});
+    Table table({"Campaign", "Status", "Spawns", "Runs", "Report"});
     for (const CampaignOutcome &outcome : ctl.outcomes()) {
         // Keep the table rectangular: full multi-line errors (log
         // tails) go to stderr below, the cell gets the first line.
@@ -488,7 +474,6 @@ ctlMain(int argc, char **argv)
             cell.resize(eol);
         table.addRow({outcome.name, outcome.ok ? "ok" : "FAILED",
                       strfmt("%u", outcome.spawns),
-                      strfmt("%u", outcome.reissues),
                       strfmt("%zu", outcome.mergeStats.entries),
                       cell});
     }
