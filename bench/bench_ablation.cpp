@@ -123,7 +123,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     Table table({"Variant", "Cycles/iter", "L1PTE-from-DRAM rate",
                  "Aggressor activations / 64 ms"});

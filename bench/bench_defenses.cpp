@@ -99,7 +99,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf("== Section IV-G: PThammer vs software-only"
                 " defenses (Lenovo T420) ==\n");

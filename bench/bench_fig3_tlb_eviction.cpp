@@ -73,7 +73,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf(
         "== Figure 3: TLB miss rate (%%) vs eviction-set size ==\n");

@@ -68,7 +68,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf(
         "== Figure 4: LLC miss rate (%%) vs eviction-set size ==\n");

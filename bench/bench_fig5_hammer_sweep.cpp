@@ -59,7 +59,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf("== Figure 5: seconds to first flip vs cycles per"
                 " hammer iteration ==\n");

@@ -81,7 +81,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf("== Figure 6: cycles per double-sided hammer,"
                 " 50 rounds ==\n");

@@ -104,16 +104,11 @@ main(int argc, char **argv)
         else
             args.push_back(argv[i]);
     }
-    // --tiny is consumed here, before BenchCli; pass it through so
-    // --workers shard subprocesses rebuild the identical campaign.
-    std::vector<std::string> passthrough;
-    if (tiny)
-        passthrough.push_back("--tiny");
+    // --tiny is this bench's own flag, consumed before BenchCli.
     BenchCli cli = BenchCli::parse(
         static_cast<int>(args.size()), args.data(),
         "machine setup cost: cold construction vs snapshot fork"
-        " (--tiny for the CI perf-gate scale)",
-        passthrough);
+        " (--tiny for the CI perf-gate scale)");
 
     std::vector<MachinePreset> presets;
     if (tiny)
@@ -134,7 +129,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
     unsigned contractViolations = 0;
 
     std::printf("== campaign sweep (%u attack seeds per machine,"
@@ -163,7 +158,7 @@ main(int argc, char **argv)
     // cold-constructed one. Checked in-process when this invocation
     // both executed the runs itself and ran them warm.
     if (cli.options.reuseMachines && cli.options.shardCount <= 1 &&
-        cli.workers <= 1 && cli.options.journalPath.empty()) {
+        cli.options.journalPath.empty()) {
         CampaignOptions warm;
         warm.threads = cli.options.threads;
         CampaignOptions cold = warm;

@@ -23,8 +23,9 @@
  *  - the victim hart observes nonzero mean latency under attack.
  *
  * The campaign is deterministic (byte-identical serial, --threads N,
- * --workers N, sharded) and CI pins the --tiny report against
- * bench/baselines/multicore_hammer.json via `campaign compare`.
+ * sharded, or through `campaign ctl`) and CI pins the --tiny report
+ * against bench/baselines/multicore_hammer.json via `campaign
+ * compare`.
  *
  * Standard bench flags plus three of its own: --tiny, --harts N (the
  * top of the hart sweep, default 4) and --interleave M[:SEED] (the
@@ -66,20 +67,18 @@ metric(const RunResult &run, const char *name)
 int
 main(int argc, char **argv)
 {
-    // This bench's own flags; BenchCli parses the rest, and shard
-    // workers get these back through passthrough. --harts is the top
-    // of the hart sweep (default 4, also for --harts 1); {1, 2} below
-    // it provide the single-hart reference and the scaling midpoint.
+    // This bench's own flags; BenchCli parses the rest. --harts is the
+    // top of the hart sweep (default 4, also for --harts 1); {1, 2}
+    // below it provide the single-hart reference and the scaling
+    // midpoint.
     bool tiny = false;
     unsigned topHarts = 4;
     InterleaveMode interleave = InterleaveMode::RoundRobin;
     std::uint64_t interleaveSeed = 0;
     std::vector<char *> args{argv[0]};
-    std::vector<std::string> passthrough;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--tiny")) {
             tiny = true;
-            passthrough.push_back("--tiny");
             continue;
         }
         if (const char *value =
@@ -94,7 +93,6 @@ main(int argc, char **argv)
                 return 2;
             }
             topHarts = harts > 1 ? harts : 4;
-            passthrough.push_back(std::string("--harts=") + value);
             continue;
         }
         if (const char *value =
@@ -108,7 +106,6 @@ main(int argc, char **argv)
                              argv[0], value);
                 return 2;
             }
-            passthrough.push_back(std::string("--interleave=") + value);
             continue;
         }
         args.push_back(argv[i]);
@@ -118,8 +115,7 @@ main(int argc, char **argv)
         "multi-hart interleaved hammering: TRR defeat and"
         " noisy-neighbor latency (--tiny for the CI scale, --harts N"
         " tops the hart sweep, --interleave M[:SEED] merges the hart"
-        " streams)",
-        passthrough);
+        " streams)");
     if (cli.dramModel != FlipModelKind::Ddr3Seeded) {
         std::fprintf(stderr,
                      "%s: the DRAM model is this bench's sweep axis;"
@@ -178,7 +174,7 @@ main(int argc, char **argv)
     const std::size_t victimRun = campaign.add(noisy);
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
     unsigned contractViolations = 0;
 
     Table table({"Run", "Aggr", "Victims", "Flips", "Attempts",

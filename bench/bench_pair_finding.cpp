@@ -75,7 +75,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf("== Section IV-D: double-sided pair quality ==\n");
     Table table({"Machine", "Accepted pairs", "Same bank",

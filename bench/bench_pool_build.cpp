@@ -87,18 +87,13 @@ main(int argc, char **argv)
         else
             args.push_back(argv[i]);
     }
-    // --tiny is consumed here, before BenchCli; pass it through so
-    // --workers shard subprocesses rebuild the identical campaign.
-    std::vector<std::string> passthrough;
-    if (tiny)
-        passthrough.push_back("--tiny");
+    // --tiny is this bench's own flag, consumed before BenchCli.
     BenchCli cli = BenchCli::parse(
         static_cast<int>(args.size()), args.data(),
         "LLC pool construction: single-elimination vs group-testing"
         " (--tiny for the CI perf-gate scale; --pool-algo and"
         " --pool-threads are ignored here — the algorithm variants"
-        " ARE this bench's sweep axis)",
-        passthrough);
+        " ARE this bench's sweep axis)");
 
     std::vector<MachinePreset> presets;
     if (tiny)
@@ -166,7 +161,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf("== LLC eviction-pool construction: conflict tests"
                 " per algorithm ==\n");

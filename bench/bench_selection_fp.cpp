@@ -96,7 +96,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf(
         "== Section IV-C: eviction-set selection accuracy ==\n");

@@ -43,7 +43,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf("== Table I: System Configurations ==\n");
     Table table({"Machine", "Architecture", "CPU", "TLB Assoc.",

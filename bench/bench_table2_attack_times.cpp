@@ -43,7 +43,7 @@ main(int argc, char **argv)
     }
 
     std::vector<RunResult> results = cli.runCampaign(campaign);
-    unsigned failures = cli.failureCount(results);
+    unsigned failures = BenchCli::reportFailures(results);
 
     std::printf("== Table II: average PThammer times ==\n");
     Table table({"Machine", "Page Size", "Prep TLB", "Prep LLC",

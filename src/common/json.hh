@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -66,6 +67,13 @@ class JsonValue
 
     /** String value (empty when this is not a String). */
     const std::string &asString() const { return scalar_; }
+
+    /** A Number's token as written (empty unless this is a Number). */
+    std::string_view numberToken() const
+    {
+        return kind_ == Kind::Number ? std::string_view(scalar_)
+                                     : std::string_view();
+    }
 
     /** Array elements (empty unless this is an Array). */
     const std::vector<JsonValue> &items() const { return items_; }

@@ -40,7 +40,7 @@ namespace pth
 /**
  * The worker count a request resolves to: 0 means one per hardware
  * thread (at least 1); any other count is taken as is. Shared by
- * parallelMap's threads and the --workers process pools.
+ * parallelMap's threads and CampaignCtl's process pool.
  */
 inline unsigned
 resolveWorkers(unsigned requested)

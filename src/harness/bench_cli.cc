@@ -1,12 +1,6 @@
 #include "harness/bench_cli.hh"
 
-#include "common/parallel.hh"
-#include "common/table.hh"
 #include "dram/flip_model.hh"
-#include "harness/campaign_ctl.hh"
-#include "harness/result_store.hh"
-#include "harness/scratch_dir.hh"
-#include "harness/self_exe.hh"
 
 #include <charconv>
 #include <cstdio>
@@ -26,7 +20,7 @@ usage(const char *prog, const char *summary)
     std::printf("%s — %s\n\n", prog, summary);
     std::printf(
         "usage: %s [--json[=PATH]] [--journal PATH] [--fresh]\n"
-        "       %*s [--threads N] [--shard I/N] [--workers N]\n"
+        "       %*s [--threads N] [--shard I/N]\n"
         "       %*s [--pool-algo A] [--pool-threads N]\n"
         "       %*s [--dram-model M] [--cold-machines]\n\n"
         "  --json[=PATH]   dump the raw campaign JSON report after\n"
@@ -43,10 +37,6 @@ usage(const char *prog, const char *summary)
         "                  --journal); merge the N shard journals\n"
         "                  with campaign merge, then rerun with the\n"
         "                  merged journal for the full report\n"
-        "  --workers N     local multi-process dispatch: fork N\n"
-        "                  shard workers of this binary, merge\n"
-        "                  their journals, report from the merge\n"
-        "                  (0 = one worker per core)\n"
         "  --pool-algo A   LLC pool-build algorithm where pools are\n"
         "                  built: single[-elimination] or\n"
         "                  group[-testing] (default)\n"
@@ -110,20 +100,15 @@ BenchCli::countOrExit(const std::string &prog, const char *what,
 }
 
 BenchCli
-BenchCli::parse(int argc, char **argv, const char *summary,
-                const std::vector<std::string> &passthrough)
+BenchCli::parse(int argc, char **argv, const char *summary)
 {
     BenchCli cli;
-    cli.program = argc > 0 ? argv[0] : "";
+    const std::string prog = argc > 0 ? argv[0] : "";
     // Resolved once before any workers exist; nothing writes the
     // environment concurrently.
     const char *env = std::getenv("PTH_THREADS"); // NOLINT(concurrency-mt-unsafe)
     cli.options.threads =
-        env && *env ? countOrExit(cli.program, "PTH_THREADS", env) : 0;
-    // Bench-specific flags first, then the sweep-shaping standard
-    // flags as they parse — together they let a spawned shard worker
-    // rebuild the identical campaign.
-    cli.forwardArgs = passthrough;
+        env && *env ? countOrExit(prog, "PTH_THREADS", env) : 0;
 
     bool fresh = false;
     for (int i = 1; i < argc; ++i) {
@@ -147,9 +132,6 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (!std::strcmp(arg, "--cold-machines")) {
             cli.options.reuseMachines = false;
-            // Forwarded so shard workers compute the same journal
-            // spec keys (snapshot eligibility is folded into them).
-            cli.forwardArgs.push_back("--cold-machines");
             continue;
         }
         if (const char *value =
@@ -159,10 +141,7 @@ BenchCli::parse(int argc, char **argv, const char *summary,
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--threads")) {
-            cli.options.threads =
-                countOrExit(cli.program, "--threads", value);
-            cli.forwardArgs.push_back(std::string("--threads=") +
-                                      value);
+            cli.options.threads = countOrExit(prog, "--threads", value);
             continue;
         }
         if (const char *value =
@@ -185,11 +164,6 @@ BenchCli::parse(int argc, char **argv, const char *summary,
             continue;
         }
         if (const char *value =
-                flagValue(argc, argv, i, "--workers")) {
-            cli.workers = countOrExit(cli.program, "--workers", value);
-            continue;
-        }
-        if (const char *value =
                 flagValue(argc, argv, i, "--pool-algo")) {
             if (!parsePoolBuildAlgorithm(value, cli.pool.algorithm)) {
                 std::fprintf(stderr,
@@ -199,16 +173,11 @@ BenchCli::parse(int argc, char **argv, const char *summary,
                              argv[0], value);
                 std::exit(2);
             }
-            cli.forwardArgs.push_back(std::string("--pool-algo=") +
-                                      value);
             continue;
         }
         if (const char *value =
                 flagValue(argc, argv, i, "--pool-threads")) {
-            cli.pool.threads =
-                countOrExit(cli.program, "--pool-threads", value);
-            cli.forwardArgs.push_back(
-                std::string("--pool-threads=") + value);
+            cli.pool.threads = countOrExit(prog, "--pool-threads", value);
             continue;
         }
         if (const char *value =
@@ -220,8 +189,6 @@ BenchCli::parse(int argc, char **argv, const char *summary,
                              argv[0], value);
                 std::exit(2);
             }
-            cli.forwardArgs.push_back(
-                std::string("--dram-model=") + value);
             continue;
         }
         std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
@@ -239,128 +206,40 @@ BenchCli::parse(int argc, char **argv, const char *summary,
                      argv[0]);
         std::exit(2);
     }
-    if (cli.options.shardCount > 1 && cli.workers != 1) {
-        std::fprintf(stderr,
-                     "%s: --shard (manual dispatch) and --workers"
-                     " (automatic dispatch) are mutually"
-                     " exclusive\n",
-                     argv[0]);
-        std::exit(2);
-    }
     return cli;
 }
 
 std::vector<RunResult>
-BenchCli::runCampaign(const Campaign &campaign)
+BenchCli::runCampaign(const Campaign &campaign) const
 {
+    if (options.shardCount <= 1)
+        return campaign.run(options);
+
     // Worker mode (--shard I/N): execute the slice into this
     // process's journal and stop — the full report is the merged
     // journal's job. Exit status 0 means the slice completed; runs
     // that failed inside the simulation are recorded in the journal
     // (and re-surface from the merge), not in the exit code.
-    if (options.shardCount > 1) {
-        if (json)
-            std::fprintf(stderr,
-                         "warning: --json is ignored in --shard"
-                         " worker mode; render the report from the"
-                         " merged journal (--journal MERGED"
-                         " --json=...)\n");
-        const std::vector<RunResult> results = campaign.run(options);
-        std::size_t owned = 0;
-        std::size_t failed = 0;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (i % options.shardCount != options.shardIndex)
-                continue;
-            ++owned;
-            failed += !results[i].ok;
-        }
+    if (json)
         std::fprintf(stderr,
-                     "shard %u/%u: %zu of %zu run(s), %zu failed,"
-                     " journal %s\n",
-                     options.shardIndex, options.shardCount, owned,
-                     results.size(), failed,
-                     options.journalPath.c_str());
-        std::exit(0);
-    }
-
-    const unsigned workerCount = resolveWorkers(workers);
-    if (workerCount == 1)
-        return campaign.run(options);
-
-    // Parent mode (--workers N): run the campaign as N shards of
-    // this binary over a pool of N worker processes, then serve the
-    // report from the merged journal. Without --journal the artifacts
-    // live in a scratch directory the guard removes on every exit
-    // path — success or exception — unless kept for inspection.
-    std::string journal = options.journalPath;
-    ScratchDirGuard scratch;
-    if (journal.empty()) {
-        scratch = ScratchDirGuard::create("/tmp/pth_workersXXXXXX");
-        journal = scratch.path() + "/campaign.jsonl";
-    }
-
-    ManifestCampaign shards;
-    shards.name = "shard";
-    // execv does no PATH search; prefer the kernel's record of this
-    // very binary over argv[0], which may be a bare name.
-    shards.program = resolveSelfExe(program);
-    shards.args = forwardArgs;
-    shards.shards = workerCount;
-    shards.journal = journal;
-    CampaignCtlOptions ctlOptions;
-    ctlOptions.workers = workerCount;
-    ctlOptions.fresh = !options.resume;
-    CampaignCtl ctl(Manifest{{shards}}, ctlOptions);
-    ctl.run();
-    const CampaignOutcome &outcome = ctl.outcomes()[0];
-    workerDeaths = outcome.deadShards;
-    if (!outcome.ok)
-        std::fprintf(stderr, "--workers %u: %s\n", workerCount,
-                     outcome.error.c_str());
-    if (outcome.mergeStats.corruptLines)
-        std::fprintf(stderr,
-                     "warning: skipped %zu corrupt line(s) while"
-                     " merging %u shard journal(s) into %s\n",
-                     outcome.mergeStats.corruptLines, workerCount,
-                     journal.c_str());
-
-    // Serve the report from the merged journal. A run the merge
-    // cannot account for belongs to a dead shard; surface that as
-    // the run's failure instead of quietly re-executing (masking the
-    // death) or shrinking the report.
-    const std::vector<RunSpec> &specs = campaign.specs();
-    // Validate against the keys the workers actually journal under —
-    // they fold in the snapshot-sharing bit (Campaign::specKeys), so
-    // raw specKey(spec) would reject every shared-machine entry.
-    const std::vector<std::uint64_t> expectedKeys =
-        campaign.specKeys(options);
-    auto entries = ResultStore::load(journal);
-    std::vector<RunResult> results(specs.size());
-    bool missing = false;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        auto it = entries.find(i);
-        if (it != entries.end() &&
-            it->second.key == expectedKeys[i]) {
-            results[i] = std::move(it->second.result);
+                     "warning: --json is ignored in --shard worker"
+                     " mode; render the report from the merged"
+                     " journal (--journal MERGED --json=...)\n");
+    const std::vector<RunResult> results = campaign.run(options);
+    std::size_t owned = 0;
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (i % options.shardCount != options.shardIndex)
             continue;
-        }
-        missing = true;
-        RunResult &res = results[i];
-        res = specResultShell(specs[i], i);
-        res.ok = false;
-        res.error = outcome.ok ? "no shard worker journaled this run"
-                               : outcome.error;
+        ++owned;
+        failed += !results[i].ok;
     }
-
-    if (scratch.active() && (workerDeaths || missing)) {
-        std::fprintf(stderr,
-                     "worker artifacts kept for inspection in %s\n",
-                     scratch.path().c_str());
-        scratch.keep();
-    }
-    // Otherwise the guard removes the scratch directory — worker
-    // journals, logs and the merged journal — as it goes out of scope.
-    return results;
+    std::fprintf(stderr,
+                 "shard %u/%u: %zu of %zu run(s), %zu failed, journal"
+                 " %s\n",
+                 options.shardIndex, options.shardCount, owned,
+                 results.size(), failed, options.journalPath.c_str());
+    std::exit(0);
 }
 
 unsigned

@@ -13,11 +13,9 @@
  *                   cores, 1 = serial)
  *   --shard I/N     execute only runs with index % N == I into this
  *                   process's journal (requires --journal) — the
- *                   manual multi-host dispatch building block; merge
- *                   the shard journals with `campaign merge`
- *   --workers N     automatic local multi-process dispatch: fork N
- *                   shard workers of this binary, merge their
- *                   journals, report from the merged journal
+ *                   worker protocol `campaign ctl` spawns, and the
+ *                   manual recipe; merge the shard journals with
+ *                   `campaign merge`
  *   --pool-algo A   LLC pool-build algorithm for benches that build
  *                   eviction pools: single[-elimination] or
  *                   group[-testing] (the default)
@@ -35,29 +33,21 @@
  *   --help          usage
  *
  * Defaults: threads from PTH_THREADS (all cores when unset or empty),
- * no journal, no JSON, no sharding. Counts (--threads, --workers,
- * --pool-threads, PTH_THREADS and both halves of --shard I/N) must be
- * whole decimals that fit an unsigned. parse() exits the process on
- * --help (status 0) and on unknown or invalid arguments (status 2),
- * so benches stay one-liners. A flag only one bench reads is that
- * bench's own: it parses it before parse() and hands it back through
- * passthrough (bench_multicore_hammer's --tiny, --harts and
- * --interleave).
+ * no journal, no JSON, no sharding. Counts (--threads, --pool-threads,
+ * PTH_THREADS and both halves of --shard I/N) must be whole decimals
+ * that fit an unsigned. parse() exits the process on --help (status
+ * 0) and on unknown or invalid arguments (status 2), so benches stay
+ * one-liners. A flag only one bench reads is that bench's own: it
+ * parses it before parse() (bench_multicore_hammer's --tiny, --harts
+ * and --interleave).
  *
- * Sharded dispatch runs through runCampaign(), which every bench
- * calls in place of Campaign::run:
+ * Every bench runs its campaign through runCampaign() in one process;
+ * `campaign ctl` is the one way to spread a campaign over worker
+ * processes:
  *  - plain invocation: identical to campaign.run(options);
  *  - --shard I/N (worker mode): runs the slice, checkpoints it,
  *    prints a one-line summary and exits — the real report comes
- *    from the merged journal;
- *  - --workers N (parent mode): runs N shards of this very binary
- *    as a one-campaign manifest through CampaignCtl (crash detection,
- *    respawn/resume of a dead shard), which merges their journals,
- *    and returns results served from the merged journal —
- *    byte-identical to a single-process serial run. A shard that
- *    dies for good surfaces as failed runs carrying its death reason
- *    and captured output, and in workerDeaths, so the bench exits
- *    nonzero.
+ *    from the merged journal.
  */
 
 #ifndef PTH_HARNESS_BENCH_CLI_HH
@@ -82,9 +72,6 @@ struct BenchCli
     bool json = false;      //!< --json given
     std::string jsonPath;   //!< --json=PATH target; empty = stdout
 
-    /** --workers N; 1 = no process fan-out, 0 = one per core. */
-    unsigned workers = 1;
-
     /** Pool-build knobs (--pool-algo / --pool-threads); benches that
      * build LLC eviction pools copy this into their AttackConfig. */
     PoolBuildOptions pool;
@@ -93,30 +80,12 @@ struct BenchCli
      * RunSpec so the whole sweep runs the selected scenario. */
     FlipModelKind dramModel = FlipModelKind::Ddr3Seeded;
 
-    /** Filled by runCampaign() in --workers parent mode: how many
-     * shards died for good (their runs also surface as failed runs
-     * in the results). Benches add this to their failure count so a
-     * lost shard always exits nonzero. */
-    unsigned workerDeaths = 0;
-
-    /** The binary (argv[0]) and the arguments a spawned shard worker
-     * must receive to rebuild the identical campaign — the parsed
-     * passthrough flags plus the sweep-shaping ones (--threads,
-     * --pool-algo, --pool-threads, --dram-model, ...). Populated by
-     * parse(). */
-    std::string program;
-    std::vector<std::string> forwardArgs;
-
     /**
      * Parse the standard bench flags. summary is the one-line
-     * description printed by --help. Bench-specific flags the bench
-     * consumed before calling parse (e.g. bench_pool_build's
-     * --tiny) must be listed in passthrough so --workers can hand
-     * them to the shard workers it spawns.
+     * description printed by --help. A bench removes its own flags
+     * (e.g. bench_pool_build's --tiny) from argv before calling this.
      */
-    static BenchCli
-    parse(int argc, char **argv, const char *summary,
-          const std::vector<std::string> &passthrough = {});
+    static BenchCli parse(int argc, char **argv, const char *summary);
 
     /**
      * Value of "--flag VALUE" or "--flag=VALUE" at argv[i], advancing
@@ -141,12 +110,12 @@ struct BenchCli
                                 const char *what, const char *text);
 
     /**
-     * Execute the campaign under the parsed dispatch mode — see the
-     * file comment. Every bench calls this instead of
-     * Campaign::run(options). In --shard worker mode this does not
-     * return (the worker exits after checkpointing its slice).
+     * Execute the campaign — see the file comment. Every bench calls
+     * this instead of Campaign::run(options). In --shard worker mode
+     * this does not return (the worker exits after checkpointing its
+     * slice).
      */
-    std::vector<RunResult> runCampaign(const Campaign &campaign);
+    std::vector<RunResult> runCampaign(const Campaign &campaign) const;
 
     /**
      * Print "run X failed: ..." for every failed run and return the
@@ -156,17 +125,6 @@ struct BenchCli
      */
     static unsigned
     reportFailures(const std::vector<RunResult> &results);
-
-    /**
-     * reportFailures plus workerDeaths — the one number every bench
-     * turns into its exit status, so a permanently dead shard worker
-     * can never exit 0 even if every journaled run looks fine.
-     */
-    unsigned
-    failureCount(const std::vector<RunResult> &results) const
-    {
-        return reportFailures(results) + workerDeaths;
-    }
 
     /**
      * Honor --json: render Campaign::toJson(results) to stdout or to

@@ -84,8 +84,8 @@ struct RunSpec;
 /**
  * RunResult shell carrying the identity fields derived from a spec
  * (index, label, seed, preset/defense/strategy names) — the one
- * place they are filled, shared by run execution, shard
- * placeholders, and dead-worker fallbacks.
+ * place they are filled, shared by run execution and shard
+ * placeholders.
  */
 RunResult specResultShell(const RunSpec &spec, std::size_t index);
 
@@ -216,10 +216,11 @@ struct CampaignOptions
      * byte-identical to cold construction (the Machine copy
      * contract), so reports do not change; only setup cost does.
      * Sharing needs a group of at least two runs, and eligibility is
-     * a pure function of the spec list, so shard workers and their
-     * parent always agree on it (it is folded into the journal spec
-     * keys — see Campaign::specKeys). Disable to force cold
-     * construction for every run (bench_cli: --cold-machines).
+     * a pure function of the spec list, so shard workers and the run
+     * that renders their merged journal always agree on it (it is
+     * folded into the journal spec keys — see Campaign::specKeys).
+     * Disable to force cold construction for every run (bench_cli:
+     * --cold-machines).
      */
     bool reuseMachines = true;
 };
@@ -271,9 +272,8 @@ class Campaign
     /**
      * The journal spec keys run() records under the given options —
      * including the snapshot-sharing bit when a run forks a shared
-     * machine. Multi-process drivers that validate a merged journal
-     * against the spec list must use these keys, not raw
-     * specKey(spec), or shared-machine entries would look stale.
+     * machine, so a shared-machine entry's key differs from raw
+     * specKey(spec).
      */
     std::vector<std::uint64_t>
     specKeys(const CampaignOptions &options = {}) const;

@@ -513,7 +513,6 @@ CampaignCtl::run()
             fatal("campaign %s names no journal", campaign.name.c_str());
         CampaignOutcome outcome;
         outcome.name = campaign.name;
-        outcome.journal = campaign.journal;
         outcome.report = campaign.report;
         outcomes_.push_back(std::move(outcome));
 

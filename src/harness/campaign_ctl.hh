@@ -2,11 +2,10 @@
  * @file
  * Campaign orchestrator: run a manifest of sharded campaigns across a
  * bounded pool of worker subprocesses. This is the one process pool of
- * the harness: `campaign ctl` runs a whole suite through it, and a
- * bench's `--workers N` runs its one campaign through it
- * (BenchCli::runCampaign). A manifest of heterogeneous campaigns
- * (different bench binaries, args, shard counts) saturates the machine
- * without oversubscribing it.
+ * the harness, and `campaign ctl` is its one entry point: a bench on
+ * its own runs in one process (--threads). A manifest of
+ * heterogeneous campaigns (different bench binaries, args, shard
+ * counts) saturates the machine without oversubscribing it.
  *
  * Every shard worker is `program --threads=1 args... --shard I/N
  * --journal J` (a --threads in args wins), every campaign's shard
@@ -117,7 +116,6 @@ struct CampaignCtlOptions
 struct CampaignOutcome
 {
     std::string name;
-    std::string journal;        //!< merged campaign journal
     std::string report;         //!< rendered JSON report, if named
     bool ok = false;            //!< shards + merge + render all good
     std::string error;          //!< first failure reason when !ok

@@ -1,5 +1,6 @@
 #include "harness/result_store.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -103,13 +104,34 @@ getBool(const JsonValue &obj, const char *name, bool &ok)
     return v ? v->asBool() : false;
 }
 
-std::uint64_t
-getU64(const JsonValue &obj, const char *name, bool &ok)
+/** Whole text as a base-`base` integer of type T (std::from_chars,
+ * so no sign, space or prefix); false leaves out untouched. */
+template <class T>
+bool
+parseWhole(std::string_view text, T &out, int base = 10)
+{
+    const char *end = text.data() + text.size();
+    T value = 0;
+    const auto [last, ec] =
+        std::from_chars(text.data(), end, value, base);
+    if (text.empty() || ec != std::errc() || last != end)
+        return false;
+    out = value;
+    return true;
+}
+
+/** A whole non-negative decimal that fits T: "-5", "1.5", "3e0" and
+ * values past T's range mark the line corrupt instead of reading as
+ * 0 or saturating. */
+template <class T>
+T
+getUnsigned(const JsonValue &obj, const char *name, bool &ok)
 {
     const JsonValue *v = need(obj, name, ok);
-    if (v && !v->isNumber())
+    T value = 0;
+    if (v && !parseWhole(v->numberToken(), value))
         ok = false;
-    return v ? v->asU64() : 0;
+    return value;
 }
 
 /**
@@ -326,18 +348,19 @@ ResultStore::deserialize(const std::string &line, Entry &out)
         return false;
 
     bool ok = true;
-    if (getU64(doc, "v", ok) != 1)
+    if (getUnsigned<unsigned>(doc, "v", ok) != 1)
         return false;
 
+    // The key is exactly the 16 hex digits serialize() writes.
     const JsonValue *keyField = doc.find("key");
-    if (!keyField || !keyField->isString())
-        return false;
     Entry entry;
-    entry.key =
-        std::strtoull(keyField->asString().c_str(), nullptr, 16);
+    if (!keyField || !keyField->isString() ||
+        keyField->asString().size() != 16 ||
+        !parseWhole(keyField->asString(), entry.key, 16))
+        return false;
 
     RunResult &r = entry.result;
-    r.index = getU64(doc, "index", ok);
+    r.index = getUnsigned<std::size_t>(doc, "index", ok);
     r.label = getString(doc, "label", ok);
     r.machine = getString(doc, "machine", ok);
     r.defense = getString(doc, "defense", ok);
@@ -349,15 +372,15 @@ ResultStore::deserialize(const std::string &line, Entry &out)
             return false;
         r.dramModel = dm->asString();
     }
-    r.seed = getU64(doc, "seed", ok);
+    r.seed = getUnsigned<std::uint64_t>(doc, "seed", ok);
     r.ok = getBool(doc, "ok", ok);
     r.error = getString(doc, "error", ok);
     r.flipped = getBool(doc, "flipped", ok);
     r.escalated = getBool(doc, "escalated", ok);
-    r.flips = getU64(doc, "flips", ok);
-    r.attempts = static_cast<unsigned>(getU64(doc, "attempts", ok));
-    r.flipsUntilEscalation = static_cast<unsigned>(
-        getU64(doc, "flips_until_escalation", ok));
+    r.flips = getUnsigned<std::uint64_t>(doc, "flips", ok);
+    r.attempts = getUnsigned<unsigned>(doc, "attempts", ok);
+    r.flipsUntilEscalation =
+        getUnsigned<unsigned>(doc, "flips_until_escalation", ok);
     r.exploitPath = getString(doc, "exploit_path", ok);
     r.simSeconds = getDouble(doc, "sim_seconds", ok);
     r.wallSeconds = getDouble(doc, "wall_seconds", ok);
@@ -393,12 +416,11 @@ ResultStore::deserialize(const std::string &line, Entry &out)
         getDouble(*report, "time_to_flip_minutes", ok);
     rep.flipped = getBool(*report, "flipped", ok);
     rep.escalated = getBool(*report, "escalated", ok);
-    rep.attempts =
-        static_cast<unsigned>(getU64(*report, "attempts", ok));
+    rep.attempts = getUnsigned<unsigned>(*report, "attempts", ok);
     rep.flipsObserved =
-        static_cast<unsigned>(getU64(*report, "flips_observed", ok));
-    rep.flipsUntilEscalation = static_cast<unsigned>(
-        getU64(*report, "flips_until_escalation", ok));
+        getUnsigned<unsigned>(*report, "flips_observed", ok);
+    rep.flipsUntilEscalation =
+        getUnsigned<unsigned>(*report, "flips_until_escalation", ok);
     rep.exploitPath = getString(*report, "exploit_path", ok);
 
     if (!ok)

@@ -96,7 +96,9 @@ class ResultStore
 
     /**
      * Parse one journal line. Returns false on any syntax error or
-     * missing required field (corrupt line → caller skips it).
+     * missing or mistyped required field — an integer that is not a
+     * whole decimal fitting its field, a key that is not 16 hex
+     * digits (corrupt line → caller skips it).
      */
     static bool deserialize(const std::string &line, Entry &out);
 

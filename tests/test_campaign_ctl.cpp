@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -42,7 +43,6 @@
 #include "harness/campaign.hh"
 #include "harness/campaign_ctl.hh"
 #include "harness/result_store.hh"
-#include "harness/scratch_dir.hh"
 
 namespace pth
 {
@@ -132,7 +132,7 @@ workerMain(int argc, char **argv)
     std::vector<RunResult> results = cli.runCampaign(campaign);
     if (!cli.emitJson(results))
         return 1;
-    return cli.failureCount(results) ? 1 : 0;
+    return BenchCli::reportFailures(results) ? 1 : 0;
 }
 
 namespace
@@ -148,6 +148,16 @@ tempDir(const char *name)
          {".jsonl", ".json", ".jsonl.merging"})
         for (const char *campaign : {"alpha", "beta"})
             std::remove((dir + "/" + campaign + suffix).c_str());
+    return dir;
+}
+
+/** A new, empty directory under the test temp dir (mkdtemp). */
+std::string
+freshDir(const char *name)
+{
+    std::string dir = testing::TempDir() + "pth_ctl_" + name + "XXXXXX";
+    if (!::mkdtemp(dir.data()))
+        throw std::runtime_error("cannot create " + dir);
     return dir;
 }
 
@@ -350,19 +360,18 @@ TEST(CampaignCtl, DispatchOrderIsManifestOrderForAnyPoolWidth)
     std::sort(artifacts.begin(), artifacts.end());
 
     for (unsigned poolWidth : {1u, 2u, 8u}) {
-        ScratchDirGuard outDir = ScratchDirGuard::create(
-            testing::TempDir() + "pth_ctl_orderXXXXXX");
+        const std::string outDir = freshDir("order");
         std::ostringstream log;
         CampaignCtlOptions options = makeOptions(&log);
         options.workers = poolWidth;
-        CampaignCtl ctl(makeManifest(outDir.path()), options);
+        CampaignCtl ctl(makeManifest(outDir), options);
         ASSERT_EQ(ctl.run(), 0u) << "pool width " << poolWidth;
         // 3 shards + render, 2 shards + render: one spawn each.
         EXPECT_EQ(ctl.outcomes()[0].spawns, 4u) << "pool width "
                                                 << poolWidth;
         EXPECT_EQ(ctl.outcomes()[1].spawns, 3u) << "pool width "
                                                 << poolWidth;
-        EXPECT_EQ(listDir(outDir.path()), artifacts)
+        EXPECT_EQ(listDir(outDir), artifacts)
             << "pool width " << poolWidth;
 
         std::vector<std::string> spawns;
@@ -373,6 +382,7 @@ TEST(CampaignCtl, DispatchOrderIsManifestOrderForAnyPoolWidth)
                 line.find("/render") == std::string::npos)
                 spawns.push_back(line);
         EXPECT_EQ(spawns, expected) << "pool width " << poolWidth;
+        std::filesystem::remove_all(outDir);
     }
 }
 
@@ -493,31 +503,46 @@ TEST(CampaignCtl, SimulationFailureSurfacesThroughTheRenderPass)
 
 TEST(CampaignCtl, RerunResumesFromMergedJournalsWithoutRecompute)
 {
-    const std::string outDir = tempDir("resume");
-    Manifest manifest =
-        makeManifest(outDir, {"--die-at=4"}, {"--die-at=4"});
+    const std::string expected = serialReport();
+    // First pass without the die flag, two ways: a clean manifest run
+    // (shard journals and merged journals), or one serial process per
+    // campaign journaling to alpha.jsonl and beta.jsonl (no shard
+    // journal exists).
+    for (const bool serialFirst : {false, true}) {
+        const std::string outDir =
+            freshDir(serialFirst ? "resume_serial" : "resume");
+        if (serialFirst) {
+            for (const char *name : {"alpha", "beta"}) {
+                CampaignOptions serial;
+                serial.threads = 1;
+                serial.journalPath = outDir + "/" + name + ".jsonl";
+                makeCampaign().run(serial);
+            }
+        } else {
+            CampaignCtl first(makeManifest(outDir), makeOptions());
+            ASSERT_EQ(first.run(), 0u);
+        }
 
-    // First pass: clean run WITHOUT the die flag to build journals.
-    CampaignCtl first(makeManifest(outDir), makeOptions());
-    ASSERT_EQ(first.run(), 0u);
-    const std::string alphaReport =
-        readFile(first.outcomes()[0].report);
-
-    // Second pass resumes (fresh = false) with workers rigged to die
-    // if they ever EXECUTE run 4: every shard journal is seeded from
-    // the merged campaign journal, so nothing executes, nobody dies,
-    // and the reports come out identical.
-    CampaignCtlOptions options = makeOptions();
-    options.fresh = false;
-    CampaignCtl second(manifest, options);
-    ASSERT_EQ(second.run(), 0u);
-    for (const CampaignOutcome &outcome : second.outcomes()) {
-        EXPECT_TRUE(outcome.ok) << outcome.error;
+        // Second pass resumes (fresh = false) with workers rigged to
+        // die if they ever EXECUTE run 4: every shard journal is seeded
+        // from the campaign journal, so nothing executes, nobody dies,
+        // and the reports come out identical.
+        CampaignCtlOptions options = makeOptions();
+        options.fresh = false;
+        CampaignCtl second(
+            makeManifest(outDir, {"--die-at=4"}, {"--die-at=4"}),
+            options);
+        ASSERT_EQ(second.run(), 0u) << "serial first: " << serialFirst;
         // One spawn per shard plus the render — no respawns.
-        EXPECT_EQ(outcome.spawns,
-                  (outcome.name == "alpha" ? 3u : 2u) + 1u);
+        EXPECT_EQ(second.outcomes()[0].spawns, 4u);
+        EXPECT_EQ(second.outcomes()[1].spawns, 3u);
+        for (const CampaignOutcome &outcome : second.outcomes()) {
+            EXPECT_TRUE(outcome.ok) << outcome.error;
+            EXPECT_EQ(readFile(outcome.report), expected)
+                << outcome.name << ", serial first: " << serialFirst;
+        }
+        std::filesystem::remove_all(outDir);
     }
-    EXPECT_EQ(readFile(second.outcomes()[0].report), alphaReport);
 }
 
 } // namespace

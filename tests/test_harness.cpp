@@ -10,20 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include "common/parallel.hh"
 #include "common/stats.hh"
 #include "harness/campaign.hh"
-#include "harness/scratch_dir.hh"
-#include "harness/self_exe.hh"
 
 namespace pth
 {
@@ -216,85 +210,6 @@ TEST(Campaign, JsonReportsRunsAndAggregate)
     EXPECT_NE(json.find("\"aggregate\": {"), std::string::npos);
     EXPECT_NE(json.find("\"fingerprint\": \""), std::string::npos);
     EXPECT_EQ(json.find("wall"), std::string::npos);
-}
-
-bool
-pathExists(const std::string &path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-TEST(ScratchDirGuard, RemovesNonEmptyDirectoryOnDestruction)
-{
-    // Regression: the --workers scratch dir was only removed on the
-    // all-success path, and a bare rmdir would have failed anyway
-    // because the per-worker journals/logs were still inside.
-    std::string dir;
-    {
-        ScratchDirGuard guard =
-            ScratchDirGuard::create("/tmp/pth_testguardXXXXXX");
-        dir = guard.path();
-        ASSERT_TRUE(pathExists(dir));
-        std::ofstream(dir + "/shard0.jsonl") << "{}\n";
-        std::ofstream(dir + "/shard0.jsonl.log") << "tail\n";
-    }
-    EXPECT_FALSE(pathExists(dir));
-}
-
-TEST(ScratchDirGuard, KeepLeavesArtifactsOnDisk)
-{
-    std::string dir;
-    {
-        ScratchDirGuard guard =
-            ScratchDirGuard::create("/tmp/pth_testguardXXXXXX");
-        dir = guard.path();
-        std::ofstream(dir + "/evidence.log") << "kept\n";
-        guard.keep();
-        EXPECT_FALSE(guard.active());
-    }
-    ASSERT_TRUE(pathExists(dir));
-    ASSERT_TRUE(pathExists(dir + "/evidence.log"));
-    std::remove((dir + "/evidence.log").c_str());
-    ::rmdir(dir.c_str());
-}
-
-TEST(ScratchDirGuard, MoveTransfersOwnershipOnce)
-{
-    std::string dir;
-    {
-        ScratchDirGuard outer;
-        EXPECT_FALSE(outer.active());
-        {
-            ScratchDirGuard inner =
-                ScratchDirGuard::create("/tmp/pth_testguardXXXXXX");
-            dir = inner.path();
-            outer = std::move(inner);
-            EXPECT_FALSE(inner.active());
-        }
-        // inner's death must not have removed the moved-from dir.
-        EXPECT_TRUE(pathExists(dir));
-    }
-    EXPECT_FALSE(pathExists(dir));
-}
-
-TEST(SelfExe, ResolvesToAnExistingBinary)
-{
-    const std::string path = resolveSelfExe("fallback-argv0");
-    ASSERT_NE(path, "fallback-argv0");
-    EXPECT_EQ(path.front(), '/');
-    EXPECT_TRUE(pathExists(path));
-
-    // Regression pin for the truncation fix: /proc/self/exe of this
-    // process fits the 4096-byte buffer with room to spare, so the
-    // result must be the real link target, not a truncated prefix —
-    // readlink against the same buffer size must agree exactly.
-    char self[4096];
-    const ssize_t len =
-        ::readlink("/proc/self/exe", self, sizeof(self));
-    ASSERT_GT(len, 0);
-    ASSERT_LT(static_cast<std::size_t>(len), sizeof(self));
-    EXPECT_EQ(path, std::string(self, static_cast<std::size_t>(len)));
 }
 
 } // namespace

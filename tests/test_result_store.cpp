@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -282,6 +283,32 @@ TEST(ResultStore, MistypedFieldRejectsTheLine)
     ASSERT_NE(pos, std::string::npos);
     bad.replace(pos, 10, "\"flips\": \"0\"");
     EXPECT_FALSE(ResultStore::deserialize(bad, entry));
+
+    // An integer is a whole decimal that fits its field (no negative,
+    // fraction, exponent, wrap or saturation), and the key is exactly
+    // the 16 hex digits serialize() writes.
+    const std::pair<const char *, const char *> mangled[] = {
+        {"\"index\": 0", "\"index\": -5"},
+        {"\"index\": 0", "\"index\": 1.5"},
+        {"\"index\": 0", "\"index\": 3e0"},
+        {"\"flips\": 0", "\"flips\": 2.5"},
+        {"\"attempts\": 0", "\"attempts\": 4294967296"},
+        {"\"seed\": 0", "\"seed\": 18446744073709551616"},
+        {"\"key\": \"000000000000002a\"", "\"key\": \"zz\""},
+        {"\"key\": \"000000000000002a\"", "\"key\": \"\""},
+        {"\"key\": \"000000000000002a\"", "\"key\": \"12zz\""},
+        {"\"key\": \"000000000000002a\"", "\"key\": \"0x10\""},
+        {"\"key\": \"000000000000002a\"", "\"key\": \"-1\""},
+        {"\"key\": \"000000000000002a\"",
+         "\"key\": \"00000000000000002a\""},
+    };
+    for (const auto &[field, replacement] : mangled) {
+        bad = line;
+        const auto at = bad.find(field);
+        ASSERT_NE(at, std::string::npos) << field;
+        bad.replace(at, std::strlen(field), replacement);
+        EXPECT_FALSE(ResultStore::deserialize(bad, entry)) << bad;
+    }
 }
 
 TEST(ResultStore, ResumeSkipsCompletedRuns)

@@ -2,36 +2,21 @@
  * @file
  * Sharded-dispatch tests: the headline contract is that an N-way
  * sharded-and-merged campaign report is byte-identical to the
- * single-process serial report — including when a worker is killed
- * (SIGKILL, nothing flushed) mid-shard and respawned to resume from
- * its own journal.
- *
- * The test binary is its own shard worker: invoked with
- * `--pth-worker [--die-at=K] [--die-marker=PATH]` among its bench
- * flags it behaves like a bench binary (BenchCli + runCampaign) over
- * a fixed 9-run campaign, so the BenchCli --workers parent path (and
- * the CampaignCtl pool under it) is exercised against real
- * subprocesses.
- * --die-at=K makes the worker SIGKILL itself when it reaches run K;
- * with --die-marker the suicide happens only while the marker file
- * does not exist (created just before dying), so the respawned
- * worker survives — without it the worker dies on every attempt,
- * which is how a permanently lost shard is simulated.
+ * single-process serial report. These are the building blocks
+ * `campaign ctl` runs as subprocesses (test_campaign_ctl drives the
+ * pool itself): --shard slicing, `campaign merge` and journal
+ * corruption handling, and the shared bench parser's --shard and
+ * count validation.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/table.hh"
 #include "harness/bench_cli.hh"
@@ -40,26 +25,24 @@
 
 namespace pth
 {
-namespace shardtest
+namespace
 {
 
-/** Path of this binary (from /proc/self/exe), for spawning workers. */
-std::string gProgram;
+/** argv[0] of the parser death tests. */
+constexpr const char *kProgram = "test_shard";
 
 /** Runs executed in this process (not served from a journal). */
 std::atomic<unsigned> gExecutions{0};
 
 constexpr unsigned kRuns = 9;
-constexpr unsigned kNoDie = ~0u;
 
 /**
- * The fixed campaign both the tests and the subprocess workers
- * build: custom bodies deriving every result field from the seed, so
- * any execution anywhere yields identical journal bytes.
+ * The fixed campaign the tests build: custom bodies deriving every
+ * result field from the seed, so any execution anywhere yields
+ * identical journal bytes.
  */
 Campaign
-makeCampaign(unsigned dieAtIndex = kNoDie,
-             const std::string &dieMarker = std::string())
+makeCampaign()
 {
     Campaign campaign;
     for (unsigned i = 0; i < kRuns; ++i) {
@@ -67,21 +50,7 @@ makeCampaign(unsigned dieAtIndex = kNoDie,
         spec.label = strfmt("point%u", i);
         spec.preset = MachinePreset::TestSmall;
         spec.seed = 50 + i;
-        spec.body = [dieAtIndex, dieMarker](Machine &,
-                                            const AttackConfig &,
-                                            RunResult &res) {
-            if (res.index == dieAtIndex) {
-                bool die = true;
-                if (!dieMarker.empty()) {
-                    if (std::ifstream(dieMarker).good()) {
-                        die = false; // already died once; survive
-                    } else {
-                        std::ofstream mark(dieMarker);
-                    }
-                }
-                if (die)
-                    std::raise(SIGKILL); // nothing flushed, like kill -9
-            }
+        spec.body = [](Machine &, const AttackConfig &, RunResult &res) {
             ++gExecutions;
             res.flips = (res.seed * 7) % 5;
             res.flipped = res.flips > 0;
@@ -100,36 +69,6 @@ makeCampaign(unsigned dieAtIndex = kNoDie,
     return campaign;
 }
 
-/** Subprocess entry: some argv[i] == "--pth-worker". */
-int
-workerMain(int argc, char **argv)
-{
-    unsigned dieAt = kNoDie;
-    std::string marker;
-    std::vector<char *> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--pth-worker"))
-            continue;
-        if (!std::strncmp(argv[i], "--die-at=", 9))
-            dieAt = static_cast<unsigned>(
-                std::strtoul(argv[i] + 9, nullptr, 10));
-        else if (!std::strncmp(argv[i], "--die-marker=", 13))
-            marker = argv[i] + 13;
-        else
-            args.push_back(argv[i]);
-    }
-    BenchCli cli =
-        BenchCli::parse(static_cast<int>(args.size()), args.data(),
-                        "test_shard worker");
-    Campaign campaign = makeCampaign(dieAt, marker);
-    cli.runCampaign(campaign); // worker mode: exits inside
-    return 0;
-}
-
-namespace
-{
-
 std::string
 tempPath(const char *name)
 {
@@ -140,18 +79,6 @@ void
 removeFile(const std::string &path)
 {
     std::remove(path.c_str());
-}
-
-/** Remove a --workers journal with its shard journals and logs. */
-void
-removeWorkerArtifacts(const std::string &journal, unsigned shards)
-{
-    for (unsigned s = 0; s < shards; ++s) {
-        const std::string shard = journal + strfmt(".shard%u", s);
-        removeFile(shard);
-        removeFile(shard + ".log");
-    }
-    removeFile(journal);
 }
 
 std::string
@@ -165,15 +92,13 @@ serialReport()
 
 /** BenchCli::parse over a string argv (it may exit the process). */
 BenchCli
-parseArgs(std::vector<std::string> args,
-          const std::vector<std::string> &passthrough = {})
+parseArgs(std::vector<std::string> args)
 {
     std::vector<char *> argv;
     for (std::string &arg : args)
         argv.push_back(arg.data());
     return BenchCli::parse(static_cast<int>(argv.size()),
-                           argv.data(), "test_shard parent",
-                           passthrough);
+                           argv.data(), "test_shard");
 }
 
 TEST(Shard, SlicingExecutesOnlyTheResidueClass)
@@ -366,163 +291,39 @@ TEST(Shard, AppendAfterTornLineDoesNotGlueRecords)
     removeFile(journal);
 }
 
-TEST(Shard, KilledWorkerRespawnsResumesAndReportMatchesSerial)
-{
-    const std::string journal = tempPath("kill.jsonl");
-    const std::string marker = tempPath("kill.marker");
-    removeWorkerArtifacts(journal, 3);
-    removeFile(marker);
-
-    // Shard 1 owns run 4 (4 % 3 == 1): the first attempt to reach it
-    // SIGKILLs itself there, after checkpointing run 1. The respawn
-    // finds the marker and resumes from the dead attempt's journal.
-    BenchCli cli = parseArgs(
-        {gProgram, "--workers=3", "--journal=" + journal, "--fresh"},
-        {"--pth-worker", "--die-at=4", "--die-marker=" + marker});
-    Campaign campaign = makeCampaign();
-    gExecutions = 0;
-    EXPECT_EQ(Campaign::toJson(cli.runCampaign(campaign)),
-              serialReport());
-    EXPECT_EQ(cli.workerDeaths, 0u);
-    EXPECT_TRUE(std::ifstream(marker).good()) << "no worker died";
-
-    removeWorkerArtifacts(journal, 3);
-    removeFile(marker);
-}
-
-TEST(Shard, WorkersParentPathIsByteIdenticalAndResumable)
-{
-    const std::string journal = tempPath("parent.jsonl");
-    removeWorkerArtifacts(journal, 4);
-
-    Campaign campaign = makeCampaign();
-
-    BenchCli first = parseArgs(
-        {gProgram, "--workers=4", "--journal=" + journal, "--fresh"},
-        {"--pth-worker"});
-    std::vector<RunResult> results = first.runCampaign(campaign);
-    EXPECT_EQ(first.workerDeaths, 0u);
-    EXPECT_EQ(Campaign::toJson(results), serialReport());
-
-    // Again without --fresh: workers resume their complete shard
-    // journals, execute nothing, and the merge still serves the
-    // identical report.
-    BenchCli second = parseArgs(
-        {gProgram, "--workers=4", "--journal=" + journal},
-        {"--pth-worker"});
-    EXPECT_EQ(Campaign::toJson(second.runCampaign(campaign)),
-              serialReport());
-    EXPECT_EQ(second.workerDeaths, 0u);
-
-    removeWorkerArtifacts(journal, 4);
-}
-
-TEST(Shard, WorkersResumeFromTheParentJournal)
-{
-    const std::string journal = tempPath("seeded.jsonl");
-    removeWorkerArtifacts(journal, 3);
-
-    // Complete the campaign single-process into the parent journal.
-    Campaign campaign = makeCampaign();
-    CampaignOptions serial;
-    serial.threads = 1;
-    serial.journalPath = journal;
-    const std::string expected =
-        Campaign::toJson(campaign.run(serial));
-
-    // Now run it with --workers, with workers rigged to die if they
-    // ever EXECUTE run 4: the shard journals are seeded from the
-    // parent journal, so nothing executes and nobody dies.
-    BenchCli cli = parseArgs(
-        {gProgram, "--workers=3", "--journal=" + journal},
-        {"--pth-worker", "--die-at=4"});
-    std::vector<RunResult> results = cli.runCampaign(campaign);
-    EXPECT_EQ(cli.workerDeaths, 0u);
-    EXPECT_EQ(Campaign::toJson(results), expected);
-
-    removeWorkerArtifacts(journal, 3);
-}
-
-TEST(Shard, DeadWorkerSurfacesInReportAndFailureCount)
-{
-    const std::string journal = tempPath("dead.jsonl");
-    removeWorkerArtifacts(journal, 3);
-
-    Campaign campaign = makeCampaign();
-
-    // No --die-marker: shard 1 dies at run 4 on every attempt.
-    BenchCli cli = parseArgs(
-        {gProgram, "--workers=3", "--journal=" + journal, "--fresh"},
-        {"--pth-worker", "--die-at=4"});
-    std::vector<RunResult> results = cli.runCampaign(campaign);
-
-    EXPECT_EQ(cli.workerDeaths, 1u);
-
-    // Run 1 was checkpointed before the death; 4 and 7 were lost and
-    // carry the death reason, so reportFailures (plus workerDeaths,
-    // as every bench now sums) drives a nonzero exit.
-    ASSERT_EQ(results.size(), kRuns);
-    EXPECT_TRUE(results[1].ok);
-    EXPECT_FALSE(results[4].ok);
-    EXPECT_FALSE(results[7].ok);
-    EXPECT_NE(results[4].error.find("signal"), std::string::npos)
-        << results[4].error;
-    EXPECT_NE(results[7].error.find("signal"), std::string::npos)
-        << results[7].error;
-    EXPECT_GT(cli.failureCount(results), 0u);
-
-    removeWorkerArtifacts(journal, 3);
-}
-
-TEST(Shard, ParseForwardsThreadsToWorkers)
-{
-    // Workers get --threads=1 ahead of the forwarded args, so an
-    // explicit --threads reaches them and wins.
-    const BenchCli cli = parseArgs(
-        {gProgram, "--workers", "2", "--threads", "3"},
-        {"--pth-worker"});
-    EXPECT_EQ(cli.workers, 2u);
-    EXPECT_EQ(cli.options.threads, 3u);
-    EXPECT_EQ(cli.forwardArgs,
-              (std::vector<std::string>{"--pth-worker", "--threads=3"}));
-}
-
 TEST(ShardCliDeath, ShardRequiresJournalAndValidFormat)
 {
-    EXPECT_EXIT(parseArgs({gProgram, "--shard=0/3"}),
+    EXPECT_EXIT(parseArgs({kProgram, "--shard=0/3"}),
                 testing::ExitedWithCode(2), "requires --journal");
     // I and N are counts, split at the one '/', with 0 <= I < N.
     for (const char *bad : {"3/3", "0/4294967299", "0/+3", " 1/3",
                             "-1/3", "1/3x", "/3", "0/"})
-        EXPECT_EXIT(parseArgs({gProgram, std::string("--shard=") + bad,
+        EXPECT_EXIT(parseArgs({kProgram, std::string("--shard=") + bad,
                                "--journal=x.jsonl"}),
                     testing::ExitedWithCode(2), "bad --shard")
             << bad;
-    EXPECT_EXIT(parseArgs({gProgram, "--shard=0/3",
-                           "--journal=x.jsonl", "--workers=2"}),
-                testing::ExitedWithCode(2), "mutually exclusive");
 }
 
 TEST(ShardCliDeath, MalformedCountsExitTwo)
 {
     // Only a whole non-negative decimal that fits an unsigned is a
     // count; nothing falls back to "all cores".
-    for (const char *flag : {"--threads", "--workers", "--pool-threads"})
+    for (const char *flag : {"--threads", "--pool-threads"})
         for (const char *bad : {"x", "4x", "-1", "", "4294967296"})
             EXPECT_EXIT(
-                parseArgs({gProgram, std::string(flag) + "=" + bad}),
+                parseArgs({kProgram, std::string(flag) + "=" + bad}),
                 testing::ExitedWithCode(2),
                 std::string("bad ") + flag)
                 << flag << "=" << bad;
     EXPECT_EXIT(
         {
             ::setenv("PTH_THREADS", "abc", 1);
-            parseArgs({gProgram});
+            parseArgs({kProgram});
         },
         testing::ExitedWithCode(2), "bad PTH_THREADS");
-    EXPECT_EXIT(parseArgs({gProgram, "--workers", "--fresh"}),
+    EXPECT_EXIT(parseArgs({kProgram, "--threads", "--fresh"}),
                 testing::ExitedWithCode(2),
-                "missing value for '--workers'");
+                "missing value for '--threads'");
 }
 
 TEST(ShardCliDeath, MultiHartFlagsAreUnknownToTheSharedParser)
@@ -530,32 +331,21 @@ TEST(ShardCliDeath, MultiHartFlagsAreUnknownToTheSharedParser)
     // Only bench_multicore_hammer reads --harts and --interleave, and
     // it parses them itself; to every other bench they are typos.
     for (const char *flag : {"--harts=4", "--interleave=seeded:7"})
-        EXPECT_EXIT(parseArgs({gProgram, flag}),
+        EXPECT_EXIT(parseArgs({kProgram, flag}),
                     testing::ExitedWithCode(2), "unknown argument")
             << flag;
 }
 
-} // namespace
-} // namespace shardtest
-} // namespace pth
-
-int
-main(int argc, char **argv)
+TEST(ShardCliDeath, WorkersIsAnUnknownArgument)
 {
-    // Resolve the binary's own path for fork/exec of shard workers;
-    // argv[0] may be bare ("test_shard") under some launchers.
-    char self[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", self, sizeof(self) - 1);
-    pth::shardtest::gProgram =
-        n > 0 ? std::string(self, static_cast<std::size_t>(n))
-              : std::string(argv[0]);
-
-    // Worker argv is `program --threads=1 <forwarded args>...`.
-    for (int i = 1; i < argc; ++i)
-        if (!std::strcmp(argv[i], "--pth-worker"))
-            return pth::shardtest::workerMain(argc, argv);
-
-    ::testing::InitGoogleTest(&argc, argv);
-    return RUN_ALL_TESTS();
+    // A bench runs in one process; `campaign ctl --workers N` is the
+    // process pool.
+    for (const char *flag : {"--workers=3", "--workers"})
+        EXPECT_EXIT(parseArgs({kProgram, flag, "3"}),
+                    testing::ExitedWithCode(2),
+                    std::string("unknown argument '") + flag + "'")
+            << flag;
 }
+
+} // namespace
+} // namespace pth

@@ -26,7 +26,6 @@
 
 #include "harness/campaign.hh"
 #include "harness/result_store.hh"
-#include "harness/scratch_dir.hh"
 
 namespace pth
 {
@@ -41,8 +40,8 @@ namespace
  */
 TEST(ThreadSafety, ResultStoreConcurrentRecord)
 {
-    auto scratch = ScratchDirGuard::create("/tmp/pth_tsafetyXXXXXX");
-    const std::string path = scratch.path() + "/journal.jsonl";
+    const std::string path =
+        testing::TempDir() + "pth_tsafety_journal.jsonl";
     constexpr unsigned kThreads = 8;
     constexpr unsigned kPerThread = 50;
     {
@@ -72,6 +71,7 @@ TEST(ThreadSafety, ResultStoreConcurrentRecord)
         EXPECT_EQ(entry.result.index, index);
         EXPECT_EQ(entry.result.seed, index);
     }
+    std::remove(path.c_str());
 }
 
 /**

@@ -215,7 +215,33 @@ TEST(CampaignMergeCli, ToleratesCorruptAndMissingInputs)
               std::string::npos);
     EXPECT_TRUE(readFile(out + ".none").empty());
 
+    // A run-5 line whose index was mangled to -5 is corrupt: it is
+    // counted, and it does not supersede run 0.
+    const std::string mangled = tempPath("merge_mangled.jsonl");
+    {
+        std::string line = ResultStore::serialize(makeRun(5, 9), 105);
+        const auto at = line.find("\"index\": 5");
+        ASSERT_NE(at, std::string::npos);
+        line.replace(at, 10, "\"index\": -5");
+        std::ofstream(mangled, std::ios::trunc) << line << '\n';
+    }
+    writeJournal(a, {makeRun(0, 1)});
+    const CliResult kept = runCli({"merge", a, mangled, "-o", out});
+    EXPECT_EQ(kept.exit, 0) << kept.err;
+    EXPECT_NE(kept.err.find("skipped 1 corrupt line(s)"),
+              std::string::npos)
+        << kept.err;
+    EXPECT_NE(kept.err.find("merged 1 run(s) from 2 journal(s) (0"
+                            " superseded"),
+              std::string::npos)
+        << kept.err;
+    const auto entries = ResultStore::load(out);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries.at(0).result.flips, 1u);
+    EXPECT_EQ(entries.at(0).key, 100u);
+
     std::remove(a.c_str());
+    std::remove(mangled.c_str());
     std::remove(out.c_str());
 }
 
