@@ -155,10 +155,9 @@ main(int argc, char **argv)
     table.print();
 
     // Contract 1: the warm-forked report is byte-identical to a
-    // cold-constructed one. Checked in-process when this invocation
-    // both executed the runs itself and ran them warm.
-    if (cli.options.reuseMachines && cli.options.shardCount <= 1 &&
-        cli.options.journalPath.empty()) {
+    // cold-constructed one. Checked when the runs ran warm and no
+    // journal served them.
+    if (cli.options.reuseMachines && cli.options.journalPath.empty()) {
         CampaignOptions warm;
         warm.threads = cli.options.threads;
         CampaignOptions cold = warm;

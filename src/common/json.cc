@@ -54,16 +54,6 @@ JsonValue::asDouble(double fallback) const
     return std::strtod(scalar_.c_str(), nullptr);
 }
 
-std::uint64_t
-JsonValue::asU64(std::uint64_t fallback) const
-{
-    if (kind_ != Kind::Number || scalar_.empty() || scalar_[0] == '-')
-        return fallback;
-    if (scalar_.find_first_of(".eE") != std::string::npos)
-        return fallback;
-    return std::strtoull(scalar_.c_str(), nullptr, 10);
-}
-
 const JsonValue *
 JsonValue::find(const std::string &key) const
 {

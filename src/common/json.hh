@@ -16,11 +16,11 @@
 #ifndef PTH_COMMON_JSON_HH
 #define PTH_COMMON_JSON_HH
 
-#include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/parse.hh"
 
 namespace pth
 {
@@ -59,21 +59,20 @@ class JsonValue
     double asDouble(double fallback = 0.0) const;
 
     /**
-     * Number as a 64-bit unsigned integer, parsed from the source
-     * token so values above 2^53 survive; fallback when this is not
-     * an integral Number.
+     * Number as an unsigned integer of type T, read with parseWhole
+     * from the source token so values above 2^53 survive. Returns
+     * false, leaving out untouched, unless this is a Number written
+     * as a whole decimal that fits T ("-5", "1.5", "3e0" and values
+     * past T's range fail).
      */
-    std::uint64_t asU64(std::uint64_t fallback = 0) const;
+    template <class T>
+    bool asUnsigned(T &out) const
+    {
+        return kind_ == Kind::Number && parseWhole(scalar_, out);
+    }
 
     /** String value (empty when this is not a String). */
     const std::string &asString() const { return scalar_; }
-
-    /** A Number's token as written (empty unless this is a Number). */
-    std::string_view numberToken() const
-    {
-        return kind_ == Kind::Number ? std::string_view(scalar_)
-                                     : std::string_view();
-    }
 
     /** Array elements (empty unless this is an Array). */
     const std::vector<JsonValue> &items() const { return items_; }

@@ -1,11 +1,11 @@
 #include "cpu/interleaver.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <string_view>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace pth
 {
@@ -29,11 +29,9 @@ parseInterleaveMode(const char *text, InterleaveMode &mode,
     else if (name != "round-robin" && name != "rr")
         return false;
     std::uint64_t value = 0;
-    if (colon != end) {
-        const auto [last, ec] = std::from_chars(colon + 1, end, value);
-        if (ec != std::errc() || last != end)
-            return false;
-    }
+    if (colon != end &&
+        !parseWhole(std::string_view(colon + 1, end - colon - 1), value))
+        return false;
     mode = parsed;
     seed = value;
     return true;

@@ -1,8 +1,8 @@
 #include "harness/bench_cli.hh"
 
+#include "common/parse.hh"
 #include "dram/flip_model.hh"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,18 +58,6 @@ usage(const char *prog, const char *summary)
 
 } // namespace
 
-bool
-BenchCli::parseCount(std::string_view text, unsigned &out)
-{
-    const char *end = text.data() + text.size();
-    unsigned count = 0;
-    const auto [last, ec] = std::from_chars(text.data(), end, count);
-    if (ec != std::errc() || last != end)
-        return false;
-    out = count;
-    return true;
-}
-
 const char *
 BenchCli::flagValue(int argc, char **argv, int &i, const char *flag)
 {
@@ -90,7 +78,7 @@ BenchCli::countOrExit(const std::string &prog, const char *what,
                       const char *text)
 {
     unsigned count = 0;
-    if (parseCount(text, count))
+    if (parseWhole(text, count))
         return count;
     std::fprintf(stderr,
                  "%s: bad %s '%s' (need a whole non-negative"
@@ -150,9 +138,9 @@ BenchCli::parse(int argc, char **argv, const char *summary)
             unsigned index = 0;
             unsigned count = 0;
             if (!slash ||
-                !parseCount(std::string_view(value, slash - value),
+                !parseWhole(std::string_view(value, slash - value),
                             index) ||
-                !parseCount(slash + 1, count) || index >= count) {
+                !parseWhole(slash + 1, count) || index >= count) {
                 std::fprintf(stderr,
                              "%s: bad --shard '%s' (use I/N with"
                              " 0 <= I < N)\n",

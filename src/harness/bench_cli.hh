@@ -54,7 +54,6 @@
 #define PTH_HARNESS_BENCH_CLI_HH
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "harness/campaign.hh"
@@ -99,13 +98,9 @@ struct BenchCli
     static const char *flagValue(int argc, char **argv, int &i,
                                  const char *flag);
 
-    /** Parse a count: a whole non-negative decimal that fits an
-     * unsigned, nothing else ("4x", "-1", "+3", " 1", "" are
-     * rejected). Returns false, leaving out untouched, otherwise. */
-    static bool parseCount(std::string_view text, unsigned &out);
-
-    /** parseCount, or exit the process with status 2 and a message
-     * naming `what`. */
+    /** A count read with parseWhole (a whole non-negative decimal
+     * that fits an unsigned), or exit the process with status 2 and a
+     * message naming `what`. */
     static unsigned countOrExit(const std::string &prog,
                                 const char *what, const char *text);
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -105,15 +104,11 @@ parseCampaign(const JsonValue &obj, std::size_t position,
     }
 
     if (const JsonValue *shards = obj.find("shards")) {
-        if (!shards->isNumber() || shards->asU64() == 0 ||
-            shards->asU64() > std::numeric_limits<unsigned>::max() ||
-            shards->asDouble() !=
-                static_cast<double>(shards->asU64())) {
+        if (!shards->asUnsigned(out.shards) || out.shards == 0) {
             error = where + " (" + out.name +
                     "): \"shards\" must be a positive integer";
             return false;
         }
-        out.shards = static_cast<unsigned>(shards->asU64());
     }
 
     if (const JsonValue *journal = obj.find("journal")) {
@@ -477,10 +472,6 @@ CampaignCtl::finishCampaign(std::size_t campaignIdx)
                 " FAILED: " + outcome.error);
         return;
     }
-    if (campaign.report.empty()) {
-        outcome.ok = true;
-        return;
-    }
 
     // The report pass re-invokes the bench against the merged
     // journal: every run is served from its checkpoint, so the
@@ -511,6 +502,8 @@ CampaignCtl::run()
         const ManifestCampaign &campaign = manifest_.campaigns[ci];
         if (campaign.journal.empty())
             fatal("campaign %s names no journal", campaign.name.c_str());
+        if (campaign.report.empty())
+            fatal("campaign %s names no report", campaign.name.c_str());
         CampaignOutcome outcome;
         outcome.name = campaign.name;
         outcome.report = campaign.report;

@@ -9,10 +9,10 @@
  *
  * Every shard worker is `program --threads=1 args... --shard I/N
  * --journal J` (a --threads in args wins), every campaign's shard
- * journals merge (ResultStore::merge) into the campaign journal, and a
- * campaign that names a report has it rendered by re-invoking the
- * bench with the merged journal — so the orchestrated report is
- * byte-identical to a serial `program args --json=...` run.
+ * journals merge (ResultStore::merge) into the campaign journal, and
+ * the campaign's report is rendered by re-invoking the bench with the
+ * merged journal — so the orchestrated report is byte-identical to a
+ * serial `program args --json=...` run.
  *
  * Fault handling: each shard or render task is one subprocess
  * lineage.
@@ -54,9 +54,9 @@ struct ManifestCampaign
     std::vector<std::string> args;  //!< bench-specific knobs
     unsigned shards = 1;            //!< worker slice count
 
-    /** Merged campaign journal (required by CampaignCtl; shard i
-     * checkpoints to journal + ".shard<i>"), and the JSON report to
-     * render from it (empty = merge only). */
+    /** Merged campaign journal (shard i checkpoints to journal +
+     * ".shard<i>"), and the JSON report to render from it; CampaignCtl
+     * requires both. */
     std::string journal;
     std::string report;
 };
@@ -116,7 +116,7 @@ struct CampaignCtlOptions
 struct CampaignOutcome
 {
     std::string name;
-    std::string report;         //!< rendered JSON report, if named
+    std::string report;         //!< rendered JSON report
     bool ok = false;            //!< shards + merge + render all good
     std::string error;          //!< first failure reason when !ok
     unsigned spawns = 0;        //!< worker attempts across shards

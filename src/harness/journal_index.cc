@@ -70,7 +70,9 @@ namespace
 {
 
 /** Parse one object of a report's "runs" array (campaign toJson)
- * into the RunResult fields a report carries. */
+ * into the RunResult fields a report carries. False when it is not a
+ * run: no label or index, or an index, seed, flips or attempts that
+ * is not a whole decimal fitting its field. */
 bool
 runFromReportObject(const JsonValue &obj, RunResult &run)
 {
@@ -78,9 +80,16 @@ runFromReportObject(const JsonValue &obj, RunResult &run)
         return false;
     const JsonValue *label = obj.find("label");
     const JsonValue *index = obj.find("index");
-    if (!label || !label->isString() || !index)
+    if (!label || !label->isString() || !index ||
+        !index->asUnsigned(run.index))
         return false;
-    run.index = index->asU64();
+    const JsonValue *seed = obj.find("seed");
+    const JsonValue *flips = obj.find("flips");
+    const JsonValue *attempts = obj.find("attempts");
+    if ((seed && !seed->asUnsigned(run.seed)) ||
+        (flips && !flips->asUnsigned(run.flips)) ||
+        (attempts && !attempts->asUnsigned(run.attempts)))
+        return false;
     run.label = label->asString();
     if (const JsonValue *v = obj.find("machine"))
         run.machine = v->asString();
@@ -90,18 +99,12 @@ runFromReportObject(const JsonValue &obj, RunResult &run)
         run.strategy = v->asString();
     if (const JsonValue *v = obj.find("dram_model"))
         run.dramModel = v->asString();
-    if (const JsonValue *v = obj.find("seed"))
-        run.seed = v->asU64();
     if (const JsonValue *v = obj.find("ok"))
         run.ok = v->asBool(true);
     if (const JsonValue *v = obj.find("flipped"))
         run.flipped = v->asBool();
     if (const JsonValue *v = obj.find("escalated"))
         run.escalated = v->asBool();
-    if (const JsonValue *v = obj.find("flips"))
-        run.flips = v->asU64();
-    if (const JsonValue *v = obj.find("attempts"))
-        run.attempts = static_cast<unsigned>(v->asU64());
     if (const JsonValue *v = obj.find("sim_seconds"))
         run.simSeconds = v->asDouble();
     if (const JsonValue *v = obj.find("time_to_flip_minutes"))
@@ -138,21 +141,27 @@ JournalIndex::addArtifact(const std::string &path, std::string *error)
     JsonValue doc;
     if (JsonValue::parse(buffer.str(), doc) && doc.isObject() &&
         doc.find("runs")) {
-        ++stats_.reports;
-        std::size_t loaded = 0;
-        for (const JsonValue &obj : doc.find("runs")->items()) {
-            ResultStore::Entry entry;
-            if (!runFromReportObject(obj, entry.result))
-                continue;
-            insert(std::move(entry));
-            ++loaded;
-        }
-        stats_.entries += loaded;
-        if (loaded == 0) {
+        // A report is written whole, so a run that does not parse
+        // is a broken artifact, not a torn line: reject all of it.
+        const std::vector<JsonValue> &runs = doc.find("runs")->items();
+        std::vector<ResultStore::Entry> parsed(runs.size());
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            if (!runFromReportObject(runs[i], parsed[i].result)) {
+                if (error)
+                    *error = strfmt("%s: run %zu of the campaign report"
+                                    " is malformed",
+                                    path.c_str(), i);
+                return false;
+            }
+        if (parsed.empty()) {
             if (error)
                 *error = path + ": campaign report contains no runs";
             return false;
         }
+        ++stats_.reports;
+        stats_.entries += parsed.size();
+        for (ResultStore::Entry &entry : parsed)
+            insert(std::move(entry));
         return true;
     }
 

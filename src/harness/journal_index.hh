@@ -82,9 +82,11 @@ class JournalIndex
      * with the same run index — within an artifact and across
      * artifacts, in ingestion order — matching ResultStore::merge,
      * so indexing shard journals answers like querying their merge.
-     * On failure (unreadable, or no run in it) returns false and,
-     * when error is non-null, says why; a journal's corrupt lines are
-     * counted in stats() either way.
+     * On failure (unreadable, no run in it, or a report run whose
+     * label, index, seed, flips or attempts does not parse) returns
+     * false and, when error is non-null, says why, indexing nothing
+     * from a failed report; a journal's corrupt lines are counted in
+     * stats() either way.
      */
     bool addArtifact(const std::string &path,
                      std::string *error = nullptr);

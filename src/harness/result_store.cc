@@ -1,6 +1,5 @@
 #include "harness/result_store.hh"
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -13,6 +12,7 @@
 #include "attack/timing.hh"
 #include "attack/tlb_eviction.hh"
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "harness/campaign.hh"
 
@@ -104,22 +104,6 @@ getBool(const JsonValue &obj, const char *name, bool &ok)
     return v ? v->asBool() : false;
 }
 
-/** Whole text as a base-`base` integer of type T (std::from_chars,
- * so no sign, space or prefix); false leaves out untouched. */
-template <class T>
-bool
-parseWhole(std::string_view text, T &out, int base = 10)
-{
-    const char *end = text.data() + text.size();
-    T value = 0;
-    const auto [last, ec] =
-        std::from_chars(text.data(), end, value, base);
-    if (text.empty() || ec != std::errc() || last != end)
-        return false;
-    out = value;
-    return true;
-}
-
 /** A whole non-negative decimal that fits T: "-5", "1.5", "3e0" and
  * values past T's range mark the line corrupt instead of reading as
  * 0 or saturating. */
@@ -129,7 +113,7 @@ getUnsigned(const JsonValue &obj, const char *name, bool &ok)
 {
     const JsonValue *v = need(obj, name, ok);
     T value = 0;
-    if (v && !parseWhole(v->numberToken(), value))
+    if (v && !v->asUnsigned(value))
         ok = false;
     return value;
 }

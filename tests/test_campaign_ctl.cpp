@@ -99,10 +99,9 @@ makeCampaign(unsigned dieAt = kNone,
     return campaign;
 }
 
-/** Subprocess entry: some argv[i] == "--pth-worker". Unlike
- * test_shard's worker this one also serves the render pass (no
- * --shard), so it honors --json and exits nonzero on failing runs,
- * like a real bench. */
+/** Subprocess entry: some argv[i] == "--pth-worker". It serves both
+ * the shard passes and the render pass (no --shard), so it honors
+ * --json and exits nonzero on failing runs, like a real bench. */
 int
 workerMain(int argc, char **argv)
 {

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/campaign.hh"
@@ -416,6 +417,39 @@ TEST(JournalIndexTest, ArtifactSniffingReadsReportsAndJournals)
     std::remove(report.c_str());
     std::remove(journal.c_str());
     std::remove(bogus.c_str());
+}
+
+TEST(JournalIndexTest, MalformedReportRunRejectsTheReport)
+{
+    // A report is written whole, so a run whose integer is not a whole
+    // decimal fitting its field fails the artifact: it is neither read
+    // as 0 (an "index": -5 run would supersede run 0) nor saturated.
+    const std::string text = Campaign::toJson(fixtureRuns());
+    const std::string report = tempPath("mangled.json");
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"index\": 1,", "\"index\": -5,"},
+             {"\"index\": 1,", "\"index\": 1.5,"},
+             {"\"seed\": 2,", "\"seed\": 18446744073709551616,"},
+             {"\"flips\": 3,", "\"flips\": 2.5,"},
+             {"\"attempts\": 2,", "\"attempts\": 4294967296,"}}) {
+        std::string mangled = text;
+        const std::size_t at = mangled.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        mangled.replace(at, from.size(), to);
+        std::ofstream(report, std::ios::trunc) << mangled;
+
+        JournalIndex index;
+        std::string error;
+        EXPECT_FALSE(index.addArtifact(report, &error)) << to;
+        EXPECT_NE(error.find("run 1 of the campaign report is"
+                             " malformed"),
+                  std::string::npos)
+            << error;
+        EXPECT_TRUE(index.empty()) << to;
+        EXPECT_EQ(index.stats().reports, 0u) << to;
+    }
+    std::remove(report.c_str());
 }
 
 /** Diff fixture: pointers into locally-owned RunResults. */

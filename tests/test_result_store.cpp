@@ -140,7 +140,9 @@ TEST(Json, ParsesWriterDialect)
         " -2.5e3}}",
         doc));
     ASSERT_TRUE(doc.isObject());
-    EXPECT_EQ(doc.find("a")->asU64(), 1u);
+    unsigned a = 0;
+    EXPECT_TRUE(doc.find("a")->asUnsigned(a));
+    EXPECT_EQ(a, 1u);
     ASSERT_TRUE(doc.find("b")->isArray());
     EXPECT_TRUE(doc.find("b")->items()[0].asBool());
     EXPECT_EQ(doc.find("b")->items()[1].asString(), "x\nA");
@@ -148,7 +150,19 @@ TEST(Json, ParsesWriterDialect)
 
     // 64-bit integers survive without a double detour.
     ASSERT_TRUE(JsonValue::parse("18446744073709551615", doc));
-    EXPECT_EQ(doc.asU64(), 18446744073709551615ull);
+    std::uint64_t big = 0;
+    EXPECT_TRUE(doc.asUnsigned(big));
+    EXPECT_EQ(big, 18446744073709551615ull);
+
+    // Only a whole decimal that fits the field reads as an integer;
+    // a failed read leaves the field untouched.
+    for (const char *text : {"-5", "1.5", "3e0", "4294967296", "\"7\"",
+                             "true"}) {
+        ASSERT_TRUE(JsonValue::parse(text, doc)) << text;
+        unsigned field = 9;
+        EXPECT_FALSE(doc.asUnsigned(field)) << text;
+        EXPECT_EQ(field, 9u) << text;
+    }
 
     // Corrupt documents are rejected, not half-parsed.
     EXPECT_FALSE(JsonValue::parse("{\"a\": 1", doc));

@@ -18,7 +18,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -40,8 +41,9 @@ namespace
  */
 TEST(ThreadSafety, ResultStoreConcurrentRecord)
 {
-    const std::string path =
-        testing::TempDir() + "pth_tsafety_journal.jsonl";
+    std::string dir = testing::TempDir() + "pth_tsafety_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    const std::string path = dir + "/journal.jsonl";
     constexpr unsigned kThreads = 8;
     constexpr unsigned kPerThread = 50;
     {
@@ -63,6 +65,7 @@ TEST(ThreadSafety, ResultStoreConcurrentRecord)
     }
     ResultStore::LoadStats stats;
     auto entries = ResultStore::load(path, &stats);
+    std::filesystem::remove_all(dir);
     EXPECT_EQ(stats.corruptLines, 0u);
     ASSERT_EQ(entries.size(),
               static_cast<std::size_t>(kThreads) * kPerThread);
@@ -71,7 +74,6 @@ TEST(ThreadSafety, ResultStoreConcurrentRecord)
         EXPECT_EQ(entry.result.index, index);
         EXPECT_EQ(entry.result.seed, index);
     }
-    std::remove(path.c_str());
 }
 
 /**

@@ -23,6 +23,7 @@
 
 #include <sys/stat.h>
 
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "harness/bench_cli.hh"
 #include "harness/campaign_ctl.hh"
@@ -409,7 +410,7 @@ ctlMain(int argc, char **argv)
             const char *slash = std::strrchr(v, '/');
             unsigned shard = 0;
             if (!slash || slash == v ||
-                !BenchCli::parseCount(slash + 1, shard)) {
+                !parseWhole(slash + 1, shard)) {
                 std::fprintf(stderr,
                              "bad --inject-kill '%s' (use"
                              " NAME/SHARD)\n",
